@@ -1,7 +1,7 @@
 //! Scale suite: the engine hot path at `10⁵`–`10⁶` nodes.
 //!
-//! Four groups, all on the random-geometric topologies the scale-smoke
-//! CI lane exercises:
+//! Seven groups, on the random-geometric topologies the scale-smoke CI lane
+//! exercises and on the benchmark's precompute topologies:
 //!
 //! * `scale_engine_mode` — the same `10⁵`-node broadcast workload under
 //!   [`EngineMode::Frontier`] (SoA/bitset scratch, the default) and
@@ -23,12 +23,18 @@
 //! * `scale_dense_cd` — `broadcast_cd` (collision detection pinned) on the
 //!   same mean-degree-`~125` RGG, frontier vs reference: the CD word-level
 //!   dense kernel A/B.
+//! * `scale_precompute` — [`Precomputed::rebuild`], the per-trial oracle
+//!   precompute of broadcast and leader election (coarse, fine and
+//!   background Partition(β) races, one tree schedule each), with a pooled
+//!   [`PrecomputeScratch`] on the two benchmark topologies: `rgg(5000,0.03)`
+//!   (precompute-bound broadcast) and the `grid(500x10)` strip.
 //! * `scale_million` — one `10⁶`-node end-to-end trial, **gated** behind
 //!   `RN_BENCH_SCALE_MILLION=1` so a default `cargo bench` stays minutes,
 //!   not tens of minutes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rn_bench::BenchWorkload;
+use rn_core::{CompeteParams, PrecomputeScratch, Precomputed};
 use rn_decay::{CoinSampler, DecayBroadcast};
 use rn_graph::TopologySpec;
 use rn_sim::{
@@ -182,6 +188,30 @@ fn bench_dense_cd(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_precompute(c: &mut Criterion) {
+    // The pooled steady state a trial loop runs: one long-lived
+    // `Precomputed` and scratch, rebuilt for a fresh seed per iteration
+    // (allocation-free after the first rebuild).
+    let mut group = c.benchmark_group("scale_precompute");
+    group.sample_size(10);
+    for spec in ["rgg(5000,0.03)", "grid(500x10)"] {
+        let g = spec.parse::<TopologySpec>().expect("spec parses").build(TOPOLOGY_SEED);
+        let net = NetParams::new(g.n(), g.diameter_double_sweep());
+        let params = CompeteParams::default();
+        group.bench_function(spec, |b| {
+            let mut pre = Precomputed::build(&g, net, &params, 0);
+            let mut scratch = PrecomputeScratch::default();
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                pre.rebuild(&g, net, &params, seed, &mut scratch);
+                pre.charged_rounds
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_million(c: &mut Criterion) {
     if std::env::var("RN_BENCH_SCALE_MILLION").is_err() {
         println!("bench scale_million skipped (set RN_BENCH_SCALE_MILLION=1 to run)");
@@ -209,6 +239,7 @@ criterion_group!(
     bench_dense_rounds,
     bench_pooled_vs_fresh,
     bench_dense_cd,
+    bench_precompute,
     bench_million
 );
 criterion_main!(benches);

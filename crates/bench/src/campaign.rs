@@ -770,4 +770,21 @@ mod tests {
             assert!(validate_results(&doc).is_err(), "{bad} must fail validation");
         }
     }
+
+    #[test]
+    fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+        // `--check` and `bench-diff` parse then validate user files; 10⁵
+        // levels of nesting once overflowed the parser's stack.
+        let levels = 100_000;
+        for deep in [
+            "[".repeat(levels),
+            format!("{}{}", "[".repeat(levels), "]".repeat(levels)),
+            format!(r#"{{"schema":"rn-bench-results/v1","cells":{}"#, "[".repeat(levels)),
+        ] {
+            let checked = Json::parse(&deep)
+                .map_err(|e| e.to_string())
+                .and_then(|doc| validate_results(&doc));
+            assert!(checked.is_err(), "{levels}-deep input must be rejected");
+        }
+    }
 }

@@ -148,12 +148,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with a byte offset on malformed input or trailing
-    /// garbage.
+    /// [`JsonError`] with a byte offset on malformed input, trailing
+    /// garbage, or arrays and objects nested more than 128 levels deep.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError { msg: "trailing characters after value".into(), at: pos });
@@ -161,6 +161,11 @@ impl Json {
         Ok(value)
     }
 }
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so unbounded input nesting would
+/// overflow the stack; results files nest a handful of levels.
+const MAX_DEPTH: usize = 128;
 
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
@@ -199,14 +204,18 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(err("unexpected end of input", *pos));
     };
+    if matches!(b, b'{' | b'[') && depth == MAX_DEPTH {
+        return Err(err(format!("nesting deeper than {MAX_DEPTH} levels"), *pos));
+    }
     match b {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' => parse_object(bytes, pos, depth + 1),
+        b'[' => parse_array(bytes, pos, depth + 1),
         b'"' => Ok(Json::Str(parse_string(bytes, pos)?)),
         b't' => parse_literal(bytes, pos, "true", Json::Bool(true)),
         b'f' => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -301,7 +310,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -310,7 +319,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(&b',') => {
@@ -325,7 +334,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -338,7 +347,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -408,6 +417,23 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", "tru", "1 2", r#"{"a"}"#, "nan", "01x"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), (r#"{"k":"#, "}")] {
+            assert!(Json::parse(&nested(open, close, MAX_DEPTH)).is_ok(), "{open} at the limit");
+            let e = Json::parse(&nested(open, close, MAX_DEPTH + 1)).expect_err("one level deeper");
+            assert_eq!(
+                e.at,
+                open.len() * MAX_DEPTH,
+                "{open}: reported at the first level too deep"
+            );
+            assert!(e.msg.contains("nesting"), "{}", e.msg);
         }
     }
 

@@ -13,11 +13,15 @@
 //!
 //! Two constructions are provided:
 //!
-//! * [`Partition::compute`] — the exact *oracle* construction (a shifted
-//!   multi-source Dijkstra race). The paper notes its clustering results
-//!   "apply … in any setting, not just radio networks"; clustering-property
-//!   experiments use this form, and the Compete algorithm uses it in its
-//!   `Charged` precomputation mode (`DESIGN.md` §4.3).
+//! * [`Partition::compute`] — the exact *oracle* construction: a
+//!   multi-source BFS in which center `u` starts at time `−δ_u`, resolved
+//!   by merging two sorted streams (the seeds sorted once by shift, and a
+//!   FIFO of settled nodes) in `O(n log n + m)` time and `2n` scratch
+//!   entries, with ties going to the smaller center id. The paper notes
+//!   its clustering results "apply … in any setting, not just radio
+//!   networks"; clustering-property experiments use this form, and the
+//!   Compete algorithm uses it in its `Charged` precomputation mode
+//!   (`DESIGN.md` §4.3).
 //! * [`DistributedPartition`] — a genuine radio protocol (discretized race
 //!   with per-phase Decay windows, as in Haeupler–Wajc §3) costing
 //!   `O(log³ n / β)` rounds, used to validate the charged mode.

@@ -1,11 +1,11 @@
 use crate::shifts::ExponentialShifts;
 use rand::Rng;
 use rn_graph::{traversal, Graph, NodeId, INVALID_NODE};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Total-order wrapper for `f64` race keys (shifts are continuous, so ties
-/// are measure-zero; `total_cmp` still makes the race fully deterministic).
+/// are measure-zero — except where `ExponentialShifts::clamp_max` caps many
+/// shifts at one value; `total_cmp` still makes the race fully deterministic).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Key(f64);
 
@@ -51,15 +51,25 @@ pub struct Partition {
 }
 
 /// Reusable workspace for [`Partition::recompute`] /
-/// [`Partition::recompute_within`]: the race heap, the shift vector, and the
-/// center-index table. All buffers are bounded by the graph (`n + 2m` heap
-/// entries, `n` shifts/indices), so after the first recompute on a given
-/// graph subsequent recomputes perform no heap allocation.
+/// [`Partition::recompute_within`]: the race's two streams (the seeds in
+/// key order and the FIFO of settled nodes), the shift vector, and the
+/// center-index table. Every buffer holds at most `n` entries — `2n` race
+/// entries in all — so after the first recompute on a given graph
+/// subsequent recomputes perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
     shifts: Option<ExponentialShifts>,
-    heap: BinaryHeap<Reverse<(Key, NodeId, NodeId)>>,
+    race: RaceScratch,
     index_of_center: Vec<u32>,
+}
+
+/// The two streams [`Partition::race_in_place`] merges: every node's seed
+/// `(Key(−δ_u), u)` sorted once, and the settled nodes in settlement order,
+/// each with the key it offers its neighbours.
+#[derive(Debug, Default)]
+struct RaceScratch {
+    seeds: Vec<(Key, NodeId)>,
+    settled: Vec<(f64, NodeId)>,
 }
 
 /// Fills (or refreshes) the pooled shift slot and returns a shared borrow.
@@ -114,8 +124,8 @@ impl Partition {
     }
 
     /// In-place [`Partition::compute`]: byte-identical result (single shared
-    /// race code path), but every buffer — shifts, heap, per-node tables,
-    /// member CSR — is reused from `self` and `scratch`.
+    /// race code path), but every buffer — shifts, race streams, per-node
+    /// tables, member CSR — is reused from `self` and `scratch`.
     pub fn recompute(
         &mut self,
         g: &Graph,
@@ -123,9 +133,9 @@ impl Partition {
         rng: &mut impl Rng,
         scratch: &mut PartitionScratch,
     ) {
-        let PartitionScratch { shifts, heap, index_of_center } = scratch;
+        let PartitionScratch { shifts, race, index_of_center } = scratch;
         let shifts = resample_into(shifts, g.n(), beta, rng);
-        self.race_in_place(g, shifts, None, heap, index_of_center);
+        self.race_in_place(g, shifts, None, race, index_of_center);
     }
 
     /// In-place [`Partition::compute_within`] (see [`Partition::recompute`]).
@@ -142,16 +152,14 @@ impl Partition {
         scratch: &mut PartitionScratch,
     ) {
         assert_eq!(region.len(), g.n(), "one region label per node");
-        let PartitionScratch { shifts, heap, index_of_center } = scratch;
+        let PartitionScratch { shifts, race, index_of_center } = scratch;
         let shifts = resample_into(shifts, g.n(), beta, rng);
-        self.race_in_place(g, shifts, Some(region), heap, index_of_center);
+        self.race_in_place(g, shifts, Some(region), race, index_of_center);
     }
 
     fn race(g: &Graph, shifts: &ExponentialShifts, region: Option<&[u32]>) -> Partition {
         let mut p = Partition::shell(shifts.beta());
-        let mut heap = BinaryHeap::new();
-        let mut index_of_center = Vec::new();
-        p.race_in_place(g, shifts, region, &mut heap, &mut index_of_center);
+        p.race_in_place(g, shifts, region, &mut RaceScratch::default(), &mut Vec::new());
         p
     }
 
@@ -168,38 +176,70 @@ impl Partition {
         }
     }
 
+    /// Resolves the shifted race exactly: node `v` joins the center `u`
+    /// minimizing `(dist(u, v) − δ_u, u)`, with distances inside `v`'s
+    /// region when one is given.
+    ///
+    /// Edges have unit weight, so the shifted Dijkstra race is a multi-source
+    /// BFS in which center `u` starts at time `−δ_u` (Miller–Peng–Xu). Two
+    /// streams replace the priority queue: the seeds sorted once by
+    /// `(Key(−δ_u), u)`, and a FIFO of settled nodes, each carrying the key
+    /// it offers its neighbours, `fl(key + 1.0)`. Each step takes the
+    /// smaller `(key, center)` head; a FIFO head settles all of its node's
+    /// unsettled same-region neighbours at once. The FIFO needs no sorting:
+    /// an offer that can still win `w` is at most `−δ_w < 0`, so it came from
+    /// a key below `−1`, where `+ 1.0` is exact and keeps the settlement
+    /// order. Once every seed is consumed every node is settled, and the
+    /// race stops. The result equals a lazy-deletion Dijkstra over
+    /// `(key, center, node)` (the tests' oracle), smaller-center tie-break
+    /// included, whenever every shift is below `2^53` — any `β` above
+    /// `8·10^-14`, since `Exp(β)` draws here are at most `709/β`. Beyond
+    /// that, keys lose their unit steps; the race still yields connected
+    /// clusters, each holding its own center.
     fn race_in_place(
         &mut self,
         g: &Graph,
         shifts: &ExponentialShifts,
         region: Option<&[u32]>,
-        heap: &mut BinaryHeap<Reverse<(Key, NodeId, NodeId)>>,
+        race: &mut RaceScratch,
         index_of_center: &mut Vec<u32>,
     ) {
         assert_eq!(shifts.len(), g.n(), "one shift per node");
         let n = g.n();
-        // Lazy-deletion Dijkstra over (key, center) with unit edge weights.
-        // Total pushes are bounded by n seeds + 2m relaxations, so one
-        // reservation covers every recompute on this graph.
-        heap.clear();
-        heap.reserve(n + 2 * g.m());
-        for u in g.nodes() {
-            heap.push(Reverse((Key(-shifts.delta(u)), u, u)));
-        }
+        let RaceScratch { seeds, settled } = race;
+        // Clear before reserving: both streams hold at most `n` entries.
+        seeds.clear();
+        seeds.reserve(n);
+        seeds.extend(g.nodes().map(|u| (Key(-shifts.delta(u)), u)));
+        seeds.sort_unstable();
+        settled.clear();
+        settled.reserve(n);
         self.beta = shifts.beta();
         self.center.clear();
         self.center.resize(n, INVALID_NODE);
         let center = &mut self.center;
-        while let Some(Reverse((key, c, v))) = heap.pop() {
-            if center[v as usize] != INVALID_NODE {
-                continue;
-            }
-            center[v as usize] = c;
-            for &w in g.neighbors(v) {
-                let crosses = region.is_some_and(|r| r[w as usize] != r[v as usize]);
-                if center[w as usize] == INVALID_NODE && !crosses {
-                    heap.push(Reverse((Key(key.0 + 1.0), c, w)));
+        let mut head = 0;
+        for &(seed_key, u) in seeds.iter() {
+            // Drain every settled node whose offer beats this seed.
+            while let Some(&(offer, v)) = settled.get(head) {
+                let c = center[v as usize];
+                if (Key(offer), c) >= (seed_key, u) {
+                    break;
                 }
+                head += 1;
+                let next = offer + 1.0;
+                for &w in g.neighbors(v) {
+                    if center[w as usize] == INVALID_NODE
+                        && region.is_none_or(|r| r[w as usize] == r[v as usize])
+                    {
+                        center[w as usize] = c;
+                        settled.push((next, w));
+                    }
+                }
+            }
+            if center[u as usize] == INVALID_NODE {
+                center[u as usize] = u;
+                settled.push((seed_key.0 + 1.0, u));
             }
         }
         self.rebuild_bookkeeping(index_of_center);
@@ -394,12 +434,109 @@ pub struct ValidateScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use rn_graph::generators;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    /// The race as a lazy-deletion Dijkstra over `(key, center, node)` with
+    /// unit edge weights: the oracle for the two-stream merge.
+    fn heap_race(g: &Graph, shifts: &ExponentialShifts, region: Option<&[u32]>) -> Vec<NodeId> {
+        let mut heap = BinaryHeap::new();
+        for u in g.nodes() {
+            heap.push(Reverse((Key(-shifts.delta(u)), u, u)));
+        }
+        let mut center = vec![INVALID_NODE; g.n()];
+        while let Some(Reverse((key, c, v))) = heap.pop() {
+            if center[v as usize] != INVALID_NODE {
+                continue;
+            }
+            center[v as usize] = c;
+            for &w in g.neighbors(v) {
+                let crosses = region.is_some_and(|r| r[w as usize] != r[v as usize]);
+                if center[w as usize] == INVALID_NODE && !crosses {
+                    heap.push(Reverse((Key(key.0 + 1.0), c, w)));
+                }
+            }
+        }
+        center
+    }
+
+    /// One of the five race-test families (path, grid, rgg, random tree,
+    /// barbell), sized by `size` in `0..1`.
+    fn family_graph(family: u8, size: f64, seed: u64) -> Graph {
+        let k = |lo: usize, hi: usize| lo + ((hi - lo) as f64 * size) as usize;
+        let r = &mut rng(seed);
+        match family % 5 {
+            0 => generators::path(k(1, 300)),
+            1 => generators::grid(k(1, 30), k(1, 12)),
+            2 => generators::random_geometric(k(2, 400), 0.05 + 0.2 * size, r),
+            3 => generators::random_tree(k(2, 300), r),
+            _ => generators::barbell(k(3, 20), k(1, 30)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn merge_race_equals_heap_race(
+            family in 0u8..5,
+            size in 0.0f64..1.0,
+            seed in any::<u64>(),
+            log_beta in -9.0f64..0.0,
+            regions in 0u32..5,
+            cap in 0u8..3,
+        ) {
+            // β log-uniform in [1e-9, 1]. Regions: none; random labels from
+            // 1–3 values (regions need not be connected); or the clusters of
+            // a coarser partition, as the precompute's fine races use.
+            // Shifts: raw, capped at their median (half of them tie
+            // exactly, so the smaller-center tie-break decides), or capped
+            // at 1/β.
+            let g = family_graph(family, size, seed);
+            let beta = 10f64.powf(log_beta);
+            let mut r = rng(seed ^ 0x5EED);
+            let labels: Vec<u32> = if regions == 4 {
+                let coarse = Partition::compute(&g, beta.sqrt(), &mut r);
+                g.nodes().map(|v| coarse.cluster_index(v)).collect()
+            } else {
+                g.nodes().map(|_| r.gen_range(0..regions.max(1))).collect()
+            };
+            let region = (regions > 0).then_some(labels.as_slice());
+            let mut shifts = ExponentialShifts::sample(g.n(), beta, &mut r);
+            match cap {
+                1 => {
+                    let mut sorted: Vec<f64> = g.nodes().map(|v| shifts.delta(v)).collect();
+                    sorted.sort_by(f64::total_cmp);
+                    shifts.clamp_max(sorted[sorted.len() / 2]);
+                }
+                2 => {
+                    shifts.clamp_max(1.0 / beta);
+                }
+                _ => {}
+            }
+            let merged = Partition::race(&g, &shifts, region);
+            prop_assert_eq!(&merged.center, &heap_race(&g, &shifts, region));
+            prop_assert!(merged.validate(&g).is_ok());
+        }
+    }
+
+    #[test]
+    fn huge_shifts_still_give_a_valid_partition() {
+        // Beyond 2^53 keys lose their unit steps; β down to the smallest
+        // positive float must still yield connected, self-centered clusters.
+        let g = generators::grid(20, 20);
+        for beta in [1e-15, 1e-200, f64::MIN_POSITIVE] {
+            let p = Partition::compute(&g, beta, &mut rng(13));
+            p.validate(&g).expect("valid partition");
+        }
     }
 
     #[test]

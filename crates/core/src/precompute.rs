@@ -27,11 +27,6 @@ pub struct FineClustering {
 }
 
 impl FineClustering {
-    fn new(j: u32, beta: f64, partition: Partition, schedule: TreeSchedule, radius: u32) -> Self {
-        let pass_len = schedule.pass_len(radius);
-        FineClustering { j, beta, partition, schedule, radius, pass_len, icp_len: 3 * pass_len }
-    }
-
     /// Refreshes the curtailment geometry after an in-place partition /
     /// schedule rebuild.
     fn reset_meta(&mut self, j: u32, beta: f64, radius: u32) {
@@ -168,21 +163,13 @@ impl Precomputed {
             let radius = params.curtail_radius(&net, j);
             let stream = 1000 + (ji as u64) * 512 + t as u64;
             let mut r = rng::stream_rng(seed, stream);
-            if let Some(f) = self.fines.get_mut(i) {
-                f.partition.recompute_within(
-                    g,
-                    beta,
-                    &self.coarse_idx,
-                    &mut r,
-                    &mut scratch.partition,
-                );
-                f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
-                f.reset_meta(j, beta, radius);
-            } else {
-                let part = Partition::compute_within(g, beta, &self.coarse_idx, &mut r);
-                let sched = TreeSchedule::build(g, &part, SlotPolicy::Auto);
-                self.fines.push(FineClustering::new(j, beta, part, sched, radius));
+            if i == self.fines.len() {
+                self.fines.push(self.new_slot());
             }
+            let f = &mut self.fines[i];
+            f.partition.recompute_within(g, beta, &self.coarse_idx, &mut r, &mut scratch.partition);
+            f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
+            f.reset_meta(j, beta, radius);
             charged += ((log_n * log_n * log_n) as f64 / beta).ceil() as u64;
             charged += self.fines[i].schedule.charged_build_rounds(&net);
         }
@@ -201,15 +188,13 @@ impl Precomputed {
         self.bg.truncate(bg_count);
         for t in 0..bg_count {
             let mut r = rng::stream_rng(seed, 9000 + t as u64);
-            if let Some(f) = self.bg.get_mut(t) {
-                f.partition.recompute(g, beta_bg, &mut r, &mut scratch.partition);
-                f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
-                f.reset_meta(0, beta_bg, bg_radius);
-            } else {
-                let part = Partition::compute(g, beta_bg, &mut r);
-                let sched = TreeSchedule::build(g, &part, SlotPolicy::Auto);
-                self.bg.push(FineClustering::new(0, beta_bg, part, sched, bg_radius));
+            if t == self.bg.len() {
+                self.bg.push(self.new_slot());
             }
+            let f = &mut self.bg[t];
+            f.partition.recompute(g, beta_bg, &mut r, &mut scratch.partition);
+            f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
+            f.reset_meta(0, beta_bg, bg_radius);
             charged += ((log_n * log_n * log_n) as f64 / beta_bg).ceil() as u64;
             charged += self.bg[t].schedule.charged_build_rounds(&net);
         }
@@ -221,6 +206,22 @@ impl Precomputed {
             PrecomputeMode::Charged => charged,
             PrecomputeMode::Ignored => 0,
         };
+    }
+
+    /// A slot for one more fine or background clustering: a copy of the
+    /// coarse one, which the in-place recompute and rebuild then overwrite.
+    /// New slots thus go through the pooled scratch too, so a first
+    /// rebuild allocates no per-clustering race or schedule scratch.
+    fn new_slot(&self) -> FineClustering {
+        FineClustering {
+            j: 0,
+            beta: self.coarse.beta(),
+            partition: self.coarse.clone(),
+            schedule: self.coarse_sched.clone(),
+            radius: 0,
+            pass_len: 0,
+            icp_len: 0,
+        }
     }
 }
 

@@ -294,8 +294,13 @@ pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Graph {
     let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
     let r2 = radius * radius;
 
-    // Grid-bucket neighbor search: cells of side `radius`.
-    let cells = ((1.0 / radius).ceil() as usize).max(1);
+    // Grid-bucket neighbor search: cells of side at least `radius`, so every
+    // neighbor sits in the 3×3 block around a point's cell. At most ⌈√n⌉
+    // cells per side: a tiny radius would otherwise ask for ⌈1/radius⌉²
+    // buckets (the product wraps past usize for radius ≲ 2⁻³²). Wider cells
+    // only enlarge the candidate set, and `from_edges` sorts adjacency, so
+    // the graph does not depend on the cell count.
+    let cells = ((1.0 / radius).ceil() as usize).clamp(1, (n as f64).sqrt().ceil() as usize);
     let cell_of = |p: (f64, f64)| {
         let cx = ((p.0 * cells as f64) as usize).min(cells - 1);
         let cy = ((p.1 * cells as f64) as usize).min(cells - 1);
@@ -665,6 +670,31 @@ mod tests {
     #[test]
     fn rgg_sparse_radius_still_connected_via_augmentation() {
         let g = random_geometric(100, 0.02, &mut rng());
+        assert!(g.is_connected());
+    }
+
+    #[test]
+    fn rgg_tiny_radius_builds_on_a_clamped_bucket_grid() {
+        // ⌈1/radius⌉² buckets would be ~10²⁴ here; the grid is clamped to
+        // ⌈√n⌉ cells per side, and every pair within the radius (checked by
+        // brute force over the replayed points) is still an edge.
+        for (n, radius) in [(5, 1e-12), (50, 1e-5), (400, 0.01)] {
+            let g = random_geometric(n, radius, &mut rng());
+            assert_eq!(g.n(), n);
+            assert!(g.is_connected(), "rgg({n},{radius})");
+            let mut r = rng();
+            let pts: Vec<(f64, f64)> = (0..n).map(|_| (r.gen::<f64>(), r.gen::<f64>())).collect();
+            for u in 0..n {
+                for v in u + 1..n {
+                    let d2 = (pts[u].0 - pts[v].0).powi(2) + (pts[u].1 - pts[v].1).powi(2);
+                    if d2 <= radius * radius {
+                        assert!(g.has_edge(u as NodeId, v as NodeId), "rgg({n},{radius}): {u}-{v}");
+                    }
+                }
+            }
+        }
+        let g = "rgg(5,1e-12)".parse::<crate::TopologySpec>().expect("spec parses").build(0);
+        assert_eq!(g.n(), 5);
         assert!(g.is_connected());
     }
 

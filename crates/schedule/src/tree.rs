@@ -1,7 +1,6 @@
 use rn_cluster::Partition;
 use rn_graph::{Graph, NodeId, INVALID_NODE};
 use rn_sim::NetParams;
-use std::collections::VecDeque;
 
 /// How the window width `W` (slots per tree layer = schedule period) is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,13 +61,26 @@ pub struct TreeSchedule {
 }
 
 /// Reusable workspace for [`TreeSchedule::rebuild`]: the BFS queue, the
-/// greedy coloring's used-color list, and the counting-sort cursors. All
-/// three are bounded by `n`, so after the first rebuild on a given graph
-/// subsequent rebuilds perform no heap allocation.
+/// layer-adjacency lists the colorings walk, the greedy coloring's
+/// used-color stamps, and the counting-sort cursors. Every buffer is
+/// bounded by the graph (`n` or `m + 1` entries; the layer lists hold at
+/// most one entry per edge each), so after the first rebuild on a given
+/// graph subsequent rebuilds perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct TreeScheduleScratch {
-    queue: VecDeque<NodeId>,
-    used: Vec<u32>,
+    queue: Vec<NodeId>,
+    /// Node `v`'s down list is `down_data[down_span[v].0..down_span[v].1]`:
+    /// its same-cluster neighbours one layer deeper, children included.
+    down_span: Vec<(u32, u32)>,
+    down_data: Vec<NodeId>,
+    /// CSR of up lists, the transpose of the down lists: node `v` owns
+    /// `up_data[up_start[v]..up_start[v + 1]]`, its same-cluster neighbours
+    /// one layer up (its parent among them), in ascending id order.
+    up_start: Vec<u32>,
+    up_data: Vec<NodeId>,
+    /// `mark[c] == stamp` iff color `c` is taken by a conflicting node;
+    /// slot `n` absorbs `u32::MAX` (not yet colored).
+    mark: Vec<u32>,
     cursor: Vec<u32>,
 }
 
@@ -105,7 +117,8 @@ impl TreeSchedule {
         scratch: &mut TreeScheduleScratch,
     ) {
         let n = g.n();
-        let TreeScheduleScratch { queue, used, cursor } = scratch;
+        let TreeScheduleScratch { queue, down_span, down_data, up_start, up_data, mark, cursor } =
+            scratch;
         self.parent.clear();
         self.parent.resize(n, INVALID_NODE);
         self.depth.clear();
@@ -125,22 +138,44 @@ impl TreeSchedule {
             ..
         } = self;
 
-        // Per-cluster BFS with parents, restricted to the cluster.
+        // Per-cluster BFS with parents, restricted to the cluster. Each node
+        // is enqueued once over all clusters, so one queue serves them all.
+        // A popped node `u` also records its down list: once its scan has
+        // discovered every undiscovered neighbour, the same-cluster
+        // neighbours at depth `depth(u) + 1` are exactly those one layer
+        // down. Each edge lands in at most one down list, so `m + 1` slots
+        // cover the branch-free append (a slot is overwritten unless its
+        // node qualifies).
         queue.clear();
         queue.reserve(n);
+        down_span.clear();
+        down_span.resize(n, (0, 0));
+        if down_data.len() != g.m() + 1 {
+            down_data.clear();
+            down_data.resize(g.m() + 1, 0);
+        }
+        let mut down_len = 0;
+        let mut head = 0;
         for (idx, &c) in partition.centers().iter().enumerate() {
             let idx = idx as u32;
             depth[c as usize] = 0;
-            queue.push_back(c);
-            while let Some(u) = queue.pop_front() {
+            queue.push(c);
+            while let Some(&u) = queue.get(head) {
+                head += 1;
                 let du = depth[u as usize];
+                let start = down_len as u32;
                 for &w in g.neighbors(u) {
-                    if cluster[w as usize] == idx && depth[w as usize] == u32::MAX {
-                        depth[w as usize] = du + 1;
-                        parent[w as usize] = u;
-                        queue.push_back(w);
+                    if cluster[w as usize] == idx {
+                        if depth[w as usize] == u32::MAX {
+                            depth[w as usize] = du + 1;
+                            parent[w as usize] = u;
+                            queue.push(w);
+                        }
+                        down_data[down_len] = w;
+                        down_len += usize::from(depth[w as usize] == du + 1);
                     }
                 }
+                down_span[u as usize] = (start, down_len as u32);
             }
         }
         debug_assert!(depth.iter().all(|&d| d != u32::MAX), "clusters are connected");
@@ -200,51 +235,78 @@ impl TreeSchedule {
             }
         }
 
+        // Up lists: the down lists transposed by counting sort.
+        up_start.clear();
+        up_start.resize(n + 1, 0);
+        for &w in &down_data[..down_len] {
+            up_start[w as usize + 1] += 1;
+        }
+        for v in 0..n {
+            up_start[v + 1] += up_start[v];
+        }
+        up_data.clear();
+        up_data.reserve(g.m());
+        up_data.resize(down_len, 0);
+        cursor.clear();
+        cursor.extend_from_slice(&up_start[..n]);
+        for (u, &(start, end)) in down_span.iter().enumerate() {
+            for &w in &down_data[start as usize..end as usize] {
+                let at = &mut cursor[w as usize];
+                up_data[*at as usize] = u as NodeId;
+                *at += 1;
+            }
+        }
+
         // Greedy conflict colorings, one layer at a time, written directly
-        // into the slot arrays (folded modulo the window afterwards).
+        // into the slot arrays (folded modulo the window afterwards). The
+        // conflicting nodes are read off the layer lists, so no adjacency
+        // is walked here. A node not yet colored — or never, like a peer
+        // without children in the downcast, or the node being colored,
+        // which the lists also reach — holds `u32::MAX`, whose stamp lands
+        // in the spare slot `n`; a color is below `n`, since fewer than `n`
+        // nodes conflict with any one node.
         down_slot.clear();
         down_slot.resize(n, u32::MAX);
         up_slot.clear();
         up_slot.resize(n, u32::MAX);
-        // Clear before reserving: `reserve` asks for capacity *beyond the
-        // current length*, and `used` may carry entries from the previous
-        // rebuild — without the clear, a reused scratch reallocs once here.
-        used.clear();
-        used.reserve(n);
+        mark.clear();
+        mark.resize(n + 1, 0);
+        let spare = n as u32;
+        let mut stamp = 0u32;
         let down_color = down_slot;
         let up_color = up_slot;
+        let children = |v: NodeId| {
+            &child_data[child_start[v as usize] as usize..child_start[v as usize + 1] as usize]
+        };
+        let down_list = |v: NodeId| {
+            let (start, end) = down_span[v as usize];
+            &down_data[start as usize..end as usize]
+        };
+        let up_list =
+            |v: NodeId| &up_data[up_start[v as usize] as usize..up_start[v as usize + 1] as usize];
         let mut max_color = 0u32;
         for d in 0..max_depth as usize + 1 {
             let layer = &depth_nodes[depth_start[d] as usize..depth_start[d + 1] as usize];
             // --- Downcast: transmitters are nodes with children.
             for &p in layer {
-                let kids = &child_data
-                    [child_start[p as usize] as usize..child_start[p as usize + 1] as usize];
+                let kids = children(p);
                 if kids.is_empty() {
                     continue;
                 }
-                used.clear();
-                // Conflicts: same cluster+depth transmitters p' that are
-                // adjacent to one of p's children, or whose children are
-                // adjacent to p.
+                stamp += 1;
+                // Conflicts: same cluster+depth transmitters p' adjacent to
+                // one of p's children (its up list) ...
                 for &u in kids {
-                    for &w in g.neighbors(u) {
-                        if w != p && is_peer_transmitter(w, p, cluster, depth, child_start) {
-                            push_color(used, down_color[w as usize]);
-                        }
+                    for &w in up_list(u) {
+                        mark[down_color[w as usize].min(spare) as usize] = stamp;
                     }
                 }
-                for &w in g.neighbors(p) {
-                    // w is a child of a peer p'' ⇒ p ∈ N(child of p'').
+                // ... or whose children are adjacent to p (p's down list).
+                for &w in down_list(p) {
                     let pw = parent[w as usize];
-                    if pw != INVALID_NODE
-                        && pw != p
-                        && is_peer_transmitter(pw, p, cluster, depth, child_start)
-                    {
-                        push_color(used, down_color[pw as usize]);
-                    }
+                    mark[down_color[pw as usize].min(spare) as usize] = stamp;
                 }
-                let c = smallest_free(used);
+                let c = smallest_unmarked(mark, stamp);
                 down_color[p as usize] = c;
                 max_color = max_color.max(c);
             }
@@ -256,30 +318,20 @@ impl TreeSchedule {
                 if pu == INVALID_NODE {
                     continue;
                 }
-                used.clear();
-                // u' adjacent to u's parent (same cluster+depth) collides at p(u).
-                for &w in g.neighbors(pu) {
-                    if w != u
-                        && cluster[w as usize] == cluster[u as usize]
-                        && depth[w as usize] == depth[u as usize]
-                    {
-                        push_color(used, up_color[w as usize]);
+                stamp += 1;
+                // u' adjacent to u's parent (same cluster+depth) collides at
+                // p(u): p(u)'s down list.
+                for &w in down_list(pu) {
+                    mark[up_color[w as usize].min(spare) as usize] = stamp;
+                }
+                // u adjacent to p(u') collides at p(u'): the children of u's
+                // up list.
+                for &w in up_list(u) {
+                    for &ch in children(w) {
+                        mark[up_color[ch as usize].min(spare) as usize] = stamp;
                     }
                 }
-                // u adjacent to p(u') collides at p(u'): conflict with u'.
-                for &w in g.neighbors(u) {
-                    let chs = &child_data
-                        [child_start[w as usize] as usize..child_start[w as usize + 1] as usize];
-                    for &ch in chs {
-                        if ch != u
-                            && cluster[ch as usize] == cluster[u as usize]
-                            && depth[ch as usize] == depth[u as usize]
-                        {
-                            push_color(used, up_color[ch as usize]);
-                        }
-                    }
-                }
-                let c = smallest_free(used);
+                let c = smallest_unmarked(mark, stamp);
                 up_color[u as usize] = c;
                 max_color = max_color.max(c);
             }
@@ -422,44 +474,155 @@ impl TreeSchedule {
     }
 }
 
+/// The smallest color whose `mark` is not `stamp`.
 #[inline]
-fn is_peer_transmitter(
-    w: NodeId,
-    p: NodeId,
-    cluster: &[u32],
-    depth: &[u32],
-    child_start: &[u32],
-) -> bool {
-    cluster[w as usize] == cluster[p as usize]
-        && depth[w as usize] == depth[p as usize]
-        && child_start[w as usize + 1] > child_start[w as usize]
-}
-
-#[inline]
-fn push_color(used: &mut Vec<u32>, c: u32) {
-    if c != u32::MAX && !used.contains(&c) {
-        used.push(c);
-    }
-}
-
-#[inline]
-fn smallest_free(used: &[u32]) -> u32 {
-    let mut c = 0u32;
-    loop {
-        if !used.contains(&c) {
-            return c;
-        }
-        c += 1;
-    }
+fn smallest_unmarked(mark: &[u32], stamp: u32) -> u32 {
+    mark.iter().position(|&m| m != stamp).expect("fewer than n nodes conflict") as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use rn_cluster::Partition;
     use rn_graph::generators;
+
+    fn push_color(used: &mut Vec<u32>, c: u32) {
+        if c != u32::MAX && !used.contains(&c) {
+            used.push(c);
+        }
+    }
+
+    fn smallest_free(used: &[u32]) -> u32 {
+        (0..).find(|c| !used.contains(c)).expect("a free color")
+    }
+
+    /// The greedy colorings as first written — adjacency walks with
+    /// separate cluster, depth and has-children peer tests, and every child
+    /// of every neighbour walked in the upcast — over `s`'s trees, folded
+    /// into the window `policy` gives. Kept as the oracle for the
+    /// layer-list coloring; returns `(down_slot, up_slot, window, overflow)`.
+    fn reference_slots(
+        g: &Graph,
+        s: &TreeSchedule,
+        policy: SlotPolicy,
+    ) -> (Vec<u32>, Vec<u32>, u32, usize) {
+        let n = g.n();
+        let peer = |w: NodeId, p: NodeId| {
+            s.cluster(w) == s.cluster(p) && s.depth(w) == s.depth(p) && !s.children(w).is_empty()
+        };
+        let mut down = vec![u32::MAX; n];
+        let mut up = vec![u32::MAX; n];
+        let mut used = Vec::new();
+        let mut max_color = 0u32;
+        for d in 0..=s.max_depth() {
+            for &p in s.nodes_at_depth(d) {
+                if s.children(p).is_empty() {
+                    continue;
+                }
+                used.clear();
+                for &u in s.children(p) {
+                    for &w in g.neighbors(u) {
+                        if w != p && peer(w, p) {
+                            push_color(&mut used, down[w as usize]);
+                        }
+                    }
+                }
+                for &w in g.neighbors(p) {
+                    let pw = s.parent(w);
+                    if pw != INVALID_NODE && pw != p && peer(pw, p) {
+                        push_color(&mut used, down[pw as usize]);
+                    }
+                }
+                down[p as usize] = smallest_free(&used);
+                max_color = max_color.max(down[p as usize]);
+            }
+            for &u in s.nodes_at_depth(d) {
+                let pu = s.parent(u);
+                if pu == INVALID_NODE {
+                    continue;
+                }
+                let same_layer = |w: NodeId| s.cluster(w) == s.cluster(u) && s.depth(w) == d;
+                used.clear();
+                for &w in g.neighbors(pu) {
+                    if w != u && same_layer(w) {
+                        push_color(&mut used, up[w as usize]);
+                    }
+                }
+                for &w in g.neighbors(u) {
+                    for &ch in s.children(w) {
+                        if ch != u && same_layer(ch) {
+                            push_color(&mut used, up[ch as usize]);
+                        }
+                    }
+                }
+                up[u as usize] = smallest_free(&used);
+                max_color = max_color.max(up[u as usize]);
+            }
+        }
+        let window = match policy {
+            SlotPolicy::Auto => {
+                (max_color + 1).min((4 * NetParams::new(n, s.max_depth()).log2_n()).max(1))
+            }
+            SlotPolicy::Fixed(w) => w.max(1),
+        };
+        let mut overflow = 0;
+        for c in down.iter_mut().chain(up.iter_mut()).filter(|c| **c != u32::MAX) {
+            overflow += usize::from(*c >= window);
+            *c %= window;
+        }
+        (down, up, window, overflow)
+    }
+
+    /// One of the five schedule-test families (path, grid, rgg, random
+    /// tree, barbell), sized by `size` in `0..1`.
+    fn family_graph(family: u8, size: f64, rng: &mut SmallRng) -> Graph {
+        let k = |lo: usize, hi: usize| lo + ((hi - lo) as f64 * size) as usize;
+        match family % 5 {
+            0 => generators::path(k(1, 300)),
+            1 => generators::grid(k(1, 30), k(1, 12)),
+            2 => generators::random_geometric(k(2, 400), 0.05 + 0.2 * size, rng),
+            3 => generators::random_tree(k(2, 300), rng),
+            _ => generators::barbell(k(3, 20), k(1, 30)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn layer_list_coloring_equals_reference(
+            family in 0u8..5,
+            size in 0.0f64..1.0,
+            seed in any::<u64>(),
+            log_beta in -9.0f64..0.0,
+            within in any::<bool>(),
+            fixed in 0u32..4,
+        ) {
+            // β log-uniform in [1e-9, 1]; partitions either global or
+            // within a coarse clustering, as the precompute builds them;
+            // the window either automatic or fixed (0 = automatic).
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = family_graph(family, size, &mut rng);
+            let beta = 10f64.powf(log_beta);
+            let part = if within {
+                let coarse = Partition::compute(&g, beta.sqrt(), &mut rng);
+                let region: Vec<u32> = g.nodes().map(|v| coarse.cluster_index(v)).collect();
+                Partition::compute_within(&g, beta, &region, &mut rng)
+            } else {
+                Partition::compute(&g, beta, &mut rng)
+            };
+            let policy = if fixed == 0 { SlotPolicy::Auto } else { SlotPolicy::Fixed(fixed) };
+            let sched = TreeSchedule::build(&g, &part, policy);
+            let (down, up, window, overflow) = reference_slots(&g, &sched, policy);
+            prop_assert_eq!(&sched.down_slot, &down);
+            prop_assert_eq!(&sched.up_slot, &up);
+            prop_assert_eq!(sched.window, window);
+            prop_assert_eq!(sched.overflow, overflow);
+        }
+    }
 
     fn single_cluster(g: &Graph) -> Partition {
         let mut rng = SmallRng::seed_from_u64(0);
