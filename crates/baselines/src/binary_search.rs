@@ -16,7 +16,7 @@ use rand::Rng;
 use rn_core::{CompeteParams, CompeteProtocol, Precomputed};
 use rn_decay::DecayBroadcast;
 use rn_graph::{Graph, NodeId};
-use rn_sim::{rng, CollisionModel, FaultSchedule, NetParams, Simulator};
+use rn_sim::{rng, CollisionModel, FaultSchedule, NetParams, SimScratch, Simulator};
 use serde::{Deserialize, Serialize};
 
 /// Which multi-source broadcast the reduction probes with.
@@ -51,23 +51,12 @@ pub struct BinarySearchLeReport {
     pub consistent: bool,
 }
 
-/// Runs the reduction on `g`. `budget_factor` scales the per-phase broadcast
-/// budget `T_BC` (1.0 = the defaults above).
+/// Runs the reduction on `g`, with the channel under an explicit fault
+/// schedule (`None` = fault-free), stepping the engine `engine` was built
+/// for. `budget_factor` scales the per-phase broadcast budget `T_BC` (1.0 =
+/// the defaults above).
 pub fn binary_search_leader_election(
-    g: &Graph,
-    net: NetParams,
-    kind: BroadcastKind,
-    budget_factor: f64,
-    seed: u64,
-) -> BinarySearchLeReport {
-    binary_search_le_scheduled(g, net, kind, budget_factor, seed, None)
-}
-
-/// As [`binary_search_leader_election`], running the channel under an
-/// explicit fault schedule (`None` = fault-free) — the entry point
-/// [`crate::BinarySearchLeScenario`] uses so campaign fault injection stays
-/// plain parameter passing.
-pub fn binary_search_le_scheduled(
+    engine: &mut SimScratch,
     g: &Graph,
     net: NetParams,
     kind: BroadcastKind,
@@ -110,7 +99,7 @@ pub fn binary_search_le_scheduled(
         _ => CollisionModel::NoCollisionDetection,
     };
     let mut total_rounds: u64 = 0;
-    let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
+    let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
 
     // Compete probe: precompute once (clusterings don't depend on the probe),
     // charge it once.
@@ -192,11 +181,17 @@ mod tests {
     use super::*;
     use rn_graph::generators;
 
+    /// A fault-free run on a throwaway Frontier scratch.
+    fn elect(g: &Graph, kind: BroadcastKind, budget: f64, seed: u64) -> BinarySearchLeReport {
+        let net = NetParams::of_graph(g);
+        binary_search_leader_election(&mut SimScratch::new(), g, net, kind, budget, seed, None)
+    }
+
     #[test]
     fn elects_max_id_over_bgi() {
         let g = generators::grid(8, 8);
         let net = NetParams::of_graph(&g);
-        let r = binary_search_leader_election(&g, net, BroadcastKind::Bgi, 1.0, 7);
+        let r = elect(&g, BroadcastKind::Bgi, 1.0, 7);
         assert!(r.consistent, "probe budgets should suffice whp");
         assert!(r.leader.is_some());
         assert_eq!(r.phases, 2 * net.log2_n());
@@ -212,8 +207,7 @@ mod tests {
     #[test]
     fn elects_over_compete_probe() {
         let g = generators::grid(8, 8);
-        let net = NetParams::of_graph(&g);
-        let r = binary_search_leader_election(&g, net, BroadcastKind::CzumajDavies, 1.0, 9);
+        let r = elect(&g, BroadcastKind::CzumajDavies, 1.0, 9);
         assert!(r.consistent);
         assert!(r.leader.is_some());
     }
@@ -224,8 +218,7 @@ mod tests {
         // either surface the inconsistency or happen to stay consistent —
         // never panic or fabricate a leader silently.
         let g = generators::path(64);
-        let net = NetParams::of_graph(&g);
-        let r = binary_search_leader_election(&g, net, BroadcastKind::Bgi, 0.01, 3);
+        let r = elect(&g, BroadcastKind::Bgi, 0.01, 3);
         if !r.consistent {
             assert_eq!(r.leader, None);
         }
@@ -235,7 +228,7 @@ mod tests {
     fn elects_over_beep_wave_cd_probe() {
         let g = generators::grid(8, 8);
         let net = NetParams::of_graph(&g);
-        let r = binary_search_leader_election(&g, net, BroadcastKind::BeepWaveCd, 1.0, 13);
+        let r = elect(&g, BroadcastKind::BeepWaveCd, 1.0, 13);
         assert!(r.consistent, "beep probes are deterministic given sources");
         assert!(r.leader.is_some());
         // Exactly phases * (D+1) rounds (modulo the 16-round phase floor):
@@ -246,8 +239,7 @@ mod tests {
     #[test]
     fn leader_holds_the_maximum_id_on_path() {
         let g = generators::path(32);
-        let net = NetParams::of_graph(&g);
-        let r = binary_search_leader_election(&g, net, BroadcastKind::Bgi, 1.0, 11);
+        let r = elect(&g, BroadcastKind::Bgi, 1.0, 11);
         assert!(r.consistent);
         assert!(r.leader.is_some());
     }

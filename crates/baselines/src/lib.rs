@@ -26,9 +26,7 @@ mod family;
 mod scenario;
 
 pub use beep::BeepWave;
-pub use binary_search::{
-    binary_search_le_scheduled, binary_search_leader_election, BinarySearchLeReport, BroadcastKind,
-};
+pub use binary_search::{binary_search_leader_election, BinarySearchLeReport, BroadcastKind};
 pub use broadcasts::{bgi_broadcast, hw_broadcast, truncated_broadcast, BroadcastOutcome};
 pub use family::{families, BgiFamily, BinsearchLeFamily, TruncatedFamily};
 pub use scenario::{BgiScenario, BinarySearchLeScenario, TruncatedScenario};

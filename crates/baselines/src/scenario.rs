@@ -1,14 +1,11 @@
 //! [`Runnable`] scenarios for the comparator algorithms, so baselines plug
 //! into campaigns on exactly the same footing as the paper's algorithms.
 
-use crate::binary_search::{binary_search_le_scheduled, BroadcastKind};
+use crate::binary_search::{binary_search_leader_election, BroadcastKind};
 use rn_decay::{CoinSampler, DecayBroadcast, TruncatedDecayBroadcast};
-use rn_graph::Graph;
-use rn_sim::{
-    CollisionModel, FaultSchedule, NetParams, Runnable, Simulator, TrialPool, TrialRecord, TxBuf,
-};
+use rn_sim::{CollisionModel, Runnable, TrialCtx, TrialPool, TrialRecord, TxBuf};
 
-/// Per-worker reusable state behind the pooled baseline trials: one protocol
+/// Per-worker reusable state behind the baseline trials: one protocol
 /// of each decay variant (re-armed per trial via `reset`) plus the typed
 /// transmission buffer they share.
 #[derive(Debug, Default)]
@@ -28,29 +25,8 @@ impl Runnable for BgiScenario {
         "bgi".into()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let mut p = DecayBroadcast::single_source(net, 0, 1, seed);
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-        TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let (net, seed) = (ctx.net(), ctx.seed());
         let (engine, st) = pool.parts(BaselinePool::default);
         match &mut st.plain {
             Some(p) => p.reset(net, &[(0, 1)], seed, CoinSampler::default()),
@@ -58,11 +34,13 @@ impl Runnable for BgiScenario {
         }
         let p = st.plain.as_mut().expect("slot was just filled");
         st.tx.clear();
-        st.tx.reserve(g.n());
-        let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
-        let stats = sim.run_until_with_buf(p, &mut st.tx, net.decay_broadcast_budget(), |_, p| {
-            p.all_informed()
-        });
+        st.tx.reserve(ctx.graph().n());
+        let stats = ctx.simulator(engine).run_until_with_buf(
+            p,
+            &mut st.tx,
+            net.decay_broadcast_budget(),
+            |_, p| p.all_informed(),
+        );
         TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
     }
 }
@@ -77,29 +55,8 @@ impl Runnable for TruncatedScenario {
         "truncated".into()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let mut p = TruncatedDecayBroadcast::single_source(net, 0, 1, seed);
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-        TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let (net, seed) = (ctx.net(), ctx.seed());
         let (engine, st) = pool.parts(BaselinePool::default);
         match &mut st.trunc {
             Some(p) => p.reset(net, &[(0, 1)], seed, CoinSampler::default()),
@@ -107,11 +64,13 @@ impl Runnable for TruncatedScenario {
         }
         let p = st.trunc.as_mut().expect("slot was just filled");
         st.tx.clear();
-        st.tx.reserve(g.n());
-        let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
-        let stats = sim.run_until_with_buf(p, &mut st.tx, net.decay_broadcast_budget(), |_, p| {
-            p.all_informed()
-        });
+        st.tx.reserve(ctx.graph().n());
+        let stats = ctx.simulator(engine).run_until_with_buf(
+            p,
+            &mut st.tx,
+            net.decay_broadcast_budget(),
+            |_, p| p.all_informed(),
+        );
         TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
     }
 }
@@ -155,15 +114,16 @@ impl Runnable for BinarySearchLeScenario {
         }
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        _model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let r = binary_search_le_scheduled(g, net, self.kind, 1.0, seed, faults);
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let r = binary_search_leader_election(
+            pool.parts(|| ()).0,
+            ctx.graph(),
+            ctx.net(),
+            self.kind,
+            1.0,
+            ctx.seed(),
+            ctx.faults(),
+        );
         TrialRecord::rounds_only(r.consistent && r.leader.is_some(), r.rounds)
     }
 }
@@ -171,19 +131,26 @@ impl Runnable for BinarySearchLeScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rn_graph::generators;
+    use rn_graph::{generators, Graph};
+    use rn_sim::{FaultPlan, NetParams};
+
+    /// One `nocd` trial under `plan` on a throwaway pool.
+    fn faulted(s: &dyn Runnable, g: &Graph, seed: u64, plan: &FaultPlan) -> TrialRecord {
+        let model = CollisionModel::NoCollisionDetection;
+        let ctx = TrialCtx::new(g, NetParams::of_graph(g), model, seed, plan);
+        s.run(&ctx, &mut TrialPool::new())
+    }
 
     #[test]
     fn baseline_scenarios_complete_on_small_grid() {
         let g = generators::grid(8, 8);
-        let net = NetParams::of_graph(&g);
         let cases: Vec<Box<dyn Runnable>> = vec![
             Box::new(BgiScenario),
             Box::new(TruncatedScenario),
             Box::new(BinarySearchLeScenario { kind: BroadcastKind::BeepWaveCd }),
         ];
         for s in cases {
-            let r = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 5);
+            let r = faulted(s.as_ref(), &g, 5, &FaultPlan::none());
             assert!(r.completed, "{} must complete on grid-8x8", s.name());
             assert!(r.rounds > 0);
         }
@@ -212,52 +179,18 @@ mod tests {
 
     #[test]
     fn baseline_scenarios_run_under_faults_without_scenario_code() {
-        use rn_sim::FaultPlan;
         // The uniform fault seam: these scenarios contain no fault logic at
-        // all, yet run faulted through the Runnable-provided method. Under
+        // all beyond building their simulator from the trial context. Under
         // total jamming no broadcast can complete.
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let jam_all = FaultPlan::jam(36, 1.0);
         for s in [Box::new(BgiScenario) as Box<dyn Runnable>, Box::new(TruncatedScenario)] {
-            let r = s.run_trial_under_faults(
-                &g,
-                net,
-                CollisionModel::NoCollisionDetection,
-                7,
-                &jam_all,
-            );
+            let r = faulted(s.as_ref(), &g, 7, &jam_all);
             assert!(!r.completed, "{}: no false completion under total jamming", s.name());
             // Mild dropout still runs, deterministically.
             let plan = FaultPlan::drop(0.05);
-            let a =
-                s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 7, &plan);
-            let b =
-                s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 7, &plan);
+            let (a, b) = (faulted(s.as_ref(), &g, 7, &plan), faulted(s.as_ref(), &g, 7, &plan));
             assert_eq!(a, b, "{}: faulted trials are seed-deterministic", s.name());
-        }
-    }
-
-    #[test]
-    fn pooled_trials_match_fresh_trials_exactly() {
-        let graphs = [generators::grid(8, 8), generators::path(50)];
-        let mut pool = TrialPool::new();
-        for s in [Box::new(BgiScenario) as Box<dyn Runnable>, Box::new(TruncatedScenario)] {
-            for g in &graphs {
-                let net = NetParams::of_graph(g);
-                for seed in 0..3 {
-                    let fresh = s.run_trial(g, net, CollisionModel::NoCollisionDetection, seed);
-                    let pooled = s.run_trial_pooled(
-                        g,
-                        net,
-                        CollisionModel::NoCollisionDetection,
-                        seed,
-                        None,
-                        &mut pool,
-                    );
-                    assert_eq!(fresh, pooled, "{} n={} seed {seed}", s.name(), g.n());
-                }
-            }
         }
     }
 

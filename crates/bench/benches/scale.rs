@@ -3,11 +3,11 @@
 //! Seven groups, on the random-geometric topologies the scale-smoke CI lane
 //! exercises and on the benchmark's precompute topologies:
 //!
-//! * `scale_engine_mode` — the same `10⁵`-node broadcast workload under
-//!   [`EngineMode::Frontier`] (SoA/bitset scratch, the default) and
-//!   [`EngineMode::Reference`] (stamp vectors). Round counts are
-//!   byte-identical by construction — the differential tests pin that — so
-//!   any wall-clock gap is pure engine-layout effect.
+//! * `scale_engine_mode` — the same `10⁵`-node broadcast workload on a
+//!   [`TrialPool::new`] (Frontier SoA/bitset scratch, the production
+//!   engine) and a [`TrialPool::reference`] (stamp vectors). Round counts
+//!   are byte-identical by construction — the differential tests pin that —
+//!   so any wall-clock gap is pure engine-layout effect.
 //! * `scale_coin_sampler` — [`DecayBroadcast`] with per-index coins (the
 //!   registered default, sequence-pinned by the committed baselines) vs the
 //!   batched SplitMix64 word sampler ([`CoinSampler::Batched`]).
@@ -17,9 +17,9 @@
 //!   word-level dense kernel (bitmap-row OR/AND accumulation), so the gap
 //!   over reference measures the dense kernel plus SoA state together.
 //! * `scale_pooled_vs_fresh` — multi-trial `decay(16)` batches (ten at
-//!   `10⁵` nodes, one hundred at the `2×10³` campaign scale) through the
-//!   fresh per-trial path vs one long-lived [`TrialPool`] — the
-//!   steady-state zero-allocation contract's wall-clock payoff.
+//!   `10⁵` nodes, one hundred at the `2×10³` campaign scale) on a new
+//!   [`TrialPool`] per trial vs one long-lived pool — the steady-state
+//!   zero-allocation contract's wall-clock payoff.
 //! * `scale_dense_cd` — `broadcast_cd` (collision detection pinned) on the
 //!   same mean-degree-`~125` RGG, frontier vs reference: the CD word-level
 //!   dense kernel A/B.
@@ -37,9 +37,7 @@ use rn_bench::BenchWorkload;
 use rn_core::{CompeteParams, PrecomputeScratch, Precomputed};
 use rn_decay::{CoinSampler, DecayBroadcast};
 use rn_graph::TopologySpec;
-use rn_sim::{
-    with_default_engine_mode, CollisionModel, EngineMode, NetParams, Simulator, TrialPool,
-};
+use rn_sim::{CollisionModel, NetParams, Simulator, TrialPool};
 
 /// The 10⁵-node workload both A/B groups share (same shape as the CI
 /// scale-smoke cell, cheaper protocol so ten samples stay under a minute).
@@ -48,17 +46,23 @@ const SCALE_SCENARIO: &str = "bgi@rgg(100000,0.006)";
 /// Graph-build seed: benches pin one topology instance across all runs.
 const TOPOLOGY_SEED: u64 = 0x5CA1E;
 
+/// A pool constructor; it fixes the engine a trial steps.
+type NewPool = fn() -> TrialPool;
+
+/// The two engines of the A/B groups.
+const ENGINES: [(NewPool, &str); 2] =
+    [(TrialPool::new, "frontier"), (TrialPool::reference, "reference")];
+
 fn bench_engine_modes(c: &mut Criterion) {
     let w = BenchWorkload::resolve(SCALE_SCENARIO, TOPOLOGY_SEED);
     let mut group = c.benchmark_group("scale_engine_mode");
     group.sample_size(5);
-    for (mode, label) in [(EngineMode::Frontier, "frontier"), (EngineMode::Reference, "reference")]
-    {
+    for (pool, label) in ENGINES {
         group.bench_function(format!("{}/{label}", w.name), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let r = with_default_engine_mode(mode, || w.run_trial(seed));
+                let r = w.run_trial_in(seed, &mut pool());
                 assert!(r.completed, "{SCALE_SCENARIO} must complete under {label}");
                 r.rounds
             });
@@ -95,13 +99,12 @@ fn bench_dense_rounds(c: &mut Criterion) {
     let w = BenchWorkload::resolve("decay(16)@rgg(100000,0.02)", TOPOLOGY_SEED);
     let mut group = c.benchmark_group("scale_dense_rounds");
     group.sample_size(5);
-    for (mode, label) in [(EngineMode::Frontier, "frontier"), (EngineMode::Reference, "reference")]
-    {
+    for (pool, label) in ENGINES {
         group.bench_function(format!("{}/{label}", w.name), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let r = with_default_engine_mode(mode, || w.run_trial(seed));
+                let r = w.run_trial_in(seed, &mut pool());
                 assert!(r.completed, "dense decay broadcast must complete under {label}");
                 r.rounds
             });
@@ -113,10 +116,10 @@ fn bench_dense_rounds(c: &mut Criterion) {
 fn bench_pooled_vs_fresh(c: &mut Criterion) {
     // Multi-trial batches, matching the executor's unit of steady-state
     // reuse: the fresh arm pays per-trial protocol construction and scratch
-    // allocation every trial; the pooled arm pays them once per *benchmark*
-    // (the pool persists across iterations). Records are byte-identical —
-    // the pooled_diff test pins that — so any gap is pure allocation and
-    // initialization overhead. Two cells bracket the regime: at 10⁵ nodes
+    // allocation every trial (a new pool each); the pooled arm pays them
+    // once per *benchmark* (the pool persists across iterations). Records
+    // are byte-identical — the pooled_diff test pins that — so any gap is
+    // pure allocation and initialization overhead. Two cells bracket the regime: at 10⁵ nodes
     // the per-trial setup is amortized into sub-second trials; at the
     // campaign scale (the smoke cell's 2×10³-node topology, hundred-trial
     // batches) setup is a visible fraction of every trial.
@@ -146,14 +149,7 @@ fn bench_pooled_vs_fresh(c: &mut Criterion) {
                 let mut rounds = 0u64;
                 for _ in 0..trials {
                     seed += 1;
-                    let r = w.runnable.run_trial_under_faults_pooled(
-                        &w.graph,
-                        w.net,
-                        w.model,
-                        seed,
-                        &w.spec.faults,
-                        &mut pool,
-                    );
+                    let r = w.run_trial_in(seed, &mut pool);
                     assert!(r.completed, "decay must complete (pooled)");
                     rounds += r.rounds;
                 }
@@ -173,13 +169,12 @@ fn bench_dense_cd(c: &mut Criterion) {
     let w = BenchWorkload::resolve("broadcast_cd@rgg(100000,0.02)", TOPOLOGY_SEED);
     let mut group = c.benchmark_group("scale_dense_cd");
     group.sample_size(5);
-    for (mode, label) in [(EngineMode::Frontier, "frontier"), (EngineMode::Reference, "reference")]
-    {
+    for (pool, label) in ENGINES {
         group.bench_function(format!("{}/{label}", w.name), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let r = with_default_engine_mode(mode, || w.run_trial(seed));
+                let r = w.run_trial_in(seed, &mut pool());
                 assert!(r.completed, "CD dense broadcast must complete under {label}");
                 r.rounds
             });

@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! experiments [--seed N] [--trials N] [--threads N] [--model nocd|cd]
-//!             [--engine-mode reference|frontier] [--faults SPEC]
-//!             [--json PATH] [--no-table] [--timing]
+//!             [--faults SPEC] [--json PATH] [--no-table] [--timing]
 //!             (--list | --check PATH | --scenario SPEC | all | ID [ID ...])
 //! ```
 //!
@@ -18,15 +17,11 @@
 //! * `ID` — a preset id: a table experiment (`e1`…`e12`) or a campaign
 //!   (`smoke`, `sweep_broadcast`, `sweep_faults`, …); `all` runs every
 //!   preset;
+//! * `--trials N` — trials per campaign cell (a positive integer; default
+//!   10 for `--scenario`, the preset's own count otherwise);
 //! * `--threads N` — campaign worker-thread budget (default: the
 //!   `RN_BENCH_THREADS` env var, else available parallelism capped at 16);
 //!   results are byte-identical for any value;
-//! * `--engine-mode reference|frontier` — pin the process-wide engine
-//!   implementation for every trial (all worker threads); equivalent to the
-//!   `RN_ENGINE_MODE` env var, which it overrides. Default: `frontier`.
-//!   Both engines produce byte-identical results (CI-gated); the flag
-//!   exists for timing comparisons and for pinning the reference engine
-//!   when validating a new fast path;
 //! * `--faults SPEC` — replace a campaign target's fault axis with one plan
 //!   (`jam(K,P)`, `drop(P)`, `jam(K,P)!drop(P)` or `none`);
 //! * `--json PATH` — additionally stream the campaign's versioned JSON
@@ -51,7 +46,7 @@ use rn_bench::{
     executor, registry_listing, Campaign, CellResult, Json, JsonStreamSink, MemorySink,
     ScenarioSpec, TrialPlan,
 };
-use rn_sim::{CollisionModel, EngineMode, FaultPlan};
+use rn_sim::{CollisionModel, FaultPlan};
 use std::io::{self, BufWriter};
 use std::time::Instant;
 
@@ -101,8 +96,10 @@ fn parse_args() -> Args {
             "--trials" => {
                 args.trials = Some(
                     value("--trials")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--trials takes an unsigned integer")),
+                        .parse::<u64>()
+                        .ok()
+                        .filter(|&t| t >= 1)
+                        .unwrap_or_else(|| usage("--trials takes a positive integer")),
                 );
             }
             "--threads" => {
@@ -117,19 +114,6 @@ fn parse_args() -> Args {
             "--model" => {
                 args.model =
                     Some(parse_model(&value("--model")).unwrap_or_else(|e| usage(&e.to_string())));
-            }
-            "--engine-mode" => {
-                let mode =
-                    EngineMode::parse_name(&value("--engine-mode")).unwrap_or_else(|e| usage(&e));
-                // Pin before any simulator exists so every worker thread
-                // sees it; args parse first, so only a contradictory
-                // RN_ENGINE_MODE (or repeated flag) can have frozen it.
-                if let Err(frozen) = EngineMode::set_process_default(mode) {
-                    usage(&format!(
-                        "--engine-mode {mode:?} contradicts the already-pinned {frozen:?} \
-                         (RN_ENGINE_MODE or a repeated flag)"
-                    ));
-                }
             }
             "--faults" => {
                 args.faults =
@@ -363,8 +347,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: experiments [--seed N] [--trials N] [--threads N] [--model nocd|cd]\n\
-         \x20                  [--engine-mode reference|frontier] [--faults SPEC]\n\
-         \x20                  [--json PATH] [--no-table] [--timing]\n\
+         \x20                  [--faults SPEC] [--json PATH] [--no-table] [--timing]\n\
          \x20                  (--list | --check PATH | --scenario SPEC | all | ID [ID ...])"
     );
     std::process::exit(2);

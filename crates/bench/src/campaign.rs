@@ -195,9 +195,9 @@ impl Campaign {
     /// is built once (from a seed derived off `master_seed` and the
     /// topology's position) and shared by all its cells; each trial seed
     /// derives from the cell seed and the trial index, so any single trial
-    /// can be reproduced in isolation. Faulted cells run through
-    /// [`rn_sim::Runnable::run_trial_under_faults`], so the same fault
-    /// schedule semantics apply to every protocol uniformly.
+    /// can be reproduced in isolation. Every trial resolves its cell's fault
+    /// plan in [`rn_sim::TrialCtx::new`], so the same fault schedule
+    /// semantics apply to every protocol uniformly.
     ///
     /// To stream cells to a sink instead of collecting them (bounded
     /// memory), use [`crate::executor::execute`] directly.

@@ -20,15 +20,15 @@
 //! proportional to the cells in flight rather than the whole sweep.
 //!
 //! Fault injection on this path is **explicit**: the worker resolves the
-//! cell's [`rn_sim::FaultPlan`] per trial and the schedule travels by
-//! parameter into [`rn_sim::Runnable::run_trial_scheduled`] — no
+//! cell's [`rn_sim::FaultPlan`] per trial into a [`rn_sim::TrialCtx`], and
+//! the schedule travels by parameter into [`rn_sim::Runnable::run`] — no
 //! thread-local ambient state, so trials are safe to run from any worker.
 
 use crate::campaign::{Campaign, CellResult};
 use crate::sink::{CampaignSink, RunHeader};
 use crate::stats::TrialAccumulator;
 use rn_graph::Graph;
-use rn_sim::{rng, NetParams, Runnable};
+use rn_sim::{rng, NetParams, Runnable, TrialCtx, TrialPool};
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -194,7 +194,7 @@ pub fn execute_with(
                 // it in place) and the current cell's instantiated scenario,
                 // so consecutive trials of a cell — the common unit order —
                 // reuse both instead of re-allocating per trial.
-                let mut pool = rn_sim::TrialPool::new();
+                let mut pool = TrialPool::new();
                 let mut current: Option<(usize, Box<dyn Runnable>)> = None;
                 loop {
                     let unit = cursor.fetch_add(1, Ordering::Relaxed);
@@ -214,14 +214,9 @@ pub fn execute_with(
                     let runnable = &current.as_ref().expect("slot was just filled").1;
                     // rn-lint: allow(no-wall-clock) — opt-in timing telemetry, stripped from diffable result bytes
                     let started = options.timing.then(Instant::now);
-                    let record = runnable.run_trial_under_faults_pooled(
-                        g,
-                        *net,
-                        spec.model,
-                        rng::derive(spec.cell_seed, ti as u64),
-                        &spec.faults,
-                        &mut pool,
-                    );
+                    let seed = rng::derive(spec.cell_seed, ti as u64);
+                    let ctx = TrialCtx::new(g, *net, spec.model, seed, &spec.faults);
+                    let record = runnable.run(&ctx, &mut pool);
                     let trial_time = started.map(|t| t.elapsed());
                     let complete = {
                         // The accumulator's reorder buffer folds in trial-index

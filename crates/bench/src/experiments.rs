@@ -13,10 +13,12 @@ use rn_baselines::{
 };
 
 use rn_cluster::{stats, theory, DistributedPartition, DistributedPartitionConfig, Partition};
-use rn_core::{compete_with_net, leader_election_with_net, CompeteParams, SequenceScope};
+use rn_core::{compete_trial, leader_election_trial, CompeteParams, CompeteReport, SequenceScope};
 use rn_decay::SingleDecayRound;
 use rn_graph::{generators, Graph, NodeId};
-use rn_sim::{rng, CollisionModel, NetParams, Simulator};
+use rn_sim::{
+    rng, CollisionModel, FaultPlan, NetParams, SimScratch, Simulator, TrialCtx, TrialPool,
+};
 
 fn fmt_f(x: f64) -> String {
     if x == 0.0 {
@@ -356,9 +358,26 @@ pub fn e6_schedule_contract(seed: u64) -> Vec<Table> {
     vec![t]
 }
 
+/// A fault-free `nocd` trial context with explicit network knowledge.
+fn nocd_ctx(g: &Graph, net: NetParams, seed: u64) -> TrialCtx<'_> {
+    TrialCtx::new(g, net, CollisionModel::NoCollisionDetection, seed, &FaultPlan::none())
+}
+
+/// Helper: one Compete run with explicit network knowledge.
+fn compete_with(
+    g: &Graph,
+    net: NetParams,
+    sources: &[(NodeId, u64)],
+    params: &CompeteParams,
+    seed: u64,
+) -> CompeteReport {
+    compete_trial(&nocd_ctx(g, net, seed), sources, params, &mut TrialPool::new())
+        .expect("valid run")
+}
+
 /// Helper: our broadcast, returning (completed, propagation rounds, total).
 fn cd_rounds(g: &Graph, net: NetParams, params: &CompeteParams, seed: u64) -> (bool, u64, u64) {
-    let r = compete_with_net(g, net, &[(0, 1)], params, seed).expect("valid run");
+    let r = compete_with(g, net, &[(0, 1)], params, seed);
     (r.completed, r.propagation_rounds, r.total_rounds)
 }
 
@@ -484,8 +503,8 @@ pub fn e9_leader_election(seed: u64) -> Vec<Table> {
     for (name, g) in &configs {
         let net = NetParams::new(g.n(), g.diameter_double_sweep());
         let le = mean(&parallel_trials(3, |i| {
-            let r =
-                leader_election_with_net(g, net, &params, rng::derive(seed, i)).expect("connected");
+            let ctx = nocd_ctx(g, net, rng::derive(seed, i));
+            let r = leader_election_trial(&ctx, &params, &mut TrialPool::new()).expect("connected");
             assert!(r.compete.completed && r.unique_winner);
             r.compete.propagation_rounds as f64
         }));
@@ -496,8 +515,9 @@ pub fn e9_leader_election(seed: u64) -> Vec<Table> {
             bgi_broadcast(g, net, 0, rng::derive(seed, 0x50 + i)).rounds as f64
         }));
         let bs = mean(&parallel_trials(2, |i| {
-            binary_search_leader_election(g, net, BroadcastKind::Bgi, 1.0, rng::derive(seed, i))
-                .rounds as f64
+            let seed = rng::derive(seed, i);
+            let (kind, engine) = (BroadcastKind::Bgi, &mut SimScratch::new());
+            binary_search_leader_election(engine, g, net, kind, 1.0, seed, None).rounds as f64
         }));
         t.row(&[
             name.clone(),
@@ -536,8 +556,7 @@ pub fn e10_compete_sources(seed: u64) -> Vec<Table> {
                 let v = srng.gen_range(0..g.n()) as NodeId;
                 sources.push((v, (k + 1) as u64));
             }
-            let r =
-                compete_with_net(&g, net, &sources, &params, rng::derive(seed, i)).expect("valid");
+            let r = compete_with(&g, net, &sources, &params, rng::derive(seed, i));
             (r.completed, r.propagation_rounds as f64)
         });
         let rounds = mean(&outcomes.iter().map(|o| o.1).collect::<Vec<_>>());
@@ -699,19 +718,24 @@ pub fn e12_model(seed: u64) -> Vec<Table> {
         for m in [24usize, 48] {
             let g = generators::grid(m, m);
             let net = NetParams::new(g.n(), (2 * (m - 1)) as u32);
+            let engine = &mut SimScratch::new();
             let nocd = binary_search_leader_election(
+                engine,
                 &g,
                 net,
                 BroadcastKind::Bgi,
                 1.0,
                 rng::derive(seed, 0x80),
+                None,
             );
             let cd = binary_search_leader_election(
+                engine,
                 &g,
                 net,
                 BroadcastKind::BeepWaveCd,
                 1.0,
                 rng::derive(seed, 0x81),
+                None,
             );
             td.row(&[
                 format!("grid-{m}x{m}"),

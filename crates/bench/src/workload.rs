@@ -9,7 +9,7 @@
 use crate::registry::ScenarioSpec;
 use crate::stats::{CellStats, QuantityAccum};
 use rn_graph::Graph;
-use rn_sim::{CollisionModel, NetParams, Runnable, TrialRecord};
+use rn_sim::{CollisionModel, NetParams, Runnable, TrialCtx, TrialPool, TrialRecord};
 
 /// A resolved bench workload: the built topology, the instantiated
 /// [`Runnable`] and the effective collision model.
@@ -50,15 +50,17 @@ impl BenchWorkload {
     }
 
     /// Runs one trial under the workload's fault plan (most workloads have
-    /// none) — the body of a criterion iteration.
+    /// none) on a throwaway pool — the body of a criterion iteration.
     pub fn run_trial(&self, seed: u64) -> TrialRecord {
-        self.runnable.run_trial_under_faults(
-            &self.graph,
-            self.net,
-            self.model,
-            seed,
-            &self.spec.faults,
-        )
+        self.run_trial_in(seed, &mut TrialPool::new())
+    }
+
+    /// [`BenchWorkload::run_trial`] through a caller's pool: a long-lived
+    /// one measures the steady state, a [`TrialPool::reference`] one the
+    /// reference engine.
+    pub fn run_trial_in(&self, seed: u64, pool: &mut TrialPool) -> TrialRecord {
+        let ctx = TrialCtx::new(&self.graph, self.net, self.model, seed, &self.spec.faults);
+        self.runnable.run(&ctx, pool)
     }
 
     /// Runs trials under seeds `0..trials` and folds their round counts
@@ -89,6 +91,19 @@ mod tests {
         // A CD-pinning workload reports the model it truly runs under.
         let w = BenchWorkload::resolve("broadcast_cd@grid(6x6)", 0xB0);
         assert_eq!(w.model, CollisionModel::CollisionDetection);
+    }
+
+    #[test]
+    fn pools_of_either_engine_replay_the_throwaway_trial() {
+        // The scale bench's engine A/Bs and its pooled arm go through
+        // `run_trial_in`; each must record what a throwaway pool records.
+        let w = BenchWorkload::resolve("decay(3)@complete(40)!drop(0.1)", 0xB0);
+        let mut warm = TrialPool::new();
+        for seed in 1..4 {
+            let fresh = w.run_trial(seed);
+            assert_eq!(w.run_trial_in(seed, &mut TrialPool::reference()), fresh, "seed {seed}");
+            assert_eq!(w.run_trial_in(seed, &mut warm), fresh, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Allocation-count regression gate for the pooled trial path: in steady
-//! state (every trial after a scenario's first on a given pool), a pooled
-//! trial performs **zero** heap allocations.
+//! Allocation-count regression gate for the trial path: in steady state
+//! (every trial after a scenario's first on a given pool), a trial —
+//! building its fault-free [`rn_sim::TrialCtx`] included — performs
+//! **zero** heap allocations.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and counts
 //! every `alloc`/`alloc_zeroed`/`realloc` call. The test warms a
@@ -16,7 +17,7 @@
 
 use rn_bench::ProtocolSpec;
 use rn_graph::TopologySpec;
-use rn_sim::{CollisionModel, NetParams, TrialPool};
+use rn_sim::{CollisionModel, FaultPlan, NetParams, TrialCtx, TrialPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,10 +77,13 @@ fn steady_state_pooled_trials_allocate_nothing() {
         // Warm-up: the first trial on this (pool, scenario, graph) may
         // allocate — it builds the protocol state, reserves worst-case
         // scratch, and memoizes graph connectivity.
-        runnable.run_trial_pooled(&g, net, model, 0, None, &mut pool);
+        runnable.run(&TrialCtx::new(&g, net, model, 0, &FaultPlan::none()), &mut pool);
         for seed in 1..=5u64 {
+            // The context is built inside the measured window: a
+            // fault-free context must not allocate either.
             let before = allocation_count();
-            let record = runnable.run_trial_pooled(&g, net, model, seed, None, &mut pool);
+            let ctx = TrialCtx::new(&g, net, model, seed, &FaultPlan::none());
+            let record = runnable.run(&ctx, &mut pool);
             let during = allocation_count() - before;
             assert!(record.rounds > 0, "{name} seed {seed}: the trial really ran");
             assert_eq!(

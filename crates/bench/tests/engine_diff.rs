@@ -1,10 +1,11 @@
 //! Differential gate for the engine's frontier fast path: every registered
 //! protocol family, run through the real scenario plumbing
-//! ([`rn_sim::Runnable::run_trial_under_faults`]), must produce an
-//! *identical* [`rn_sim::TrialRecord`] under [`EngineMode::Frontier`] and
-//! [`EngineMode::Reference`] — same completion, same round count, same
-//! channel metrics — across random small topologies, both collision models
-//! and every fault-plan form (`none`, `jam`, `drop`, `crash`).
+//! ([`rn_sim::Runnable::run`]), must produce an *identical*
+//! [`rn_sim::TrialRecord`] on a [`TrialPool::new`] (the Frontier engine) and
+//! on a [`TrialPool::reference`] (the stamp-vector reference engine) — same
+//! completion, same round count, same channel metrics — across random small
+//! topologies, both collision models and every fault-plan form (`none`,
+//! `jam`, `drop`, `crash`).
 //!
 //! This is the cross-crate complement of the in-crate engine tests: those
 //! pin the channel semantics callback-by-callback on hand-built protocols;
@@ -15,17 +16,16 @@
 use proptest::prelude::*;
 use rn_bench::ProtocolSpec;
 use rn_graph::TopologySpec;
-use rn_sim::{
-    with_default_engine_mode, CollisionModel, EngineMode, FaultPlan, NetParams, TrialRecord,
-};
+use rn_sim::{CollisionModel, FaultPlan, NetParams, TrialCtx, TrialPool, TrialRecord};
 
 /// Runs one trial of every canonical registry instance that fits the graph,
-/// under both collision models, on the current thread (so the engine-mode
-/// scope override applies). Returns labelled records for comparison.
+/// under both collision models, each on a fresh pool from `pool` (which
+/// fixes the engine). Returns labelled records for comparison.
 fn run_registry(
     topo: &TopologySpec,
     fault: &FaultPlan,
     seed: u64,
+    pool: fn() -> TrialPool,
 ) -> Vec<(String, &'static str, TrialRecord)> {
     let g = topo.build(seed);
     let net = NetParams::new(g.n(), g.diameter_double_sweep());
@@ -39,7 +39,7 @@ fn run_registry(
             (CollisionModel::NoCollisionDetection, "nocd"),
             (CollisionModel::CollisionDetection, "cd"),
         ] {
-            let record = runnable.run_trial_under_faults(&g, net, model, seed, fault);
+            let record = runnable.run(&TrialCtx::new(&g, net, model, seed, fault), &mut pool());
             out.push((spec.to_string(), tag, record));
         }
     }
@@ -94,12 +94,8 @@ proptest! {
         // busy-channel noise at every listener) is exercised on every single
         // proptest case, not just when the draw lands on a dense family.
         for topo in [&topo, &TopologySpec::Complete(17 + (seed % 16) as usize)] {
-            let reference = with_default_engine_mode(EngineMode::Reference, || {
-                run_registry(topo, &fault, seed)
-            });
-            let frontier = with_default_engine_mode(EngineMode::Frontier, || {
-                run_registry(topo, &fault, seed)
-            });
+            let reference = run_registry(topo, &fault, seed, TrialPool::reference);
+            let frontier = run_registry(topo, &fault, seed, TrialPool::new);
             prop_assert_eq!(reference.len(), frontier.len());
             for (r, f) in reference.iter().zip(&frontier) {
                 prop_assert_eq!(r, f, "{} × {} × {} × {} diverged", r.0, r.1, topo, fault);

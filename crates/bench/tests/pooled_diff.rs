@@ -1,20 +1,20 @@
-//! Differential gate for the pooled trial path: every registered protocol
-//! family, run through [`rn_sim::Runnable::run_trial_under_faults_pooled`]
-//! with ONE long-lived [`rn_sim::TrialPool`], must produce a
-//! [`rn_sim::TrialRecord`] byte-identical to the fresh
-//! [`rn_sim::Runnable::run_trial_under_faults`] path — across topologies of
-//! different sizes and shapes, both collision models, every fault-plan form,
-//! and repeated seeds.
+//! Cold-vs-warm gate for the one trial path: every registered protocol
+//! family, run through [`rn_sim::Runnable::run`] with ONE long-lived
+//! [`rn_sim::TrialPool`] (warm), must produce a [`rn_sim::TrialRecord`]
+//! byte-identical to a run on a new `TrialPool` per trial (cold) — across
+//! topologies of different sizes and shapes, both collision models, every
+//! fault-plan form, and repeated seeds.
 //!
 //! Sharing a single pool across the whole sweep is the point: it forces
 //! every scenario-type switch (the pool's `Any` slot is recreated), every
-//! graph-size switch (scratch re-arms), and every back-to-back reuse (stale
-//! state from the previous trial must be unobservable) that the campaign
-//! executor's per-worker pools see in production.
+//! graph switch (scratch re-arms, graph-keyed caches rebuild), and every
+//! back-to-back reuse (stale state from the previous trial must be
+//! unobservable) that the campaign executor's per-worker pools see in
+//! production.
 
 use rn_bench::ProtocolSpec;
 use rn_graph::TopologySpec;
-use rn_sim::{CollisionModel, FaultPlan, NetParams, TrialPool};
+use rn_sim::{CollisionModel, FaultPlan, NetParams, TrialCtx, TrialPool};
 
 #[test]
 fn pooled_trials_match_fresh_trials_across_the_whole_registry() {
@@ -24,9 +24,10 @@ fn pooled_trials_match_fresh_trials_across_the_whole_registry() {
         TopologySpec::Path(40),
         TopologySpec::Rgg { n: 48, radius: 0.3 },
     ];
-    let faults = [FaultPlan::none(), FaultPlan::drop(0.05), FaultPlan::jam(2, 0.5)];
+    let faults =
+        [FaultPlan::none(), FaultPlan::drop(0.05), FaultPlan::jam(2, 0.5), FaultPlan::crash(0.01)];
     // One pool for everything — the worst-case reuse schedule.
-    let mut pool = TrialPool::new();
+    let mut warm = TrialPool::new();
     for topo in &topologies {
         let g = topo.build(0xD1FF);
         let net = NetParams::new(g.n(), g.diameter_double_sweep());
@@ -39,13 +40,13 @@ fn pooled_trials_match_fresh_trials_across_the_whole_registry() {
             {
                 for (fi, fault) in faults.iter().enumerate() {
                     for seed in 0..2u64 {
-                        let fresh = runnable.run_trial_under_faults(&g, net, model, seed, fault);
-                        let pooled = runnable
-                            .run_trial_under_faults_pooled(&g, net, model, seed, fault, &mut pool);
+                        let ctx = TrialCtx::new(&g, net, model, seed, fault);
+                        let cold = runnable.run(&ctx, &mut TrialPool::new());
+                        let pooled = runnable.run(&ctx, &mut warm);
                         assert_eq!(
-                            fresh, pooled,
+                            cold, pooled,
                             "{spec} × {topo} × {model:?} × fault[{fi}] × seed {seed} diverged \
-                             between the fresh and pooled trial paths"
+                             between a cold pool and the warm one"
                         );
                     }
                 }
@@ -61,6 +62,9 @@ fn pooled_path_is_deterministic_across_distinct_pools() {
     // never on what a pool ran before.
     let g = TopologySpec::Grid { w: 8, h: 8 }.build(1);
     let net = NetParams::new(g.n(), g.diameter_double_sweep());
+    let ctx = |seed| {
+        TrialCtx::new(&g, net, CollisionModel::NoCollisionDetection, seed, &FaultPlan::none())
+    };
     let mut warm = TrialPool::new();
     for spec in ProtocolSpec::all() {
         if spec.required_nodes() > g.n() {
@@ -68,31 +72,9 @@ fn pooled_path_is_deterministic_across_distinct_pools() {
         }
         // Warm this pool with a different seed first.
         let r = spec.instantiate();
-        r.run_trial_under_faults_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            99,
-            &FaultPlan::none(),
-            &mut warm,
-        );
-        let mut cold = TrialPool::new();
-        let a = r.run_trial_under_faults_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            7,
-            &FaultPlan::none(),
-            &mut warm,
-        );
-        let b = r.run_trial_under_faults_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            7,
-            &FaultPlan::none(),
-            &mut cold,
-        );
+        r.run(&ctx(99), &mut warm);
+        let a = r.run(&ctx(7), &mut warm);
+        let b = r.run(&ctx(7), &mut TrialPool::new());
         assert_eq!(a, b, "{spec}: pool history leaked into the record");
     }
 }

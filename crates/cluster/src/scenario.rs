@@ -8,11 +8,9 @@
 
 use crate::distributed::{Announce, DistributedPartition, DistributedPartitionConfig};
 use crate::partition::{Partition, ValidateScratch};
-use rn_graph::{Graph, NodeId};
+use rn_graph::NodeId;
 use rn_sim::family::{ParsedArgs, ProtocolFamily};
-use rn_sim::{
-    CollisionModel, FaultSchedule, NetParams, Runnable, Simulator, TrialPool, TrialRecord, TxBuf,
-};
+use rn_sim::{Runnable, TrialCtx, TrialPool, TrialRecord, TxBuf};
 
 /// `partition(BETA)`: one trial runs the discretized Haeupler–Wajc race
 /// ([`DistributedPartition`]) to its full phase budget, extracts the
@@ -55,33 +53,8 @@ impl Runnable for PartitionScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let mut p =
-            DistributedPartition::new(net, self.beta, DistributedPartitionConfig::default(), seed);
-        let budget = p.total_rounds();
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run(&mut p, budget);
-        let (partition, repairs) = p.into_partition();
-        let valid = repairs == 0 && partition.validate(g).is_ok();
-        TrialRecord::new(valid, stats.rounds, stats.metrics)
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let (g, net, seed) = (ctx.graph(), ctx.net(), ctx.seed());
         let (engine, st) = pool.parts(PartitionPool::default);
         let config = DistributedPartitionConfig::default();
         match &mut st.protocol {
@@ -92,8 +65,7 @@ impl Runnable for PartitionScenario {
         let budget = p.total_rounds();
         st.tx.clear();
         st.tx.reserve(g.n());
-        let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
-        let stats = sim.run_with_buf(p, &mut st.tx, budget);
+        let stats = ctx.simulator(engine).run_with_buf(p, &mut st.tx, budget);
         let partition = st.partition.get_or_insert_with(|| Partition::shell(self.beta));
         let repairs = p.extract_partition(partition, &mut st.used, &mut st.idx);
         let valid = repairs == 0 && partition.validate_pooled(g, &mut st.validate).is_ok();
@@ -101,7 +73,7 @@ impl Runnable for PartitionScenario {
     }
 }
 
-/// Per-worker reusable state behind [`PartitionScenario`]'s pooled trials:
+/// Per-worker reusable state behind [`PartitionScenario`]'s trials:
 /// the protocol (re-armed in place per trial), the transmission buffer, the
 /// extracted partition slot, and the extraction/validation scratch.
 #[derive(Debug, Default)]
@@ -169,27 +141,32 @@ pub fn families() -> Vec<&'static dyn ProtocolFamily> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rn_graph::generators;
+    use rn_graph::{generators, Graph};
+    use rn_sim::{CollisionModel, FaultPlan, NetParams};
+
+    /// One `nocd` trial under `plan` on a throwaway pool.
+    fn faulted(s: &PartitionScenario, g: &Graph, seed: u64, plan: &FaultPlan) -> TrialRecord {
+        let model = CollisionModel::NoCollisionDetection;
+        let ctx = TrialCtx::new(g, NetParams::of_graph(g), model, seed, plan);
+        s.run(&ctx, &mut TrialPool::new())
+    }
 
     #[test]
     fn partition_scenario_runs_and_scores_validity() {
         let g = generators::grid(10, 10);
-        let net = NetParams::of_graph(&g);
         let s = PartitionScenario::new(0.5);
         assert_eq!(s.name(), "partition(0.5)");
-        let r = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 7);
+        let r = faulted(&s, &g, 7, &FaultPlan::none());
         assert!(r.rounds > 0, "the construction consumes radio rounds");
         assert!(r.metrics.transmissions > 0, "announcements really go on the air");
         // Determinism in the trial seed.
-        let again = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 7);
+        let again = faulted(&s, &g, 7, &FaultPlan::none());
         assert_eq!(r, again);
     }
 
     #[test]
     fn partition_scenario_fails_honestly_when_jammed_flat() {
-        use rn_sim::FaultPlan;
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let s = PartitionScenario::new(0.5);
         // Every node jamming: no announcement survives, so nodes fall back
         // to singletons — still a valid partition? No: nodes never adopt a
@@ -198,34 +175,8 @@ mod tests {
         // jamming; under total jamming every node is its own center and the
         // trial may legitimately complete. What must never happen is a
         // panic — the scenario degrades, it does not crash.
-        let r = s.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            3,
-            &FaultPlan::jam(36, 1.0),
-        );
+        let r = faulted(&s, &g, 3, &FaultPlan::jam(36, 1.0));
         assert_eq!(r.metrics.deliveries, 0, "nothing is ever delivered under total jamming");
-    }
-
-    #[test]
-    fn pooled_trials_match_fresh_trials_exactly() {
-        let g = generators::grid(10, 10);
-        let net = NetParams::of_graph(&g);
-        let s = PartitionScenario::new(0.5);
-        let mut pool = TrialPool::new();
-        for seed in 0..3 {
-            let fresh = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, seed);
-            let pooled = s.run_trial_pooled(
-                &g,
-                net,
-                CollisionModel::NoCollisionDetection,
-                seed,
-                None,
-                &mut pool,
-            );
-            assert_eq!(fresh, pooled, "seed {seed}");
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@ use crate::protocol::{CompeteMsg, CompeteProtocol, CompeteState};
 use rand::Rng;
 use rn_graph::{Graph, NodeId};
 use rn_sim::{
-    rng, CollisionModel, FaultSchedule, Metrics, NetParams, RunOutcome, SimScratch, Simulator,
-    TxBuf,
+    rng, CollisionModel, FaultPlan, Metrics, NetParams, RunOutcome, SimScratch, TrialCtx,
+    TrialPool, TxBuf,
 };
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -75,7 +75,7 @@ pub struct LeaderElectionReport {
     pub unique_winner: bool,
 }
 
-fn validate(g: &Graph, sources: &[(NodeId, u64)]) -> Result<(), CompeteError> {
+fn validate_sources(g: &Graph, sources: &[(NodeId, u64)]) -> Result<(), CompeteError> {
     if sources.is_empty() {
         return Err(CompeteError::NoSources);
     }
@@ -84,51 +84,16 @@ fn validate(g: &Graph, sources: &[(NodeId, u64)]) -> Result<(), CompeteError> {
             return Err(CompeteError::SourceOutOfRange { node: s });
         }
     }
-    if !g.is_connected() {
-        return Err(CompeteError::Disconnected);
-    }
     Ok(())
 }
 
-/// The validated execution core shared by every public entry point: callers
-/// must have run [`validate`] (or constructed sources that satisfy it), so
-/// the `O(n + m)` connectivity BFS runs exactly once per call chain.
-fn run_compete(
-    g: &Graph,
-    net: NetParams,
-    sources: &[(NodeId, u64)],
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> CompeteReport {
-    let pre = Precomputed::build(g, net, params, rng::derive(seed, 0x9DE));
-    let mut proto = CompeteProtocol::new(&pre, *params, sources, rng::derive(seed, 0x9D0));
-    let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-    let budget = params.max_rounds(&net);
-    let stats = sim.run(&mut proto, budget);
-    debug_assert!(matches!(stats.outcome, RunOutcome::ProtocolDone | RunOutcome::BudgetExhausted));
-    let completed = proto.all_know_target();
-    CompeteReport {
-        completed,
-        propagation_rounds: stats.rounds,
-        charged_precompute_rounds: pre.charged_rounds,
-        total_rounds: stats.rounds + pre.charged_rounds,
-        metrics: stats.metrics,
-        target: proto.target(),
-        nodes_knowing: proto.num_knowing(),
-        seed,
-    }
-}
-
-/// Reusable cross-trial state for the pooled Compete entry points
-/// ([`compete_pooled`], [`leader_election_pooled`]): the precompute and its
-/// rebuild scratch, the protocol state, the transmission buffer, the
-/// leader-election candidate list, and a connectivity-check memo. Keep one
-/// pool per worker thread; after the first trial on a given graph shape,
-/// further trials allocate nothing on the heap.
-#[derive(Debug)]
-pub struct CompetePool {
+/// Cross-trial Compete state, kept in a [`TrialPool`]'s scenario slot: the
+/// precompute and its rebuild scratch, the protocol state, the transmission
+/// buffer, the leader-election candidate list, the source-placement
+/// buffers, and a connectivity-check memo. After the first trial on a given
+/// graph, further trials allocate nothing on the heap.
+#[derive(Debug, Default)]
+pub(crate) struct CompetePool {
     pre: Option<Precomputed>,
     pre_scratch: PrecomputeScratch,
     state: CompeteState,
@@ -140,71 +105,40 @@ pub struct CompetePool {
     pub(crate) place_idx: Vec<usize>,
     pub(crate) source_ids: Vec<NodeId>,
     pub(crate) sources: Vec<(NodeId, u64)>,
-    /// `(address, n, m)` of the last graph whose connectivity check passed;
-    /// a matching key skips the allocating BFS. Callers must keep graphs at
-    /// stable addresses for the pool's lifetime (campaign executors cache
-    /// them in `OnceLock` cells, which guarantees this).
-    connected: Option<(usize, usize, usize)>,
-}
-
-impl Default for CompetePool {
-    fn default() -> CompetePool {
-        CompetePool {
-            pre: None,
-            pre_scratch: PrecomputeScratch::default(),
-            state: CompeteState::default(),
-            tx: TxBuf::new(),
-            candidates: Vec::new(),
-            place_idx: Vec::new(),
-            source_ids: Vec::new(),
-            sources: Vec::new(),
-            connected: None,
-        }
-    }
+    /// [`Graph::instance_id`] of the last graph whose connectivity check
+    /// passed; a match skips the allocating BFS.
+    connected: Option<u64>,
 }
 
 impl CompetePool {
-    /// An empty pool; the first trial populates it.
-    pub fn new() -> CompetePool {
-        CompetePool::default()
-    }
-
     fn check_connected(&mut self, g: &Graph) -> Result<(), CompeteError> {
-        let key = (g as *const Graph as usize, g.n(), g.m());
-        if self.connected != Some(key) {
+        if self.connected != Some(g.instance_id()) {
             if !g.is_connected() {
                 return Err(CompeteError::Disconnected);
             }
-            self.connected = Some(key);
+            self.connected = Some(g.instance_id());
         }
         Ok(())
     }
 }
 
-/// [`run_compete`] on pooled state: identical seed streams and protocol code
-/// path (constructors are reset-on-shell), so reports are byte-identical to
-/// the fresh entry points, while buffers come from `engine`/`pool`.
-#[allow(clippy::too_many_arguments)]
-fn run_compete_pooled(
-    g: &Graph,
-    net: NetParams,
+/// The validated execution core: callers must have validated `sources` and
+/// checked connectivity. `seed` is the Compete seed, which leader election
+/// re-derives when its candidate draw comes up empty.
+fn run_compete(
+    ctx: &TrialCtx<'_>,
+    seed: u64,
     sources: &[(NodeId, u64)],
     params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
     engine: &mut SimScratch,
     pool: &mut CompetePool,
 ) -> CompeteReport {
-    if pool.pre.is_none() {
-        pool.pre = Some(Precomputed::shell());
-    }
-    let pre = pool.pre.as_mut().expect("slot was just filled");
+    let (g, net) = (ctx.graph(), ctx.net());
+    let pre = pool.pre.get_or_insert_with(Precomputed::shell);
     pre.rebuild(g, net, params, rng::derive(seed, 0x9DE), &mut pool.pre_scratch);
-    let pre = pool.pre.as_ref().expect("filled above");
     let mut proto =
         CompeteProtocol::reuse(pre, *params, sources, rng::derive(seed, 0x9D0), &mut pool.state);
-    let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
+    let mut sim = ctx.simulator(engine);
     let budget = params.max_rounds(&net);
     // Worst case: every node transmits in one round. Reserving it up front
     // keeps the buffer's capacity from chasing a seed-dependent per-round
@@ -215,9 +149,8 @@ fn run_compete_pooled(
     pool.tx.reserve(g.n());
     let stats = sim.run_with_buf(&mut proto, &mut pool.tx, budget);
     debug_assert!(matches!(stats.outcome, RunOutcome::ProtocolDone | RunOutcome::BudgetExhausted));
-    let completed = proto.all_know_target();
     CompeteReport {
-        completed,
+        completed: proto.all_know_target(),
         propagation_rounds: stats.rounds,
         charged_precompute_rounds: pre.charged_rounds,
         total_rounds: stats.rounds + pre.charged_rounds,
@@ -228,105 +161,99 @@ fn run_compete_pooled(
     }
 }
 
-/// As [`compete_scheduled`], reusing engine scratch and a [`CompetePool`]
-/// across calls. Reports are byte-identical to the fresh path for every
-/// input; steady-state trials (after the first on a given graph shape)
-/// perform no heap allocation, except cloning `faults` when a schedule is
-/// supplied.
+/// Runs **Compete(S)** (Algorithm 1 + 2) as one trial in `ctx` — explicit
+/// network knowledge, collision model, seed and fault schedule — with its
+/// state drawn from `pool`. The collision model is an ablation axis: the
+/// algorithm is designed for (and analyzed in) the no-collision-detection
+/// model, and under [`CollisionModel::CollisionDetection`] it ignores
+/// collision notifications while delivery semantics stay identical.
+///
+/// A throwaway `TrialPool::new()` gives a one-off run; a reused pool gives
+/// the same report and, after its first trial on a graph, allocates
+/// nothing (except cloning the fault schedule when the context has one).
 ///
 /// # Errors
 ///
 /// [`CompeteError`] on empty/invalid sources or a disconnected graph.
-#[allow(clippy::too_many_arguments)]
-pub fn compete_pooled(
-    g: &Graph,
-    net: NetParams,
+pub fn compete_trial(
+    ctx: &TrialCtx<'_>,
     sources: &[(NodeId, u64)],
     params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-    engine: &mut SimScratch,
-    pool: &mut CompetePool,
+    pool: &mut TrialPool,
 ) -> Result<CompeteReport, CompeteError> {
-    if sources.is_empty() {
-        return Err(CompeteError::NoSources);
-    }
-    for &(s, _) in sources {
-        if s as usize >= g.n() {
-            return Err(CompeteError::SourceOutOfRange { node: s });
-        }
-    }
-    pool.check_connected(g)?;
-    Ok(run_compete_pooled(g, net, sources, params, model, seed, faults, engine, pool))
+    validate_sources(ctx.graph(), sources)?;
+    let (engine, cp) = pool.parts(CompetePool::default);
+    cp.check_connected(ctx.graph())?;
+    Ok(run_compete(ctx, ctx.seed(), sources, params, engine, cp))
 }
 
-/// As [`leader_election_scheduled`] on pooled state (see [`compete_pooled`]
-/// for the reuse contract): byte-identical reports, allocation-free steady
-/// state apart from rare candidate-list high-water growth.
+/// Runs **leader election** (Algorithm 6) as one trial in `ctx`: nodes
+/// self-select as candidates with probability `Θ(log n / n)`, draw random
+/// IDs, and Compete on the IDs (see [`compete_trial`] for the context and
+/// pool contract).
 ///
 /// # Errors
 ///
 /// [`CompeteError::Disconnected`] on a disconnected graph.
-#[allow(clippy::too_many_arguments)]
-pub fn leader_election_pooled(
-    g: &Graph,
-    net: NetParams,
+pub fn leader_election_trial(
+    ctx: &TrialCtx<'_>,
     params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-    engine: &mut SimScratch,
-    pool: &mut CompetePool,
+    pool: &mut TrialPool,
 ) -> Result<LeaderElectionReport, CompeteError> {
-    pool.check_connected(g)?;
-    let n = g.n();
-    let p_cand = (2.0 * net.log2_n() as f64 / n as f64).min(1.0);
-    // Candidate sampling; the (probability ≤ n^-2) empty draw restarts on
-    // the same derived seed stream the fresh path recurses into.
-    let mut cur_seed = seed;
+    let (engine, cp) = pool.parts(CompetePool::default);
+    let g = ctx.graph();
+    cp.check_connected(g)?;
+    // Step 1: candidates with probability Θ(log n / n); the constant 2 keeps
+    // P[no candidate] ≤ n^-2 while |C| = O(log n) whp.
+    let p_cand = (2.0 * ctx.net().log2_n() as f64 / g.n() as f64).min(1.0);
+    let mut seed = ctx.seed();
     loop {
-        let mut crng = rng::stream_rng(cur_seed, 0xCA4D);
-        pool.candidates.clear();
+        let mut crng = rng::stream_rng(seed, 0xCA4D);
+        cp.candidates.clear();
         for v in g.nodes() {
             if crng.gen::<f64>() < p_cand {
+                // Step 2: random Θ(log n)-bit IDs (node id in the low bits
+                // only as a deterministic tiebreaker against measure-zero
+                // collisions).
                 let id: u64 = crng.gen::<u64>() & !0xFFFF_FFFFu64 | v as u64;
-                pool.candidates.push((v, id));
+                cp.candidates.push((v, id));
             }
         }
-        if !pool.candidates.is_empty() {
+        if !cp.candidates.is_empty() {
             break;
         }
-        cur_seed = rng::derive(cur_seed, 0x9999);
+        // Degenerate (probability ≤ n^-2): retry with the next seed stream,
+        // exactly as restarting the algorithm would.
+        seed = rng::derive(seed, 0x9999);
     }
-    let candidates = std::mem::take(&mut pool.candidates);
-    let report =
-        run_compete_pooled(g, net, &candidates, params, model, cur_seed, faults, engine, pool);
-    let target = report.target;
-    let mut leader = None;
-    let mut winners = 0usize;
-    for &(v, id) in &candidates {
-        if id == target {
-            if leader.is_none() {
-                leader = Some(v);
-            }
-            winners += 1;
-        }
-    }
+    let candidates = std::mem::take(&mut cp.candidates);
+    let report = run_compete(ctx, seed, &candidates, params, engine, cp);
+    let mut winners = candidates.iter().filter(|&&(_, id)| id == report.target);
+    let leader = winners.next().map(|&(v, _)| v);
+    let unique_winner = leader.is_some() && winners.next().is_none();
     let num_candidates = candidates.len();
-    pool.candidates = candidates;
-    Ok(LeaderElectionReport {
-        compete: report,
-        num_candidates,
-        leader,
-        unique_winner: winners == 1,
-    })
+    cp.candidates = candidates; // hand the buffer back for the next trial
+    Ok(LeaderElectionReport { compete: report, num_candidates, leader, unique_winner })
+}
+
+/// A one-off fault-free `nocd` context on `g`, with `n` and the
+/// double-sweep diameter as network knowledge. The sweep needs a connected
+/// graph, so connectivity is checked first — memoized in `pool`, so the
+/// trial entry does not repeat the BFS.
+fn swept_ctx<'g>(
+    g: &'g Graph,
+    seed: u64,
+    pool: &mut TrialPool,
+) -> Result<TrialCtx<'g>, CompeteError> {
+    pool.parts(CompetePool::default).1.check_connected(g)?;
+    let net = NetParams::new(g.n(), g.diameter_double_sweep());
+    Ok(TrialCtx::new(g, net, CollisionModel::NoCollisionDetection, seed, &FaultPlan::none()))
 }
 
 /// Runs **Compete(S)** (Algorithm 1 + 2): spreads the highest source message
 /// to every node. Network parameters are derived from the graph with the
-/// double-sweep diameter estimate; use [`compete_with_net`] to supply exact
-/// values.
+/// double-sweep diameter estimate; use [`compete_trial`] to supply exact
+/// values, another collision model or faults.
 ///
 /// # Errors
 ///
@@ -337,68 +264,10 @@ pub fn compete(
     params: &CompeteParams,
     seed: u64,
 ) -> Result<CompeteReport, CompeteError> {
-    validate(g, sources)?;
-    let net = NetParams::new(g.n(), g.diameter_double_sweep());
-    Ok(run_compete(g, net, sources, params, CollisionModel::NoCollisionDetection, seed, None))
-}
-
-/// As [`compete`], with explicit [`NetParams`] (the `n` and `D` the model
-/// assumes known to all nodes).
-///
-/// # Errors
-///
-/// [`CompeteError`] on empty/invalid sources or a disconnected graph.
-pub fn compete_with_net(
-    g: &Graph,
-    net: NetParams,
-    sources: &[(NodeId, u64)],
-    params: &CompeteParams,
-    seed: u64,
-) -> Result<CompeteReport, CompeteError> {
-    compete_with_model(g, net, sources, params, CollisionModel::NoCollisionDetection, seed)
-}
-
-/// As [`compete_with_net`], with an explicit [`CollisionModel`] — the
-/// full-control entry point used by the scenario registry's collision-model
-/// axis. The algorithm is designed for (and analyzed in) the no-collision-
-/// detection model; running it under [`CollisionModel::CollisionDetection`]
-/// is an ablation (collision notifications are ignored, but the channel
-/// semantics of delivery are identical).
-///
-/// # Errors
-///
-/// [`CompeteError`] on empty/invalid sources or a disconnected graph.
-pub fn compete_with_model(
-    g: &Graph,
-    net: NetParams,
-    sources: &[(NodeId, u64)],
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-) -> Result<CompeteReport, CompeteError> {
-    compete_scheduled(g, net, sources, params, model, seed, None)
-}
-
-/// As [`compete_with_model`], additionally running the channel under an
-/// explicit fault schedule (`None` = fault-free). This is the entry point
-/// the campaign executor's fault axis reaches: the schedule travels by
-/// parameter, never through ambient state, so trials are safe to run from
-/// any worker thread.
-///
-/// # Errors
-///
-/// [`CompeteError`] on empty/invalid sources or a disconnected graph.
-pub fn compete_scheduled(
-    g: &Graph,
-    net: NetParams,
-    sources: &[(NodeId, u64)],
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> Result<CompeteReport, CompeteError> {
-    validate(g, sources)?;
-    Ok(run_compete(g, net, sources, params, model, seed, faults))
+    validate_sources(g, sources)?;
+    let mut pool = TrialPool::new();
+    let ctx = swept_ctx(g, seed, &mut pool)?;
+    compete_trial(&ctx, sources, params, &mut pool)
 }
 
 /// Runs **broadcasting** (Theorem 5.1): `Compete({source})`.
@@ -415,8 +284,8 @@ pub fn broadcast(
     compete(g, &[(source, 1)], params, seed)
 }
 
-/// Runs **leader election** (Algorithm 6): nodes self-select as candidates
-/// with probability `Θ(log n / n)`, draw random IDs, and Compete on the IDs.
+/// Runs **leader election** (Algorithm 6) with network parameters derived
+/// as in [`compete`]; use [`leader_election_trial`] for full control.
 ///
 /// # Errors
 ///
@@ -426,102 +295,42 @@ pub fn leader_election(
     params: &CompeteParams,
     seed: u64,
 ) -> Result<LeaderElectionReport, CompeteError> {
-    if !g.is_connected() {
-        return Err(CompeteError::Disconnected);
-    }
-    let net = NetParams::new(g.n(), g.diameter_double_sweep());
-    Ok(run_leader_election(g, net, params, CollisionModel::NoCollisionDetection, seed, None))
+    let mut pool = TrialPool::new();
+    let ctx = swept_ctx(g, seed, &mut pool)?;
+    leader_election_trial(&ctx, params, &mut pool)
 }
 
-/// As [`leader_election`], with explicit [`NetParams`].
-///
-/// # Errors
-///
-/// [`CompeteError::Disconnected`] on a disconnected graph.
-pub fn leader_election_with_net(
-    g: &Graph,
-    net: NetParams,
-    params: &CompeteParams,
-    seed: u64,
-) -> Result<LeaderElectionReport, CompeteError> {
-    leader_election_with_model(g, net, params, CollisionModel::NoCollisionDetection, seed)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rn_graph::generators;
 
-/// As [`leader_election_with_net`], with an explicit [`CollisionModel`]
-/// (see [`compete_with_model`] for the semantics of the ablation).
-///
-/// # Errors
-///
-/// [`CompeteError::Disconnected`] on a disconnected graph.
-pub fn leader_election_with_model(
-    g: &Graph,
-    net: NetParams,
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-) -> Result<LeaderElectionReport, CompeteError> {
-    leader_election_scheduled(g, net, params, model, seed, None)
-}
-
-/// As [`leader_election_with_model`], additionally running the channel under
-/// an explicit fault schedule (`None` = fault-free); see
-/// [`compete_scheduled`].
-///
-/// # Errors
-///
-/// [`CompeteError::Disconnected`] on a disconnected graph.
-pub fn leader_election_scheduled(
-    g: &Graph,
-    net: NetParams,
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> Result<LeaderElectionReport, CompeteError> {
-    if !g.is_connected() {
-        return Err(CompeteError::Disconnected);
-    }
-    Ok(run_leader_election(g, net, params, model, seed, faults))
-}
-
-/// Candidate selection + Compete, after connectivity has been checked once.
-fn run_leader_election(
-    g: &Graph,
-    net: NetParams,
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> LeaderElectionReport {
-    let n = g.n();
-    // Step 1: candidates with probability Θ(log n / n); the constant 2 keeps
-    // P[no candidate] ≤ n^-2 while |C| = O(log n) whp.
-    let p_cand = (2.0 * net.log2_n() as f64 / n as f64).min(1.0);
-    let mut crng = rng::stream_rng(seed, 0xCA4D);
-    let mut candidates: Vec<(NodeId, u64)> = Vec::new();
-    for v in g.nodes() {
-        if crng.gen::<f64>() < p_cand {
-            // Step 2: random Θ(log n)-bit IDs (node id in the low bits only
-            // as a deterministic tiebreaker against measure-zero collisions).
-            let id: u64 = crng.gen::<u64>() & !0xFFFF_FFFFu64 | v as u64;
-            candidates.push((v, id));
+    #[test]
+    fn a_reused_pool_rechecks_a_graph_reassigned_in_place() {
+        // Regression: the connectivity memo was keyed on the graph's address
+        // plus (n, m), so a binding reassigned in place to a different graph
+        // of the same shape inherited the old graph's verdict — a path(6)
+        // followed by a 5-cycle plus an isolated node (6 nodes, 5 edges
+        // each) ran Compete on the disconnected graph and reported
+        // `completed: false` instead of an error.
+        let (params, net) = (CompeteParams::default(), NetParams::new(6, 5));
+        let model = CollisionModel::NoCollisionDetection;
+        let mut pool = TrialPool::new();
+        let mut g = generators::path(6);
+        {
+            let ctx = TrialCtx::new(&g, net, model, 1, &FaultPlan::none());
+            let r = compete_trial(&ctx, &[(0, 1)], &params, &mut pool).expect("connected");
+            assert!(r.completed);
         }
-    }
-    if candidates.is_empty() {
-        // Degenerate (probability ≤ n^-2): retry with the next seed stream,
-        // exactly as restarting the algorithm would.
-        return run_leader_election(g, net, params, model, rng::derive(seed, 0x9999), faults);
-    }
-    // Candidates are nonempty and in-range by construction, and connectivity
-    // was checked by the caller — run directly, no second validation BFS.
-    let report = run_compete(g, net, &candidates, params, model, seed, faults);
-    let target = report.target;
-    let winners: Vec<NodeId> =
-        candidates.iter().filter(|&&(_, id)| id == target).map(|&(v, _)| v).collect();
-    LeaderElectionReport {
-        compete: report,
-        num_candidates: candidates.len(),
-        leader: winners.first().copied(),
-        unique_winner: winners.len() == 1,
+        g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).expect("builds");
+        let ctx = TrialCtx::new(&g, net, model, 1, &FaultPlan::none());
+        assert_eq!(
+            compete_trial(&ctx, &[(0, 1)], &params, &mut pool),
+            Err(CompeteError::Disconnected)
+        );
+        assert_eq!(
+            leader_election_trial(&ctx, &params, &mut pool),
+            Err(CompeteError::Disconnected)
+        );
     }
 }

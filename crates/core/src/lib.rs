@@ -56,9 +56,8 @@ mod protocol;
 mod scenario;
 
 pub use api::{
-    broadcast, compete, compete_pooled, compete_scheduled, compete_with_model, compete_with_net,
-    leader_election, leader_election_pooled, leader_election_scheduled, leader_election_with_model,
-    leader_election_with_net, CompeteError, CompetePool, CompeteReport, LeaderElectionReport,
+    broadcast, compete, compete_trial, leader_election, leader_election_trial, CompeteError,
+    CompeteReport, LeaderElectionReport,
 };
 pub use family::{
     apply_overrides, families, BroadcastFamily, BroadcastHwFamily, CompeteFamily,

@@ -2,13 +2,10 @@
 //! campaign registry uses to run Compete, broadcasting and leader election
 //! uniformly against any topology and collision model.
 
-use crate::api::{
-    compete_pooled, compete_scheduled, leader_election_pooled, leader_election_scheduled,
-    CompetePool,
-};
+use crate::api::{compete_trial, leader_election_trial, CompetePool};
 use crate::params::CompeteParams;
 use rn_graph::{traversal, Graph, NodeId};
-use rn_sim::{rng, CollisionModel, FaultSchedule, NetParams, Runnable, TrialPool, TrialRecord};
+use rn_sim::{rng, Runnable, TrialCtx, TrialPool, TrialRecord};
 use std::fmt;
 use std::str::FromStr;
 
@@ -47,30 +44,8 @@ impl Runnable for BroadcastScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let r = compete_scheduled(g, net, &[(0, 1)], &self.params, model, seed, faults)
-            .expect("campaign graphs are connected with an in-range source");
-        TrialRecord::new(r.completed, r.total_rounds, r.metrics)
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        let (engine, cp) = pool.parts::<CompetePool>(CompetePool::new);
-        let r = compete_pooled(g, net, &[(0, 1)], &self.params, model, seed, faults, engine, cp)
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let r = compete_trial(ctx, &[(0, 1)], &self.params, pool)
             .expect("campaign graphs are connected with an in-range source");
         TrialRecord::new(r.completed, r.total_rounds, r.metrics)
     }
@@ -274,14 +249,8 @@ impl Runnable for CompeteScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let g = ctx.graph();
         assert!(
             self.sources <= g.n(),
             "compete({}) needs {} distinct sources but the graph has only {} nodes",
@@ -291,46 +260,24 @@ impl Runnable for CompeteScenario {
         );
         // Source placement is part of the trial's randomness (for the
         // randomized policies): distinct nodes, drawn from the trial seed on
-        // a separate stream, holding values 1..=K in placement order.
-        let sources: Vec<(NodeId, u64)> = self
-            .placement
-            .place(g, self.sources, seed)
-            .into_iter()
-            .enumerate()
-            .map(|(k, v)| (v, (k + 1) as u64))
-            .collect();
-        let r = compete_scheduled(g, net, &sources, &self.params, model, seed, faults)
-            .expect("campaign graphs are connected with in-range sources");
-        TrialRecord::new(r.completed, r.total_rounds, r.metrics)
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        assert!(
-            self.sources <= g.n(),
-            "compete({}) needs {} distinct sources but the graph has only {} nodes",
-            self.sources,
-            self.sources,
-            g.n()
-        );
-        // Per-trial source placement draws from the pool too: uniform
-        // placement fills reused buffers, so steady-state trials stay on
-        // the zero-allocation contract the alloc_count gate pins.
-        let (engine, cp) = pool.parts::<CompetePool>(CompetePool::new);
+        // a separate stream, holding values 1..=K in placement order. The
+        // buffers come from the pool, so steady-state uniform placement
+        // stays on the zero-allocation contract the alloc_count gate pins.
+        let cp = pool.parts(CompetePool::default).1;
         let mut sources = std::mem::take(&mut cp.sources);
-        self.placement.place_into(g, self.sources, seed, &mut cp.place_idx, &mut cp.source_ids);
+        self.placement.place_into(
+            g,
+            self.sources,
+            ctx.seed(),
+            &mut cp.place_idx,
+            &mut cp.source_ids,
+        );
         sources.clear();
         sources.extend(cp.source_ids.iter().enumerate().map(|(k, &v)| (v, (k + 1) as u64)));
-        let r = compete_pooled(g, net, &sources, &self.params, model, seed, faults, engine, cp)
+        let r = compete_trial(ctx, &sources, &self.params, pool)
             .expect("campaign graphs are connected with in-range sources");
-        cp.sources = sources; // hand the buffer back for the next trial
+        // Hand the buffer back for the next trial.
+        pool.parts(CompetePool::default).1.sources = sources;
         TrialRecord::new(r.completed, r.total_rounds, r.metrics)
     }
 }
@@ -370,35 +317,9 @@ impl Runnable for LeaderElectionScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let r = leader_election_scheduled(g, net, &self.params, model, seed, faults)
-            .expect("campaign graphs are connected");
-        TrialRecord::new(
-            r.compete.completed && r.unique_winner,
-            r.compete.total_rounds,
-            r.compete.metrics,
-        )
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        let (engine, cp) = pool.parts::<CompetePool>(CompetePool::new);
-        let r = leader_election_pooled(g, net, &self.params, model, seed, faults, engine, cp)
-            .expect("campaign graphs are connected");
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let r =
+            leader_election_trial(ctx, &self.params, pool).expect("campaign graphs are connected");
         TrialRecord::new(
             r.compete.completed && r.unique_winner,
             r.compete.total_rounds,
@@ -411,9 +332,17 @@ impl Runnable for LeaderElectionScenario {
 mod tests {
     use super::*;
     use rn_graph::generators;
+    use rn_sim::{CollisionModel, FaultPlan, NetParams};
 
-    fn net_of(g: &Graph) -> NetParams {
-        NetParams::of_graph(g)
+    /// One `nocd` trial under `plan` on a throwaway pool.
+    fn faulted(s: &dyn Runnable, g: &Graph, seed: u64, plan: &FaultPlan) -> TrialRecord {
+        let model = CollisionModel::NoCollisionDetection;
+        let ctx = TrialCtx::new(g, NetParams::of_graph(g), model, seed, plan);
+        s.run(&ctx, &mut TrialPool::new())
+    }
+
+    fn trial(s: &dyn Runnable, g: &Graph, seed: u64) -> TrialRecord {
+        faulted(s, g, seed, &FaultPlan::none())
     }
 
     #[test]
@@ -421,7 +350,7 @@ mod tests {
         let g = generators::grid(8, 8);
         let s = BroadcastScenario::czumaj_davies();
         assert_eq!(s.name(), "broadcast");
-        let r = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 3);
+        let r = trial(&s, &g, 3);
         assert!(r.completed);
         assert!(r.rounds > 0);
         assert!(r.metrics.deliveries > 0);
@@ -432,7 +361,7 @@ mod tests {
         let g = generators::grid(8, 8);
         let s = LeaderElectionScenario::new();
         assert_eq!(s.name(), "leader_election");
-        let r = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 5);
+        let r = trial(&s, &g, 5);
         assert!(r.completed);
     }
 
@@ -441,8 +370,8 @@ mod tests {
         let g = generators::grid(6, 6);
         let s = CompeteScenario::new(4);
         assert_eq!(s.name(), "compete(4)");
-        let a = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
-        let b = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
+        let a = trial(&s, &g, 11);
+        let b = trial(&s, &g, 11);
         assert_eq!(a, b, "same seed, same trial");
         assert!(a.completed);
     }
@@ -457,7 +386,7 @@ mod tests {
         let g = generators::grid(3, 3);
         let s = CompeteScenario::new(9);
         for seed in 0..16 {
-            let r = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, seed);
+            let r = trial(&s, &g, seed);
             assert!(r.completed, "seed {seed}");
         }
     }
@@ -474,7 +403,7 @@ mod tests {
     fn compete_scenario_rejects_more_sources_than_nodes() {
         let g = generators::grid(3, 3);
         let s = CompeteScenario::new(10);
-        s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 1);
+        trial(&s, &g, 1);
     }
 
     #[test]
@@ -555,72 +484,24 @@ mod tests {
                 CompeteParams::default(),
                 format!("compete(4,{placement})"),
             );
-            let a = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
-            let b = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
+            let a = trial(&s, &g, 11);
+            let b = trial(&s, &g, 11);
             assert_eq!(a, b, "{placement}: same seed, same trial");
             assert!(a.completed, "{placement}: completes on grid-6x6");
         }
     }
 
     #[test]
-    fn pooled_trials_match_fresh_trials_exactly() {
-        // One TrialPool carried across scenarios, graphs, models and seeds:
-        // every pooled record must equal the fresh-path record bit for bit.
-        let graphs = [generators::grid(8, 8), generators::path(60)];
-        let scenarios: Vec<Box<dyn Runnable>> = vec![
-            Box::new(BroadcastScenario::czumaj_davies()),
-            Box::new(CompeteScenario::new(3)),
-            Box::new(LeaderElectionScenario::new()),
-        ];
-        let mut pool = TrialPool::new();
-        for g in &graphs {
-            let net = net_of(g);
-            for s in &scenarios {
-                for model in
-                    [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection]
-                {
-                    for seed in 0..2u64 {
-                        let fresh = s.run_trial_scheduled(g, net, model, seed, None);
-                        let pooled = s.run_trial_pooled(g, net, model, seed, None, &mut pool);
-                        assert_eq!(fresh, pooled, "{} seed {seed}", s.name());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn broadcast_scenario_degrades_gracefully_under_faults() {
-        use rn_sim::FaultPlan;
         // The paper's broadcast run under the uniform fault seam: with every
         // non-source node jamming at probability 1, nothing can spread — and
         // the trial must report that honestly rather than complete falsely.
         let g = generators::grid(4, 4);
         let s = BroadcastScenario::czumaj_davies();
-        let r = s.run_trial_under_faults(
-            &g,
-            net_of(&g),
-            CollisionModel::NoCollisionDetection,
-            3,
-            &FaultPlan::jam(16, 1.0),
-        );
+        let r = faulted(&s, &g, 3, &FaultPlan::jam(16, 1.0));
         assert!(!r.completed, "no false completion under total jamming");
         // A mild fault plan still runs deterministically.
         let plan = FaultPlan::jam(2, 0.3);
-        let a = s.run_trial_under_faults(
-            &g,
-            net_of(&g),
-            CollisionModel::NoCollisionDetection,
-            3,
-            &plan,
-        );
-        let b = s.run_trial_under_faults(
-            &g,
-            net_of(&g),
-            CollisionModel::NoCollisionDetection,
-            3,
-            &plan,
-        );
-        assert_eq!(a, b);
+        assert_eq!(faulted(&s, &g, 3, &plan), faulted(&s, &g, 3, &plan));
     }
 }

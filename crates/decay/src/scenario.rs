@@ -6,11 +6,8 @@
 
 use crate::broadcast::{CoinSampler, DecayBroadcast, TruncatedDecayBroadcast};
 use crate::cd::{CdMsg, LayeredDecayCd};
-use rn_graph::{Graph, NodeId};
-use rn_sim::{
-    rng, CollisionModel, FaultSchedule, NetParams, Runnable, Simulator, TrialPool, TrialRecord,
-    TxBuf,
-};
+use rn_graph::NodeId;
+use rn_sim::{rng, CollisionModel, Runnable, TrialCtx, TrialPool, TrialRecord, TxBuf};
 
 /// Multi-source decay broadcast with `sources` evenly spread sources holding
 /// distinct values; completes when every node is informed. `truncated`
@@ -61,21 +58,16 @@ impl DecayScenario {
         self
     }
 
-    /// Evenly spaced source placement (deterministic in the graph size).
-    fn place_sources(&self, n: usize) -> Vec<(NodeId, u64)> {
-        let k = self.sources.min(n);
-        (0..k).map(|i| (((i * n) / k) as NodeId, (i + 1) as u64)).collect()
-    }
-
-    /// [`DecayScenario::place_sources`] into a pooled buffer.
-    fn place_sources_into(&self, n: usize, out: &mut Vec<(NodeId, u64)>) {
+    /// Evenly spaced source placement (deterministic in the graph size),
+    /// into a pooled buffer.
+    fn place_sources(&self, n: usize, out: &mut Vec<(NodeId, u64)>) {
         let k = self.sources.min(n);
         out.clear();
         out.extend((0..k).map(|i| (((i * n) / k) as NodeId, (i + 1) as u64)));
     }
 }
 
-/// Per-worker reusable state behind [`DecayScenario`]'s pooled trials:
+/// Per-worker reusable state behind [`DecayScenario`]'s trials:
 /// the source list, the typed transmission buffer, and one protocol of
 /// each variant (re-armed per trial via `reset`).
 #[derive(Debug, Default)]
@@ -91,43 +83,13 @@ impl Runnable for DecayScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let sources = self.place_sources(g.n());
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        if self.truncated {
-            let mut p = TruncatedDecayBroadcast::with_coin_sampler(net, &sources, seed, self.coins);
-            let stats =
-                sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-            TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-        } else {
-            let mut p = DecayBroadcast::with_coin_sampler(net, &sources, seed, self.coins);
-            let stats =
-                sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-            TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-        }
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let (n, net, seed) = (ctx.graph().n(), ctx.net(), ctx.seed());
         let (engine, st) = pool.parts(DecayPool::default);
-        self.place_sources_into(g.n(), &mut st.sources);
+        self.place_sources(n, &mut st.sources);
         st.tx.clear();
-        st.tx.reserve(g.n());
-        let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
+        st.tx.reserve(n);
+        let mut sim = ctx.simulator(engine);
         let budget = net.decay_broadcast_budget();
         if self.truncated {
             match &mut st.trunc {
@@ -212,68 +174,27 @@ impl Runnable for CdDecayScenario {
         CollisionModel::CollisionDetection
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let (n, net, seed) = (ctx.graph().n(), ctx.net(), ctx.seed());
         assert!(
-            self.sources <= g.n(),
-            "compete_cd({}) needs {} distinct sources but the graph has only {} nodes",
+            self.sources <= n,
+            "compete_cd({}) needs {} distinct sources but the graph has only {n} nodes",
             self.sources,
             self.sources,
-            g.n()
         );
         // Placement mirrors compete(K): distinct uniform nodes from a
         // dedicated stream of the trial seed, values 1..=K in draw order —
         // except broadcast_cd, which pins node 0 so its cells compare
         // directly with broadcast/bgi.
-        let sources: Vec<(NodeId, u64)> = if self.fixed_origin {
-            vec![(0, 1)]
-        } else {
-            let mut srng = rng::stream_rng(seed, 0x50C);
-            rng::sample_distinct(&mut srng, self.sources, g.n())
-                .into_iter()
-                .enumerate()
-                .map(|(k, v)| (v as NodeId, (k + 1) as u64))
-                .collect()
-        };
-        let target = sources.iter().map(|&(_, v)| v).max().expect("at least one source");
-        let mut p = LayeredDecayCd::new(net, &sources, seed);
-        let budget = p.budget();
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run_until(&mut p, budget, |_, p| p.all_know_at_least(target));
-        TrialRecord::new(p.all_know_at_least(target), stats.rounds, stats.metrics)
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        assert!(
-            self.sources <= g.n(),
-            "compete_cd({}) needs {} distinct sources but the graph has only {} nodes",
-            self.sources,
-            self.sources,
-            g.n()
-        );
         let (engine, st) = pool.parts(CdDecayPool::default);
         st.sources.clear();
         if self.fixed_origin {
             st.sources.push((0, 1));
         } else {
-            // Draw-identical to `sample_distinct`, but into the pooled
-            // index buffer: steady-state placement stays off the heap.
+            // Drawn into the pooled index buffer: steady-state placement
+            // stays off the heap.
             let mut srng = rng::stream_rng(seed, 0x50C);
-            rng::sample_distinct_into(&mut srng, self.sources, g.n(), &mut st.place_idx);
+            rng::sample_distinct_into(&mut srng, self.sources, n, &mut st.place_idx);
             st.sources.extend(
                 st.place_idx.iter().enumerate().map(|(k, &v)| (v as NodeId, (k + 1) as u64)),
             );
@@ -286,15 +207,15 @@ impl Runnable for CdDecayScenario {
         let p = st.protocol.as_mut().expect("slot was just filled");
         let budget = p.budget();
         st.tx.clear();
-        st.tx.reserve(g.n());
-        let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
-        let stats =
-            sim.run_until_with_buf(p, &mut st.tx, budget, |_, p| p.all_know_at_least(target));
+        st.tx.reserve(n);
+        let stats = ctx
+            .simulator(engine)
+            .run_until_with_buf(p, &mut st.tx, budget, |_, p| p.all_know_at_least(target));
         TrialRecord::new(p.all_know_at_least(target), stats.rounds, stats.metrics)
     }
 }
 
-/// Per-worker reusable state behind [`CdDecayScenario`]'s pooled trials.
+/// Per-worker reusable state behind [`CdDecayScenario`]'s trials.
 #[derive(Debug, Default)]
 struct CdDecayPool {
     place_idx: Vec<usize>,
@@ -306,84 +227,92 @@ struct CdDecayPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rn_graph::generators;
+    use rn_graph::{generators, Graph};
+    use rn_sim::{FaultPlan, NetParams};
+
+    /// One trial of `s` on `g` under `model` and `plan`, through `pool`.
+    fn trial_in(
+        s: &dyn Runnable,
+        g: &Graph,
+        model: CollisionModel,
+        seed: u64,
+        plan: &FaultPlan,
+        pool: &mut TrialPool,
+    ) -> TrialRecord {
+        s.run(&TrialCtx::new(g, NetParams::of_graph(g), model, seed, plan), pool)
+    }
+
+    /// One fault-free trial on a throwaway pool.
+    fn trial(s: &dyn Runnable, g: &Graph, model: CollisionModel, seed: u64) -> TrialRecord {
+        trial_in(s, g, model, seed, &FaultPlan::none(), &mut TrialPool::new())
+    }
+
+    /// One `nocd` trial under `plan` on a throwaway pool.
+    fn faulted(s: &dyn Runnable, g: &Graph, seed: u64, plan: &FaultPlan) -> TrialRecord {
+        let model = CollisionModel::NoCollisionDetection;
+        trial_in(s, g, model, seed, plan, &mut TrialPool::new())
+    }
 
     #[test]
     fn decay_scenario_completes_and_names_stably() {
         let g = generators::grid(10, 10);
-        let net = NetParams::of_graph(&g);
+        let nocd = CollisionModel::NoCollisionDetection;
         let plain = DecayScenario::new(4);
         assert_eq!(plain.name(), "decay(4)");
-        let r = plain.run_trial(&g, net, CollisionModel::NoCollisionDetection, 3);
+        let r = trial(&plain, &g, nocd, 3);
         assert!(r.completed);
         assert!(r.metrics.deliveries > 0);
 
         let trunc = DecayScenario::truncated(2);
         assert_eq!(trunc.name(), "decay_trunc(2)");
-        let r = trunc.run_trial(&g, net, CollisionModel::NoCollisionDetection, 3);
-        assert!(r.completed);
+        assert!(trial(&trunc, &g, nocd, 3).completed);
     }
 
     #[test]
     fn decay_scenario_runs_under_faults_without_scenario_code() {
-        use rn_sim::FaultPlan;
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let s = DecayScenario::new(2);
         // Total jamming: decay cannot inform anyone beyond the sources.
-        let r = s.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            3,
-            &FaultPlan::jam(36, 1.0),
-        );
+        let r = faulted(&s, &g, 3, &FaultPlan::jam(36, 1.0));
         assert!(!r.completed, "no false completion under total jamming");
         assert_eq!(r.metrics.deliveries, 0, "noise is not a delivery");
         // A faulted trial is a pure function of (seed, plan).
         let plan = FaultPlan::try_new(3, 0.5, 0.02, 0.0).expect("valid plan");
-        let a = s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 3, &plan);
-        let b = s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 3, &plan);
-        assert_eq!(a, b);
+        assert_eq!(faulted(&s, &g, 3, &plan), faulted(&s, &g, 3, &plan));
     }
 
     #[test]
     fn cd_scenarios_complete_under_the_pinned_cd_model() {
         let g = generators::grid(8, 8);
-        let net = NetParams::of_graph(&g);
         let b = CdDecayScenario::broadcast();
         assert_eq!(b.name(), "broadcast_cd");
         // The axis may request nocd; the scenario pins CD.
         let model = b.effective_model(CollisionModel::NoCollisionDetection);
         assert_eq!(model, CollisionModel::CollisionDetection);
-        let r = b.run_trial(&g, net, model, 3);
+        let r = trial(&b, &g, model, 3);
         assert!(r.completed, "broadcast_cd completes on grid-8x8");
         assert!(r.metrics.deliveries > 0);
 
         let c = CdDecayScenario::compete(4);
         assert_eq!(c.name(), "compete_cd(4)");
-        let a = c.run_trial(&g, net, model, 9);
-        let again = c.run_trial(&g, net, model, 9);
-        assert_eq!(a, again, "same seed, same trial");
+        let a = trial(&c, &g, model, 9);
+        assert_eq!(a, trial(&c, &g, model, 9), "same seed, same trial");
         assert!(a.completed, "compete_cd(4) completes on grid-8x8");
     }
 
     #[test]
     fn cd_scenario_degrades_honestly_under_faults() {
-        use rn_sim::FaultPlan;
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let s = CdDecayScenario::broadcast();
         let model = CollisionModel::CollisionDetection;
+        let run = |plan: &FaultPlan| trial_in(&s, &g, model, 3, plan, &mut TrialPool::new());
         // Crash-stop everyone almost immediately: the wave dies, nothing
         // completes — and the trial reports that honestly.
-        let r = s.run_trial_under_faults(&g, net, model, 3, &FaultPlan::crash(0.9));
+        let r = run(&FaultPlan::crash(0.9));
         assert!(!r.completed, "no false completion when the network crash-stops");
         // A mild crash plan is deterministic in (seed, plan).
         let plan = FaultPlan::crash(0.001);
-        let a = s.run_trial_under_faults(&g, net, model, 3, &plan);
-        let b = s.run_trial_under_faults(&g, net, model, 3, &plan);
-        assert_eq!(a, b);
+        assert_eq!(run(&plan), run(&plan));
     }
 
     #[test]
@@ -398,11 +327,9 @@ mod tests {
         // And it is a genuinely different workload: on a path, the trial
         // stream differs from the node-0-pinned broadcast for some seed.
         let g = generators::path(40);
-        let net = NetParams::of_graph(&g);
         let model = CollisionModel::CollisionDetection;
         let differs = (0..8).any(|seed| {
-            one.run_trial(&g, net, model, seed)
-                != CdDecayScenario::broadcast().run_trial(&g, net, model, seed)
+            trial(&one, &g, model, seed) != trial(&CdDecayScenario::broadcast(), &g, model, seed)
         });
         assert!(differs, "random placement must not collapse onto node 0 for every seed");
     }
@@ -413,63 +340,49 @@ mod tests {
         CdDecayScenario::compete(0);
     }
 
+    /// A connected random graph on 256 nodes with exactly 6,000 edges
+    /// (mean degree ≈ 47): dense enough for most decay rounds to take the
+    /// engine's dense kernel.
+    fn dense_graph(seed: u64) -> Graph {
+        use rand::Rng;
+        let mut r = rng::stream_rng(seed, 0xDE5E);
+        let mut edges = std::collections::BTreeSet::new();
+        for v in 1..256u32 {
+            edges.insert((r.gen_range(0..v), v)); // a random spanning tree
+        }
+        while edges.len() < 6000 {
+            let (u, v) = (r.gen_range(0..256u32), r.gen_range(0..256u32));
+            if u < v {
+                edges.insert((u, v));
+            }
+        }
+        Graph::from_edges(256, &edges.into_iter().collect::<Vec<_>>()).expect("builds")
+    }
+
     #[test]
-    fn pooled_trials_match_fresh_trials_exactly() {
-        // One pool survives scenario-type switches (the slot re-creates on
-        // downcast mismatch) and graph-size switches (every reset re-sizes);
-        // pooling must move allocations, never results.
-        let graphs = [generators::grid(8, 8), generators::path(50)];
+    fn a_reused_pool_rebuilds_the_dense_cache_for_a_graph_reassigned_in_place() {
+        // Regression: the engine's dense-kernel adjacency cache was keyed on
+        // the graph's address plus (n, m), so a binding reassigned in place
+        // to another graph of the same shape stepped dense rounds over the
+        // old graph's adjacency rows.
+        let s = DecayScenario::new(4);
+        let model = CollisionModel::NoCollisionDetection;
         let mut pool = TrialPool::new();
-        for s in [DecayScenario::new(4), DecayScenario::truncated(2)] {
-            for g in &graphs {
-                let net = NetParams::of_graph(g);
-                let model = CollisionModel::NoCollisionDetection;
-                for seed in 0..4 {
-                    let fresh = s.run_trial(g, net, model, seed);
-                    let pooled = s.run_trial_pooled(g, net, model, seed, None, &mut pool);
-                    assert_eq!(fresh, pooled, "{} n={} seed {seed}", s.name(), g.n());
-                }
-            }
+        let mut g = dense_graph(1);
+        trial_in(&s, &g, model, 0, &FaultPlan::none(), &mut pool);
+        g = dense_graph(2);
+        assert_eq!((g.n(), g.m()), (256, 6000));
+        for seed in 0..20 {
+            let warm = trial_in(&s, &g, model, seed, &FaultPlan::none(), &mut pool);
+            assert_eq!(warm, trial(&s, &g, model, seed), "seed {seed}");
         }
-        for s in [CdDecayScenario::broadcast(), CdDecayScenario::compete(3)] {
-            for g in &graphs {
-                let net = NetParams::of_graph(g);
-                let model = CollisionModel::CollisionDetection;
-                for seed in 0..4 {
-                    let fresh = s.run_trial(g, net, model, seed);
-                    let pooled = s.run_trial_pooled(g, net, model, seed, None, &mut pool);
-                    assert_eq!(fresh, pooled, "{} n={} seed {seed}", s.name(), g.n());
-                }
-            }
-        }
-        // Faulted trials reuse the pool identically.
-        let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
-        let s = DecayScenario::new(2);
-        let schedule =
-            rn_sim::FaultPlan::try_new(2, 0.3, 0.02, 0.01).expect("valid plan").resolve(g.n(), 99);
-        let fresh = s.run_trial_scheduled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            5,
-            Some(&schedule),
-        );
-        let pooled = s.run_trial_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            5,
-            Some(&schedule),
-            &mut pool,
-        );
-        assert_eq!(fresh, pooled, "pooled faulted trial replays the scheduled one");
     }
 
     #[test]
     fn sources_are_clamped_to_graph_size() {
         let s = DecayScenario::new(100);
-        let placed = s.place_sources(10);
+        let mut placed = Vec::new();
+        s.place_sources(10, &mut placed);
         assert_eq!(placed.len(), 10);
         assert!(placed.iter().all(|&(v, _)| (v as usize) < 10));
         // Distinct placements.

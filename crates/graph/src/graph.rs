@@ -1,6 +1,7 @@
 use crate::error::GraphError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a node (station) in a radio network.
 ///
@@ -33,14 +34,38 @@ pub const INVALID_NODE: NodeId = u32::MAX;
 /// assert_eq!(g.degree(2), 2);
 /// # Ok::<(), rn_graph::GraphError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Graph {
     n: usize,
     /// `offsets[v]..offsets[v + 1]` indexes `targets` for node `v`'s adjacency.
     offsets: Vec<u32>,
     /// Concatenated sorted adjacency lists.
     targets: Vec<NodeId>,
+    /// See [`Graph::instance_id`]. Marked for a serde backend to skip it
+    /// and stamp a fresh id on deserialization; the workspace's `serde`
+    /// shim derives nothing, so no code path here exercises that.
+    #[serde(skip, default = "next_instance_id")]
+    instance_id: u64,
 }
+
+/// Source of [`Graph::instance_id`]s; `0` is never handed out.
+static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_instance_id() -> u64 {
+    // The read-modify-write alone makes ids unique, and no other data is
+    // published through the counter, so `Relaxed` suffices.
+    NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Structural equality: the same node count and edge set, whatever the
+/// graphs' [`Graph::instance_id`]s.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Graph) -> bool {
+        self.n == other.n && self.offsets == other.offsets && self.targets == other.targets
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph with `n` nodes from an edge list.
@@ -115,7 +140,26 @@ impl Graph {
             compact_offsets[v + 1] = compact_targets.len() as u32;
         }
 
-        Ok(Graph { n, offsets: compact_offsets, targets: compact_targets })
+        Ok(Graph {
+            n,
+            offsets: compact_offsets,
+            targets: compact_targets,
+            instance_id: next_instance_id(),
+        })
+    }
+
+    /// A process-unique identity for this graph value, stamped at
+    /// construction and kept by clones (a clone has the same edges, and a
+    /// graph never changes after construction).
+    ///
+    /// Caches keyed on a graph — the simulator's dense-kernel adjacency,
+    /// the Compete connectivity memo — key on this id rather than the
+    /// graph's address: a variable reassigned in place to a different graph
+    /// keeps its address, and may keep `n` and `m` too. Two graphs built
+    /// separately never share an id, even when they are equal.
+    #[inline]
+    pub fn instance_id(&self) -> u64 {
+        self.instance_id
     }
 
     /// Number of nodes `n = |V|`.
@@ -404,6 +448,14 @@ mod tests {
         assert!(Graph::parse_edge_list("").is_err());
         assert!(Graph::parse_edge_list("3\n0 zebra\n").is_err());
         assert!(Graph::parse_edge_list("2\n0 5\n").is_err());
+    }
+
+    #[test]
+    fn instance_ids_follow_construction_not_content() {
+        let (a, b) = (cycle4(), cycle4());
+        assert_eq!(a, b, "equality is structural");
+        assert_ne!(a.instance_id(), b.instance_id(), "separate builds get separate ids");
+        assert_eq!(a.clone().instance_id(), a.instance_id(), "a clone is the same graph");
     }
 
     #[test]

@@ -20,11 +20,9 @@ use crate::tree::{SlotPolicy, TreeSchedule, TreeScheduleScratch};
 use rn_cluster::{Partition, PartitionScratch};
 use rn_graph::Graph;
 use rn_sim::family::{ParsedArgs, ProtocolFamily};
-use rn_sim::{
-    rng, CollisionModel, FaultSchedule, NetParams, Runnable, Simulator, TrialPool, TrialRecord,
-};
+use rn_sim::{rng, Runnable, Simulator, TrialCtx, TrialPool, TrialRecord};
 
-/// Per-worker reusable state behind [`ScheduleScenario`]'s pooled trials:
+/// Per-worker reusable state behind [`ScheduleScenario`]'s trials:
 /// the per-trial partition and tree schedule (recomputed in place) plus
 /// their construction scratch. The executors themselves still allocate
 /// their value tables — this scenario is not on the zero-allocation
@@ -89,8 +87,7 @@ impl ScheduleScenario {
         ScheduleScenario { op, beta, label }
     }
 
-    /// One executor pass over an already-constructed clustering + schedule —
-    /// the part of the trial shared by the fresh and pooled paths.
+    /// One executor pass over the trial's clustering + schedule.
     fn run_pass(
         &self,
         g: &Graph,
@@ -139,34 +136,12 @@ impl Runnable for ScheduleScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        _net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+        let g = ctx.graph();
+        let (engine, st) = pool.parts(SchedulePool::default);
         // The partition is part of the trial's randomness: a fresh oracle
         // clustering per trial, from a dedicated stream of the trial seed.
-        let mut prng = rng::stream_rng(seed, 0x5CED);
-        let part = Partition::compute(g, self.beta, &mut prng);
-        let sched = TreeSchedule::build(g, &part, SlotPolicy::Auto);
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        self.run_pass(g, &part, &sched, &mut sim)
-    }
-
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        _net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        let (engine, st) = pool.parts(SchedulePool::default);
-        let mut prng = rng::stream_rng(seed, 0x5CED);
+        let mut prng = rng::stream_rng(ctx.seed(), 0x5CED);
         if let Some(p) = st.partition.as_mut() {
             p.recompute(g, self.beta, &mut prng, &mut st.pscratch);
         } else {
@@ -179,8 +154,7 @@ impl Runnable for ScheduleScenario {
             st.schedule = Some(TreeSchedule::build(g, part, SlotPolicy::Auto));
         }
         let sched = st.schedule.as_ref().expect("slot was just filled");
-        let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
-        self.run_pass(g, part, sched, &mut sim)
+        self.run_pass(g, part, sched, &mut ctx.simulator(engine))
     }
 }
 
@@ -263,44 +237,25 @@ pub fn families() -> Vec<&'static dyn ProtocolFamily> {
 mod tests {
     use super::*;
     use rn_graph::generators;
+    use rn_sim::{CollisionModel, FaultPlan, NetParams};
+
+    /// One `nocd` trial under `plan` on a throwaway pool.
+    fn faulted(s: &ScheduleScenario, g: &Graph, seed: u64, plan: &FaultPlan) -> TrialRecord {
+        let model = CollisionModel::NoCollisionDetection;
+        let ctx = TrialCtx::new(g, NetParams::of_graph(g), model, seed, plan);
+        s.run(&ctx, &mut TrialPool::new())
+    }
 
     #[test]
     fn schedule_scenarios_run_and_are_deterministic() {
         let g = generators::grid(10, 10);
-        let net = NetParams::of_graph(&g);
         for op in [ScheduleOp::Downcast, ScheduleOp::Upcast] {
             let s = ScheduleScenario::new(op, DEFAULT_SCHEDULE_BETA);
-            let a = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 5);
-            let b = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 5);
+            let a = faulted(&s, &g, 5, &FaultPlan::none());
+            let b = faulted(&s, &g, 5, &FaultPlan::none());
             assert_eq!(a, b, "{op:?}: same seed, same trial");
             assert!(a.rounds > 0);
             assert!(a.metrics.transmissions > 0, "{op:?} really transmits");
-        }
-    }
-
-    #[test]
-    fn pooled_trials_match_fresh_trials_exactly() {
-        // One pool across ops, graphs and seeds (partition + schedule are
-        // recomputed in place each trial); records must match bit for bit.
-        let graphs = [generators::grid(10, 10), generators::path(40)];
-        let mut pool = TrialPool::new();
-        for op in [ScheduleOp::Downcast, ScheduleOp::Upcast] {
-            let s = ScheduleScenario::new(op, DEFAULT_SCHEDULE_BETA);
-            for g in &graphs {
-                let net = NetParams::of_graph(g);
-                for seed in 0..3 {
-                    let fresh = s.run_trial(g, net, CollisionModel::NoCollisionDetection, seed);
-                    let pooled = s.run_trial_pooled(
-                        g,
-                        net,
-                        CollisionModel::NoCollisionDetection,
-                        seed,
-                        None,
-                        &mut pool,
-                    );
-                    assert_eq!(fresh, pooled, "{op:?} n={} seed {seed}", g.n());
-                }
-            }
         }
     }
 
@@ -310,10 +265,9 @@ mod tests {
         // there is no inter-cluster interference and the Lemma 2.3 contract
         // holds exactly: both passes must complete.
         let g = generators::grid(8, 8);
-        let net = NetParams::of_graph(&g);
         for op in [ScheduleOp::Downcast, ScheduleOp::Upcast] {
             let s = ScheduleScenario::new(op, 1e-6);
-            let r = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 3);
+            let r = faulted(&s, &g, 3, &FaultPlan::none());
             assert!(r.completed, "{op:?} completes without inter-cluster interference");
         }
     }
@@ -338,17 +292,9 @@ mod tests {
 
     #[test]
     fn upcast_scenario_fails_honestly_when_everyone_crashes() {
-        use rn_sim::FaultPlan;
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let s = ScheduleScenario::new(ScheduleOp::Downcast, 0.000001);
-        let r = s.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            4,
-            &FaultPlan::crash(1.0),
-        );
+        let r = faulted(&s, &g, 4, &FaultPlan::crash(1.0));
         assert!(!r.completed, "a crashed network cannot complete a pass");
         assert_eq!(r.metrics.deliveries, 0);
     }

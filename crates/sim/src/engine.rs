@@ -4,8 +4,6 @@ use crate::protocol::{Protocol, Round, TxBuf};
 use crate::trace::{Event, Trace};
 use rn_graph::{Graph, HybridAdjacency, NodeId};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Which interference model the channel follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -36,99 +34,15 @@ pub enum CollisionModel {
 ///   resolve through an incrementally-advanced crashed bitset instead of a
 ///   per-listener `crash_round` vector read.
 ///
-/// The default is resolved per construction: a
-/// [`with_default_engine_mode`] scope override wins, then the
-/// `RN_ENGINE_MODE` environment variable (`reference` / `frontier`), then
-/// [`EngineMode::Frontier`].
+/// The mode is a property of the [`SimScratch`] a simulator steps over:
+/// [`SimScratch::new`] (and every fresh simulator) is Frontier, and only
+/// [`SimScratch::reference`] builds the reference oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EngineMode {
     /// Stamp-vector scratch: the executable specification.
     Reference,
-    /// Struct-of-arrays bitset scratch: the large-`n` fast path (default).
+    /// Struct-of-arrays bitset scratch: the production engine.
     Frontier,
-}
-
-thread_local! {
-    static MODE_OVERRIDE: Cell<Option<EngineMode>> = const { Cell::new(None) };
-}
-
-static ENV_MODE: OnceLock<EngineMode> = OnceLock::new();
-
-impl EngineMode {
-    /// The mode new simulators get when none is passed explicitly: a
-    /// [`with_default_engine_mode`] scope override if one is active on this
-    /// thread, else `RN_ENGINE_MODE` from the environment, else
-    /// [`EngineMode::Frontier`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `RN_ENGINE_MODE` is set to anything other than
-    /// `reference` or `frontier` (case-insensitive).
-    pub fn default_mode() -> EngineMode {
-        if let Some(m) = MODE_OVERRIDE.with(|c| c.get()) {
-            return m;
-        }
-        *ENV_MODE.get_or_init(|| match std::env::var("RN_ENGINE_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => EngineMode::Reference,
-            Ok(v) if v.eq_ignore_ascii_case("frontier") => EngineMode::Frontier,
-            Ok(v) => panic!("RN_ENGINE_MODE={v:?} (expected \"reference\" or \"frontier\")"),
-            Err(_) => EngineMode::Frontier,
-        })
-    }
-
-    /// Pins the *process-wide* default to `mode` — the seam for CLI flags
-    /// (`experiments --engine-mode …`), which must take effect on every
-    /// worker thread, where a thread-local [`with_default_engine_mode`]
-    /// scope cannot reach. Wins over `RN_ENGINE_MODE` only if called before
-    /// the first [`EngineMode::default_mode`] resolution; afterwards the
-    /// default is frozen.
-    ///
-    /// # Errors
-    ///
-    /// Returns the already-frozen mode when the process default was
-    /// resolved earlier (a simulator was built, the environment variable
-    /// was read, or a prior call pinned it) to something different —
-    /// callers surface this instead of silently racing.
-    pub fn set_process_default(mode: EngineMode) -> Result<(), EngineMode> {
-        let frozen = *ENV_MODE.get_or_init(|| mode);
-        if frozen == mode {
-            Ok(())
-        } else {
-            Err(frozen)
-        }
-    }
-
-    /// Parses a mode name (`reference` / `frontier`, case-insensitive) —
-    /// the spelling `RN_ENGINE_MODE` and `--engine-mode` accept.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the accepted spellings.
-    pub fn parse_name(s: &str) -> Result<EngineMode, String> {
-        if s.eq_ignore_ascii_case("reference") {
-            Ok(EngineMode::Reference)
-        } else if s.eq_ignore_ascii_case("frontier") {
-            Ok(EngineMode::Frontier)
-        } else {
-            Err(format!("unknown engine mode {s:?} (expected \"reference\" or \"frontier\")"))
-        }
-    }
-}
-
-/// Runs `f` with [`EngineMode::default_mode`] pinned to `mode` on the
-/// current thread — the seam differential tests and benchmarks use to run
-/// the *same* scenario code under both engine implementations without
-/// touching process-global state. Scopes nest; the previous override is
-/// restored when `f` returns or panics.
-pub fn with_default_engine_mode<T>(mode: EngineMode, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<EngineMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(MODE_OVERRIDE.with(|c| c.replace(Some(mode))));
-    f()
 }
 
 /// Cumulative channel statistics for a simulator instance.
@@ -178,8 +92,8 @@ pub struct RunStats {
 }
 
 /// Per-round channel scratch, reset implicitly (reference) or sparsely
-/// (frontier) each round. One variant is allocated per simulator, chosen by
-/// its [`EngineMode`] — a million-node frontier simulator carries ~4.4 MB of
+/// (frontier) each round. Each [`SimScratch`] holds one variant, fixed by
+/// its constructor — a million-node frontier simulator carries ~4.4 MB of
 /// scratch (one `u32` plus three bits per node) where the reference layout
 /// carries 24 MB.
 #[derive(Debug)]
@@ -213,20 +127,21 @@ enum Scratch {
 }
 
 impl Scratch {
-    fn new(mode: EngineMode, n: usize) -> Scratch {
+    /// An empty scratch of `mode`; [`SimScratch::prepare`] sizes it.
+    fn empty(mode: EngineMode) -> Scratch {
         match mode {
             EngineMode::Reference => Scratch::Reference {
-                hear_stamp: vec![0; n],
-                hear_count: vec![0; n],
-                hear_from: vec![0; n],
-                tx_stamp: vec![0; n],
+                hear_stamp: Vec::new(),
+                hear_count: Vec::new(),
+                hear_from: Vec::new(),
+                tx_stamp: Vec::new(),
             },
             EngineMode::Frontier => Scratch::Frontier {
-                tx: WordBitset::new(n),
-                heard: WordBitset::new(n),
-                collided: WordBitset::new(n),
-                hear_from: vec![0; n],
-                crashed: WordBitset::new(n),
+                tx: WordBitset::new(0),
+                heard: WordBitset::new(0),
+                collided: WordBitset::new(0),
+                hear_from: Vec::new(),
+                crashed: WordBitset::new(0),
                 crash_events: Vec::new(),
                 crash_cursor: 0,
             },
@@ -281,55 +196,75 @@ struct DenseScratch {
 /// Reusable engine state: everything a [`Simulator`] would otherwise
 /// allocate per construction (channel bitsets or stamp vectors, the
 /// dense-kernel adjacency cache, the touched/active lists), hoisted into a
-/// value that survives across trials.
+/// value that survives across trials. The scratch also fixes the engine
+/// mode: [`SimScratch::new`] steps the Frontier engine,
+/// [`SimScratch::reference`] the stamp-vector oracle.
 ///
 /// [`Simulator::reuse`] adopts a pool's `SimScratch` for one trial and
 /// resets it sparsely — the frontier bitsets are already all-clear between
 /// rounds (each step clears exactly the bits it set), so a steady-state
 /// trial on an unchanged topology performs **zero heap allocations** for
-/// engine state. The dense-kernel cache is keyed by graph identity
-/// `(address, n, m)` and survives as long as trials run on the same graph
-/// value (pool owners keep one pool per topology; the bench executor keys
-/// pools off its per-topology `OnceLock` cache, whose graphs never move).
+/// engine state. The dense-kernel cache is keyed by
+/// [`Graph::instance_id`], so it survives any number of trials on one graph
+/// and is rebuilt when a trial brings a different graph — however that
+/// graph was stored (the bench executor keeps one pool per worker thread
+/// for its whole life, across every topology of a campaign).
 #[derive(Debug)]
 pub struct SimScratch {
     scratch: Scratch,
     dense: Option<DenseScratch>,
-    dense_key: (usize, usize, usize),
+    /// [`Graph::instance_id`] of the graph `dense` was built for (`0`, an
+    /// id no graph has, while there is none).
+    dense_graph: u64,
     touched: Vec<NodeId>,
     active_tx: Vec<(NodeId, u32)>,
 }
 
 impl SimScratch {
-    /// An empty pool slot; the first adopting [`Simulator::reuse`] sizes it
-    /// for its graph and engine mode.
+    /// An empty Frontier-engine scratch; the first adopting
+    /// [`Simulator::reuse`] sizes it for its graph.
     pub fn new() -> SimScratch {
+        SimScratch::with_scratch(Scratch::empty(EngineMode::Frontier))
+    }
+
+    /// An empty scratch for the stamp-vector [`EngineMode::Reference`]
+    /// engine — the executable specification that differential tests and
+    /// engine A/B benchmarks compare the Frontier engine against.
+    pub fn reference() -> SimScratch {
+        SimScratch::with_scratch(Scratch::empty(EngineMode::Reference))
+    }
+
+    fn with_scratch(scratch: Scratch) -> SimScratch {
         SimScratch {
-            scratch: Scratch::new(EngineMode::Frontier, 0),
+            scratch,
             dense: None,
-            dense_key: (0, 0, 0),
+            dense_graph: 0,
             touched: Vec::new(),
             active_tx: Vec::new(),
         }
     }
 
-    /// Readies the scratch for a trial of `mode` over `graph`: reuses every
-    /// buffer whose capacity still fits, clears sparsely where the between-
-    /// rounds invariant guarantees emptiness, and reserves the worst-case
-    /// bounds (`n` touched listeners, `n` active transmitters) so steady-
-    /// state rounds can never trigger mid-trial growth.
-    fn prepare(&mut self, mode: EngineMode, graph: &Graph) {
-        let n = graph.n();
-        let key = (graph as *const Graph as usize, n, graph.m());
-        if self.dense_key != key {
-            self.dense = None;
-            self.dense_key = key;
+    /// The engine this scratch steps.
+    fn mode(&self) -> EngineMode {
+        match self.scratch {
+            Scratch::Reference { .. } => EngineMode::Reference,
+            Scratch::Frontier { .. } => EngineMode::Frontier,
         }
-        match (&mut self.scratch, mode) {
-            (
-                Scratch::Reference { hear_stamp, hear_count, hear_from, tx_stamp },
-                EngineMode::Reference,
-            ) => {
+    }
+
+    /// Readies the scratch for a trial over `graph`: reuses every buffer
+    /// whose capacity still fits, clears sparsely where the between-rounds
+    /// invariant guarantees emptiness, and reserves the worst-case bounds
+    /// (`n` touched listeners, `n` active transmitters) so steady-state
+    /// rounds can never trigger mid-trial growth.
+    fn prepare(&mut self, graph: &Graph) {
+        let n = graph.n();
+        if self.dense_graph != graph.instance_id() {
+            self.dense = None;
+            self.dense_graph = graph.instance_id();
+        }
+        match &mut self.scratch {
+            Scratch::Reference { hear_stamp, hear_count, hear_from, tx_stamp } => {
                 // The protocol clock restarts each trial, so stale stamps
                 // from a previous trial could alias fresh ones: zero both
                 // stamp vectors (hear_count/hear_from are only read behind a
@@ -341,10 +276,7 @@ impl SimScratch {
                 hear_count.resize(n, 0);
                 hear_from.resize(n, 0);
             }
-            (
-                Scratch::Frontier { tx, heard, collided, hear_from, crashed, .. },
-                EngineMode::Frontier,
-            ) => {
+            Scratch::Frontier { tx, heard, collided, hear_from, crashed, .. } => {
                 // tx/heard/collided are all-clear between rounds; only a
                 // capacity change forces a re-zero. The crash bitset/queue
                 // are rebuilt by `rebuild_crash_events` in every adopting
@@ -361,7 +293,6 @@ impl SimScratch {
                     hear_from.resize(n, 0);
                 }
             }
-            _ => self.scratch = Scratch::new(mode, n),
         }
         self.touched.clear();
         self.touched.reserve(n);
@@ -492,10 +423,12 @@ impl RoundView<'_> {
 /// nodes, not to `n` — protocols with sparse activity (decay frontiers,
 /// schedule waves) simulate cheaply even on large networks. The scratch the
 /// per-round loops touch comes in two layouts (see [`EngineMode`]): the
-/// default [`EngineMode::Frontier`] keeps channel sets as one-bit-per-node
-/// bitsets so `10⁵`–`10⁶`-node campaigns stay cache-resident, and the
-/// [`EngineMode::Reference`] stamp path is retained as the executable
-/// specification the fast path is differentially tested against.
+/// production [`EngineMode::Frontier`] keeps channel sets as
+/// one-bit-per-node bitsets so `10⁵`–`10⁶`-node campaigns stay
+/// cache-resident, and the [`EngineMode::Reference`] stamp path, reached
+/// only through a [`SimScratch::reference`] scratch, is retained as the
+/// executable specification the fast path is differentially tested
+/// against.
 ///
 /// The engine optionally runs under a [`FaultSchedule`] (jammers + per-round
 /// dropout, see [`crate::faults`]): a schedule passed explicitly at
@@ -520,8 +453,8 @@ pub struct Simulator<'g> {
 const NOISE_TAG: u32 = u32::MAX;
 
 impl<'g> Simulator<'g> {
-    /// Creates an engine over `graph` with the given interference `model`,
-    /// running fault-free under [`EngineMode::default_mode`].
+    /// Creates a Frontier engine over `graph` with the given interference
+    /// `model`, running fault-free.
     ///
     /// `seed` is recorded for reproducibility metadata (protocols own their
     /// actual randomness; see [`crate::rng`] for seed derivation helpers).
@@ -530,10 +463,8 @@ impl<'g> Simulator<'g> {
     }
 
     /// As [`Simulator::new`], with an explicit fault schedule (`None` runs
-    /// fault-free). This is the constructor scenario implementations use to
-    /// honor the schedule [`crate::Runnable::run_trial_scheduled`] hands
-    /// them — fault injection is plain parameter passing, safe to drive from
-    /// any worker thread.
+    /// fault-free) — fault injection is plain parameter passing, safe to
+    /// drive from any worker thread.
     ///
     /// # Panics
     ///
@@ -545,35 +476,18 @@ impl<'g> Simulator<'g> {
         seed: u64,
         faults: Option<FaultSchedule>,
     ) -> Simulator<'g> {
-        Simulator::with_mode(graph, model, seed, faults, EngineMode::default_mode())
-    }
-
-    /// The fully explicit constructor: schedule *and* engine mode.
-    /// Differential tests and benchmarks pin the mode here; everything else
-    /// goes through [`Simulator::new`] / [`Simulator::with_faults`] and the
-    /// process default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule was resolved for a different node count than
-    /// `graph` has.
-    pub fn with_mode(
-        graph: &'g Graph,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<FaultSchedule>,
-        mode: EngineMode,
-    ) -> Simulator<'g> {
         let mut scratch = Box::new(SimScratch::new());
-        scratch.prepare(mode, graph);
+        scratch.prepare(graph);
         Simulator::from_store(Store::Owned(scratch), graph, model, seed, faults)
     }
 
     /// As [`Simulator::with_faults`], adopting a pooled [`SimScratch`]
     /// instead of allocating fresh engine state — the steady-state trial
-    /// constructor. The scratch is reset sparsely (see [`SimScratch`]); on
-    /// an unchanged topology the construction performs no heap allocation,
-    /// and the dense-kernel adjacency cache survives across trials.
+    /// constructor, and the one way to step the engine mode the scratch was
+    /// built for (see [`SimScratch::reference`]). The scratch is reset
+    /// sparsely (see [`SimScratch`]); on an unchanged topology the
+    /// construction performs no heap allocation, and the dense-kernel
+    /// adjacency cache survives across trials.
     ///
     /// # Panics
     ///
@@ -586,25 +500,7 @@ impl<'g> Simulator<'g> {
         seed: u64,
         faults: Option<FaultSchedule>,
     ) -> Simulator<'g> {
-        Simulator::reuse_with_mode(scratch, graph, model, seed, faults, EngineMode::default_mode())
-    }
-
-    /// [`Simulator::reuse`] with an explicit engine mode (differential tests
-    /// pin the mode here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule was resolved for a different node count than
-    /// `graph` has.
-    pub fn reuse_with_mode(
-        scratch: &'g mut SimScratch,
-        graph: &'g Graph,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<FaultSchedule>,
-        mode: EngineMode,
-    ) -> Simulator<'g> {
-        scratch.prepare(mode, graph);
+        scratch.prepare(graph);
         Simulator::from_store(Store::Pooled(scratch), graph, model, seed, faults)
     }
 
@@ -674,10 +570,7 @@ impl<'g> Simulator<'g> {
 
     /// The hot-path implementation this simulator steps with.
     pub fn mode(&self) -> EngineMode {
-        match self.store.get().scratch {
-            Scratch::Reference { .. } => EngineMode::Reference,
-            Scratch::Frontier { .. } => EngineMode::Frontier,
-        }
+        self.store.get().mode()
     }
 
     /// Master seed recorded at construction.
@@ -1364,13 +1257,9 @@ mod tests {
     #[should_panic(expected = "transmitted twice")]
     fn double_transmission_is_a_protocol_bug_in_reference_mode_too() {
         let g = generators::path(2);
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::NoCollisionDetection,
-            1,
-            None,
-            EngineMode::Reference,
-        );
+        let mut scratch = SimScratch::reference();
+        let mut sim =
+            Simulator::reuse(&mut scratch, &g, CollisionModel::NoCollisionDetection, 1, None);
         let mut p = OneShot::new(2, vec![(0, 1u64), (0, 2u64)]);
         sim.run(&mut p, 1);
     }
@@ -1480,6 +1369,49 @@ mod tests {
     }
 
     #[test]
+    fn engine_faults_jammers_fire_through_total_dropout() {
+        // Total dropout silences every protocol transmission and deafens
+        // every listener.
+        let g = generators::path(2);
+        let all_down = FaultSchedule::new(2, vec![], 0.0, 1.0, 0.0, 9);
+        let mut sim =
+            Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 5, Some(all_down));
+        let stats = sim.run(&mut crate::testing::EveryRound::new(0, 1u64), 8);
+        assert_eq!(stats.metrics.transmissions, 0, "down nodes are silent");
+        assert_eq!(stats.metrics.deliveries, 0);
+
+        // Jammers are exempt from dropout: node 1 keeps jamming through
+        // total dropout, and down node 0 receives none of it.
+        let jam_through = FaultSchedule::new(2, vec![1], 1.0, 1.0, 0.0, 9);
+        let mut sim =
+            Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 5, Some(jam_through));
+        let mut p = crate::testing::EveryRound::new(0, 1u64);
+        let stats = sim.run(&mut p, 8);
+        assert_eq!(stats.metrics.transmissions, 8, "the adversary is reliable");
+        assert_eq!(stats.metrics.deliveries, 0);
+        assert_eq!(p.rounds_seen(), 8, "the protocol still runs");
+    }
+
+    #[test]
+    fn engine_faults_heavy_jamming_blocks_completion_in_both_models() {
+        // Path 0-1-2-3: node 1 jams with probability 1, so nothing the
+        // source says ever gets past it — the flood must not report all
+        // nodes informed, under either collision model or engine.
+        let g = generators::path(4);
+        for make in [FRONTIER, REFERENCE] {
+            for model in [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection]
+            {
+                let schedule = FaultSchedule::new(4, vec![1], 1.0, 0.0, 0.0, 9);
+                let mut scratch = make();
+                let mut sim = Simulator::reuse(&mut scratch, &g, model, 5, Some(schedule));
+                let mut p = crate::testing::NaiveFlood::new(4, 0);
+                sim.run(&mut p, 256);
+                assert_eq!(p.informed_count(), 1, "only the source knows it ({model:?})");
+            }
+        }
+    }
+
+    #[test]
     fn with_faults_constructor_matches_set_faults() {
         let g = generators::star(3);
         let schedule = FaultSchedule::new(3, vec![2], 1.0, 0.0, 0.0, 7);
@@ -1518,41 +1450,21 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_is_frontier_and_override_scopes_nest() {
+    fn scratch_constructors_pick_the_engine_mode() {
         let g = generators::path(2);
-        assert_eq!(
-            Simulator::new(&g, CollisionModel::NoCollisionDetection, 1).mode(),
-            EngineMode::Frontier
-        );
-        with_default_engine_mode(EngineMode::Reference, || {
-            let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-            assert_eq!(sim.mode(), EngineMode::Reference);
-            with_default_engine_mode(EngineMode::Frontier, || {
-                let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-                assert_eq!(sim.mode(), EngineMode::Frontier);
-            });
-            let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-            assert_eq!(sim.mode(), EngineMode::Reference, "inner scope restored");
-        });
-        let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        assert_eq!(sim.mode(), EngineMode::Frontier, "outer scope restored");
-    }
-
-    #[test]
-    fn process_default_setter_freezes_and_names_parse() {
-        // The tests run with RN_ENGINE_MODE unset, so the process default
-        // resolves to Frontier (here or in whichever test ran first);
-        // re-pinning the same mode is fine, contradicting it reports the
-        // frozen value instead of racing.
-        assert_eq!(EngineMode::default_mode(), EngineMode::Frontier);
-        assert_eq!(EngineMode::set_process_default(EngineMode::Frontier), Ok(()));
-        assert_eq!(
-            EngineMode::set_process_default(EngineMode::Reference),
-            Err(EngineMode::Frontier)
-        );
-        assert_eq!(EngineMode::parse_name("reference"), Ok(EngineMode::Reference));
-        assert_eq!(EngineMode::parse_name("Frontier"), Ok(EngineMode::Frontier));
-        assert!(EngineMode::parse_name("fast").is_err());
+        let model = CollisionModel::NoCollisionDetection;
+        let sim = Simulator::new(&g, model, 1);
+        assert_eq!(sim.mode(), EngineMode::Frontier, "fresh simulators step the Frontier engine");
+        for (mut scratch, mode) in [
+            (SimScratch::new(), EngineMode::Frontier),
+            (SimScratch::default(), EngineMode::Frontier),
+            (SimScratch::reference(), EngineMode::Reference),
+        ] {
+            // The scratch keeps its engine across trials.
+            for seed in 1..3 {
+                assert_eq!(Simulator::reuse(&mut scratch, &g, model, seed, None).mode(), mode);
+            }
+        }
     }
 
     /// Wraps a protocol and logs every engine callback in order — the
@@ -1585,17 +1497,22 @@ mod tests {
     /// log, and the final informed count.
     type FloodObservation = (RunStats, Vec<(Round, &'static str, NodeId, NodeId)>, usize);
 
-    /// Runs one flood trial under the given mode and returns everything
-    /// observable: run stats plus the full callback log.
+    /// The two engines, by scratch constructor.
+    const REFERENCE: fn() -> SimScratch = SimScratch::reference;
+    const FRONTIER: fn() -> SimScratch = SimScratch::new;
+
+    /// Runs one flood trial on a fresh scratch from `scratch` and returns
+    /// everything observable: run stats plus the full callback log.
     fn flood_trial(
-        mode: EngineMode,
+        scratch: fn() -> SimScratch,
         g: &rn_graph::Graph,
         model: CollisionModel,
         faults: Option<FaultSchedule>,
         seed: u64,
         rounds: u64,
     ) -> FloodObservation {
-        let mut sim = Simulator::with_mode(g, model, seed, faults, mode);
+        let mut scratch = scratch();
+        let mut sim = Simulator::reuse(&mut scratch, g, model, seed, faults);
         let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
         let stats = sim.run(&mut p, rounds);
         (stats, p.log, p.inner.informed_count())
@@ -1631,9 +1548,8 @@ mod tests {
                 for plan in &plans {
                     for seed in 0..4u64 {
                         let faults = plan.map(|mk| mk(g.n(), seed + 31));
-                        let a =
-                            flood_trial(EngineMode::Reference, g, model, faults.clone(), seed, 48);
-                        let b = flood_trial(EngineMode::Frontier, g, model, faults, seed, 48);
+                        let a = flood_trial(REFERENCE, g, model, faults.clone(), seed, 48);
+                        let b = flood_trial(FRONTIER, g, model, faults, seed, 48);
                         assert_eq!(a, b, "mode divergence: n={} {model:?} seed={seed}", g.n());
                     }
                 }
@@ -1649,21 +1565,8 @@ mod tests {
         // built lazily, so its existence proves dispatch happened) and stay
         // identical to the reference engine.
         let g = generators::complete(64);
-        let a = flood_trial(
-            EngineMode::Reference,
-            &g,
-            CollisionModel::NoCollisionDetection,
-            None,
-            1,
-            16,
-        );
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::NoCollisionDetection,
-            1,
-            None,
-            EngineMode::Frontier,
-        );
+        let a = flood_trial(REFERENCE, &g, CollisionModel::NoCollisionDetection, None, 1, 16);
+        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
         let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
         let stats = sim.run(&mut p, 16);
         assert!(sim.store.get().dense.is_some(), "degree-sum trigger must engage the dense kernel");
@@ -1679,15 +1582,8 @@ mod tests {
         // reference log byte for byte (deliver/collision interleaving
         // included).
         let g = generators::complete(64);
-        let a =
-            flood_trial(EngineMode::Reference, &g, CollisionModel::CollisionDetection, None, 1, 16);
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::CollisionDetection,
-            1,
-            None,
-            EngineMode::Frontier,
-        );
+        let a = flood_trial(REFERENCE, &g, CollisionModel::CollisionDetection, None, 1, 16);
+        let mut sim = Simulator::new(&g, CollisionModel::CollisionDetection, 1);
         let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
         let stats = sim.run(&mut p, 16);
         assert!(sim.store.get().dense.is_some(), "CD rounds engage the dense kernel");
@@ -1700,13 +1596,7 @@ mod tests {
         // Traced rounds keep the per-edge path: their event interleaving is
         // the specification the trace records.
         let g = generators::complete(64);
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::NoCollisionDetection,
-            1,
-            None,
-            EngineMode::Frontier,
-        );
+        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
         sim.enable_trace(64);
         let mut p = crate::testing::NaiveFlood::new(g.n(), 0);
         sim.run(&mut p, 16);
@@ -1715,13 +1605,12 @@ mod tests {
 
     #[test]
     fn reused_scratch_replays_trials_exactly() {
-        // A pooled trial must be byte-identical to a fresh one — stats,
-        // callback log, and informed count — and the scratch must survive
-        // graph switches, fault schedules, model changes, and engine-mode
-        // changes between trials.
+        // A reused scratch must replay a fresh one exactly — stats,
+        // callback log, and informed count — for either engine, across
+        // graph switches, fault schedules and model changes between trials.
         let graphs = [generators::path(16), generators::complete(40), generators::star(12)];
-        let mut scratch = SimScratch::new();
-        for mode in [EngineMode::Frontier, EngineMode::Reference] {
+        for make in [FRONTIER, REFERENCE] {
+            let mut scratch = make();
             for g in &graphs {
                 for model in
                     [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection]
@@ -1729,9 +1618,8 @@ mod tests {
                     for seed in 0..3u64 {
                         let faults = (seed == 2)
                             .then(|| FaultSchedule::new(g.n(), vec![0], 0.4, 0.2, 0.05, seed));
-                        let fresh = flood_trial(mode, g, model, faults.clone(), seed, 24);
-                        let mut sim =
-                            Simulator::reuse_with_mode(&mut scratch, g, model, seed, faults, mode);
+                        let fresh = flood_trial(make, g, model, faults.clone(), seed, 24);
+                        let mut sim = Simulator::reuse(&mut scratch, g, model, seed, faults);
                         let mut p = Recorder {
                             inner: crate::testing::NaiveFlood::new(g.n(), 0),
                             log: Vec::new(),
@@ -1795,9 +1683,10 @@ mod tests {
             {
                 for plan in &plans {
                     for seed in 0..2u64 {
-                        let run = |mode: EngineMode| {
+                        let run = |make: fn() -> SimScratch| {
                             let faults = plan.map(|mk| mk(g.n(), seed + 5));
-                            let mut sim = Simulator::with_mode(g, model, seed, faults, mode);
+                            let mut scratch = make();
+                            let mut sim = Simulator::reuse(&mut scratch, g, model, seed, faults);
                             let mut p = RoundEndProbe {
                                 inner: crate::testing::NaiveFlood::new(g.n(), 0),
                                 n: g.n(),
@@ -1806,8 +1695,8 @@ mod tests {
                             sim.run(&mut p, 24);
                             p.log
                         };
-                        let reference = run(EngineMode::Reference);
-                        let frontier = run(EngineMode::Frontier);
+                        let reference = run(REFERENCE);
+                        let frontier = run(FRONTIER);
                         assert_eq!(reference.len(), 24, "round_end fires every round");
                         for (r, f) in reference.iter().zip(&frontier) {
                             assert_eq!(r, f, "view divergence: n={} {model:?} seed={seed}", g.n());
@@ -1829,9 +1718,10 @@ mod tests {
         // crash queue must catch up to the current global round, matching
         // the reference path exactly from the installation point on.
         let g = generators::path(6);
-        let run = |mode: EngineMode| {
+        let run = |make: fn() -> SimScratch| {
+            let mut scratch = make();
             let mut sim =
-                Simulator::with_mode(&g, CollisionModel::NoCollisionDetection, 3, None, mode);
+                Simulator::reuse(&mut scratch, &g, CollisionModel::NoCollisionDetection, 3, None);
             let mut p = crate::testing::NaiveFlood::new(g.n(), 0);
             sim.run(&mut p, 10);
             sim.set_faults(Some(FaultSchedule::new(6, vec![], 0.0, 0.0, 0.25, 9)));
@@ -1839,7 +1729,7 @@ mod tests {
             let stats = sim.run(&mut p2, 30);
             (stats, sim.metrics())
         };
-        assert_eq!(run(EngineMode::Reference), run(EngineMode::Frontier));
+        assert_eq!(run(REFERENCE), run(FRONTIER));
     }
 
     #[test]

@@ -13,35 +13,25 @@
 //! Resolving a plan against a concrete graph size and seed yields a
 //! [`FaultSchedule`]: concrete jammer node ids plus a *stateless* source of
 //! per-`(round, node)` fault coins (SplitMix64-hashed, so querying a coin is
-//! `O(1)`, order-independent, and perfectly reproducible). The schedule is
-//! consumed in two places:
-//!
-//! * the [`crate::Simulator`] engine applies it at the channel level —
-//!   dropped nodes neither transmit nor receive that round, jammers never
-//!   perform protocol actions and instead emit noise with their firing
-//!   probability (noise collides with real traffic; a *uniquely* heard noise
-//!   burst is garbage and delivers nothing);
-//! * the [`crate::Faulty`] combinator applies the same semantics at the
-//!   protocol layer, for tests that want an explicit wrapper. Protocol
-//!   behavior and transmission/collision accounting match the engine path
-//!   coin for coin, but the *deliveries* metric differs: the combinator's
-//!   noise is an ordinary message to the (fault-unaware) engine, so a
-//!   uniquely heard burst counts as a channel delivery there, while the
-//!   engine path counts it as nothing. Measurements should use the engine
-//!   path (campaigns do).
+//! `O(1)`, order-independent, and perfectly reproducible). The
+//! [`crate::Simulator`] engine applies the schedule at the channel level —
+//! dropped nodes neither transmit nor receive that round, jammers never
+//! perform protocol actions and instead emit noise with their firing
+//! probability (noise collides with real traffic; a *uniquely* heard noise
+//! burst is garbage and delivers nothing).
 //!
 //! The engine receives its schedule **explicitly**: either at construction
-//! via [`crate::Simulator::with_faults`] or afterwards via
-//! [`crate::Simulator::set_faults`]. Scenario implementations accept an
-//! `Option<&FaultSchedule>` in
-//! [`crate::Runnable::run_trial_scheduled`] and hand it to every simulator
-//! they build, so the campaign executor can run trials from any worker
-//! thread without ambient (thread-local) state. `FaultSchedule` is plain
-//! data — `Send + Sync` — and cheap to clone.
+//! via [`crate::Simulator::with_faults`] / [`crate::Simulator::reuse`] or
+//! afterwards via [`crate::Simulator::set_faults`]. Trials resolve their
+//! plan once, in [`crate::TrialCtx::new`], and scenario implementations
+//! build every simulator through [`crate::TrialCtx::simulator`], so the
+//! campaign executor can run trials from any worker thread without ambient
+//! (thread-local) state. `FaultSchedule` is plain data — `Send + Sync` —
+//! and cheap to clone.
 //!
 //! Fault semantics in detail:
 //!
-//! * **Jammers** are adversarial nodes. They never execute the wrapped
+//! * **Jammers** are adversarial nodes. They never execute the
 //!   protocol's actions; each round, each jammer independently transmits
 //!   noise with probability `P`. Noise collides with real transmissions like
 //!   any other packet; a listener whose only transmitting neighbor is a

@@ -18,8 +18,8 @@
 //! * running time is the number of rounds; local computation is free.
 //!
 //! An orthogonal **fault axis** (adversarial jammers, per-round node
-//! dropout) can be imposed on any protocol at the channel level — see
-//! [`faults`] and [`Runnable::run_trial_under_faults`].
+//! dropout, crash-stop) can be imposed on any protocol at the channel level
+//! — see [`faults`] and [`TrialCtx::new`].
 //!
 //! Algorithms implement the [`Protocol`] trait and are executed by
 //! [`Simulator::run`]. Protocols only ever see the knowledge the model grants
@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod combinators;
 mod engine;
 pub mod family;
 pub mod faults;
@@ -63,15 +62,13 @@ mod trace;
 mod values;
 
 pub use bitset::WordBitset;
-pub use combinators::{Either, Faulty, Interleave, Jammer, Noise};
 pub use engine::{
-    with_default_engine_mode, CollisionModel, EngineMode, Metrics, RoundView, RunOutcome, RunStats,
-    SimScratch, Simulator,
+    CollisionModel, EngineMode, Metrics, RoundView, RunOutcome, RunStats, SimScratch, Simulator,
 };
 pub use family::{OverrideClass, OverrideSpec, ParsedArgs, ProtocolFamily};
 pub use faults::{FaultError, FaultPlan, FaultSchedule};
 pub use params::NetParams;
 pub use protocol::{Protocol, Round, TxBuf};
-pub use runnable::{Runnable, TrialPool, TrialRecord};
+pub use runnable::{Runnable, TrialCtx, TrialPool, TrialRecord};
 pub use trace::{Event, Trace};
 pub use values::NodeValues;

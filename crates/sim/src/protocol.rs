@@ -52,11 +52,6 @@ impl<M> TxBuf<M> {
     pub fn entries(&self) -> &[(NodeId, M)] {
         &self.entries
     }
-
-    /// Drains the recorded pairs (used by combinators that re-wrap messages).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, (NodeId, M)> {
-        self.entries.drain(..)
-    }
 }
 
 impl<M> Default for TxBuf<M> {
@@ -165,16 +160,6 @@ mod tests {
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.entries(), &[(3, 10), (5, 20)]);
         buf.clear();
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn txbuf_drain_moves_entries() {
-        let mut buf: TxBuf<&'static str> = TxBuf::new();
-        buf.send(0, "a");
-        buf.send(1, "b");
-        let drained: Vec<_> = buf.drain().collect();
-        assert_eq!(drained, vec![(0, "a"), (1, "b")]);
         assert!(buf.is_empty());
     }
 }

@@ -2,31 +2,98 @@
 //! algorithm crate implements so campaigns can cross *any* protocol with
 //! *any* topology and collision model without naming either in code.
 //!
-//! A `Runnable` is a self-contained scenario: given a graph, the network
-//! knowledge ([`NetParams`]) the model grants nodes, a collision model and a
-//! trial seed, it sets up its protocol (sources, parameters, budgets), runs
-//! it to completion or budget exhaustion, and reports one machine-readable
-//! [`TrialRecord`]. Implementations live next to their algorithms —
-//! `rn_core` (Compete / broadcast / leader election), `rn_baselines` (BGI,
-//! truncated decay, binary-search leader election), `rn_decay` (raw
-//! multi-source decay) — and are registered by name in `rn_bench`'s scenario
-//! registry.
+//! A `Runnable` is a self-contained scenario: given a [`TrialCtx`] (the
+//! graph, the network knowledge ([`NetParams`]) the model grants nodes, a
+//! collision model, a trial seed and the trial's fault schedule) and a
+//! [`TrialPool`] of reusable state, it sets up its protocol (sources,
+//! parameters, budgets), runs it to completion or budget exhaustion, and
+//! reports one machine-readable [`TrialRecord`]. A one-off trial passes a
+//! throwaway `TrialPool::new()`; campaign workers pass one long-lived pool.
+//! Implementations live next to their algorithms — `rn_core` (Compete /
+//! broadcast / leader election), `rn_baselines` (BGI, truncated decay,
+//! binary-search leader election), `rn_decay` (raw multi-source decay),
+//! `rn_cluster` and `rn_schedule` (the sub-protocols) — and are registered
+//! by name in `rn_bench`'s scenario registry.
 
-use crate::engine::SimScratch;
+use crate::engine::{SimScratch, Simulator};
 use crate::faults::{FaultPlan, FaultSchedule};
 use crate::{rng, CollisionModel, Metrics, NetParams};
 use rn_graph::Graph;
 use std::any::Any;
 
-/// Per-worker reusable trial state: one [`SimScratch`] of engine scratch
-/// plus one type-erased slot for whatever protocol/scenario state the
-/// scenario's [`Runnable::run_trial_pooled`] override wants to carry across
-/// trials (protocol bitsets, value vectors, transmission buffers, …).
+/// Everything one trial is a pure function of: the graph, the network
+/// knowledge nodes are granted, the collision model, the trial seed and the
+/// fault schedule resolved from the trial's [`FaultPlan`].
 ///
-/// Campaign executors keep one pool per `(worker, topology, protocol)` so a
-/// multi-trial cell allocates its state once and every further trial runs
-/// allocation-free. The pool is plain data — dropping it is always safe,
-/// and a scenario that ignores it just runs the fresh path.
+/// [`TrialCtx::new`] is the one place a fault plan is resolved, so every
+/// caller — campaign executor, bench workload, test — places jammers and
+/// draws fault coins from the same seed stream.
+#[derive(Debug)]
+pub struct TrialCtx<'g> {
+    graph: &'g Graph,
+    net: NetParams,
+    model: CollisionModel,
+    seed: u64,
+    faults: Option<FaultSchedule>,
+}
+
+impl<'g> TrialCtx<'g> {
+    /// The context of one trial of `seed` on `graph`, resolving `plan` on
+    /// the trial seed's `0xFA17` stream (jammer placement is part of the
+    /// trial's randomness). A fault-free plan resolves to no schedule and
+    /// allocates nothing.
+    ///
+    /// `model` must be the value [`Runnable::effective_model`] mapped the
+    /// caller's request to.
+    pub fn new(
+        graph: &'g Graph,
+        net: NetParams,
+        model: CollisionModel,
+        seed: u64,
+        plan: &FaultPlan,
+    ) -> TrialCtx<'g> {
+        let faults = (!plan.is_none()).then(|| plan.resolve(graph.n(), rng::derive(seed, 0xFA17)));
+        TrialCtx { graph, net, model, seed, faults }
+    }
+
+    /// The topology the trial runs on.
+    pub fn graph(&self) -> &'g Graph {
+        self.graph
+    }
+
+    /// The `n`/`D` knowledge the model grants every node.
+    pub fn net(&self) -> NetParams {
+        self.net
+    }
+
+    /// The trial seed; all of a trial's randomness derives from it.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The trial's fault schedule (`None` when fault-free).
+    pub fn faults(&self) -> Option<&FaultSchedule> {
+        self.faults.as_ref()
+    }
+
+    /// A simulator for this trial over `scratch`, running under the trial's
+    /// fault schedule (cloned per call) in the engine mode `scratch` was
+    /// built for.
+    pub fn simulator<'a>(&'a self, scratch: &'a mut SimScratch) -> Simulator<'a> {
+        Simulator::reuse(scratch, self.graph, self.model, self.seed, self.faults.clone())
+    }
+}
+
+/// Reusable trial state: one [`SimScratch`] of engine scratch plus one
+/// type-erased slot for whatever protocol/scenario state a scenario carries
+/// across trials (protocol bitsets, value vectors, transmission buffers, …).
+///
+/// The bench executor keeps one pool per worker thread for the worker's
+/// whole life, across every cell, scenario and topology it runs: a
+/// scenario-type switch re-creates the slot, a graph switch re-arms the
+/// scratch in place, and every further trial of a scenario on one graph
+/// runs allocation-free. Pool history never shows in a record — a fresh
+/// `TrialPool::new()` and a long-lived pool replay a trial identically.
 #[derive(Debug, Default)]
 pub struct TrialPool {
     engine: SimScratch,
@@ -34,9 +101,17 @@ pub struct TrialPool {
 }
 
 impl TrialPool {
-    /// An empty pool; the first pooled trial populates it.
+    /// An empty pool over the Frontier engine; the first trial populates
+    /// it.
     pub fn new() -> TrialPool {
         TrialPool::default()
+    }
+
+    /// An empty pool over the stamp-vector reference engine
+    /// ([`SimScratch::reference`]) — the oracle differential tests and
+    /// engine A/B benchmarks compare [`TrialPool::new`] against.
+    pub fn reference() -> TrialPool {
+        TrialPool { engine: SimScratch::reference(), protocol: None }
     }
 
     /// Splits the pool into its engine scratch and the scenario-state slot,
@@ -93,10 +168,10 @@ impl TrialRecord {
 /// runnable on any graph under any collision model.
 ///
 /// Implementations must be cheap to construct and reusable across trials —
-/// `run_trial` takes `&self` and is called concurrently from the campaign
-/// runner's worker threads (hence the `Send + Sync` supertraits). All
-/// randomness must derive from the passed `seed` so a `(scenario, graph,
-/// model, seed)` tuple pins the trial exactly.
+/// [`Runnable::run`] takes `&self` and is called concurrently from the
+/// campaign runner's worker threads (hence the `Send + Sync` supertraits).
+/// All randomness must derive from the context's seed so a `(scenario,
+/// graph, model, seed, faults)` tuple pins the trial exactly.
 pub trait Runnable: Send + Sync {
     /// The scenario's stable registry name (e.g. `"leader_election"`,
     /// `"binsearch_le(bgi)"`). Used in tables, JSON results and CLI specs.
@@ -111,103 +186,15 @@ pub trait Runnable: Send + Sync {
         requested
     }
 
-    /// Runs one trial of the scenario on `g` under an optional fault
-    /// schedule — the single required execution method.
+    /// Runs one trial of the scenario in `ctx`, drawing engine and protocol
+    /// state from `pool`.
     ///
-    /// `net` carries the `n`/`D` knowledge the model grants every node
-    /// (callers typically derive it from `g`); `model` selects the collision
-    /// semantics the channel enforces and is always the value
-    /// [`Runnable::effective_model`] mapped the caller's request to.
-    ///
-    /// Implementations must hand `faults` to every [`crate::Simulator`] they
-    /// construct (via [`crate::Simulator::with_faults`]) — fault injection is
-    /// explicit parameter passing, never ambient state, so trials can run
-    /// from any executor worker thread.
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord;
-
-    /// Runs one trial reusing a caller's [`TrialPool`] — the steady-state
-    /// entry point campaign executors call when they hold one pool per
-    /// `(worker, topology, protocol)`.
-    ///
-    /// Overrides **must** produce a [`TrialRecord`] byte-identical to
-    /// [`Runnable::run_trial_scheduled`] for every `(graph, net, model,
-    /// seed, faults)` tuple — pooling moves allocations, never results. The
-    /// default ignores the pool and runs the fresh path, so scenarios adopt
-    /// pooling incrementally.
-    fn run_trial_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        let _ = pool;
-        self.run_trial_scheduled(g, net, model, seed, faults)
-    }
-
-    /// Runs one fault-free trial: [`Runnable::run_trial_scheduled`] with no
-    /// schedule.
-    fn run_trial(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-    ) -> TrialRecord {
-        self.run_trial_scheduled(g, net, model, seed, None)
-    }
-
-    /// Runs one trial under a declarative fault plan (jammers / per-round
-    /// dropout).
-    ///
-    /// This provided method is the uniform fault-injection seam: it resolves
-    /// `plan` against the graph (jammer placement derives from the trial
-    /// seed, so it is part of trial randomness) and passes the resulting
-    /// [`crate::FaultSchedule`] explicitly into
-    /// [`Runnable::run_trial_scheduled`]. No scenario implements anything
-    /// fault-specific. A fault-free plan is exactly [`Runnable::run_trial`].
-    fn run_trial_under_faults(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> TrialRecord {
-        if plan.is_none() {
-            return self.run_trial(g, net, model, seed);
-        }
-        let schedule = plan.resolve(g.n(), rng::derive(seed, 0xFA17));
-        self.run_trial_scheduled(g, net, model, seed, Some(&schedule))
-    }
-
-    /// [`Runnable::run_trial_under_faults`] through the pooled trial path —
-    /// identical fault resolution, records byte-identical to the fresh
-    /// method; the campaign executor's per-worker entry point.
-    fn run_trial_under_faults_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        plan: &FaultPlan,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        if plan.is_none() {
-            return self.run_trial_pooled(g, net, model, seed, None, pool);
-        }
-        let schedule = plan.resolve(g.n(), rng::derive(seed, 0xFA17));
-        self.run_trial_pooled(g, net, model, seed, Some(&schedule), pool)
-    }
+    /// Implementations build their simulators through
+    /// [`TrialCtx::simulator`] (or hand [`TrialCtx::faults`] to every
+    /// simulator they construct) — fault injection is explicit parameter
+    /// passing, never ambient state, so trials can run from any executor
+    /// worker thread. The record must not depend on what `pool` ran before.
+    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord;
 }
 
 // Campaign executors move boxed scenarios across worker threads; this fails
@@ -221,7 +208,6 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::testing::NaiveFlood;
-    use crate::Simulator;
     use rn_graph::generators;
 
     /// A minimal in-crate Runnable over the testing flood protocol.
@@ -232,69 +218,63 @@ mod tests {
             "naive_flood".into()
         }
 
-        fn run_trial_scheduled(
-            &self,
-            g: &Graph,
-            net: NetParams,
-            model: CollisionModel,
-            seed: u64,
-            faults: Option<&FaultSchedule>,
-        ) -> TrialRecord {
-            let mut p = NaiveFlood::new(g.n(), 0);
-            let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-            let stats = sim.run(&mut p, 4 * net.diameter() as u64 + 8);
-            TrialRecord::new(p.informed_count() == g.n(), stats.rounds, stats.metrics)
+        fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
+            let (engine, _) = pool.parts(|| ());
+            let mut p = NaiveFlood::new(ctx.graph().n(), 0);
+            let stats = ctx.simulator(engine).run(&mut p, 4 * ctx.net().diameter() as u64 + 8);
+            TrialRecord::new(p.informed_count() == ctx.graph().n(), stats.rounds, stats.metrics)
         }
+    }
+
+    fn trial(g: &Graph, seed: u64, plan: &FaultPlan) -> TrialRecord {
+        let ctx = TrialCtx::new(
+            g,
+            NetParams::of_graph(g),
+            CollisionModel::NoCollisionDetection,
+            seed,
+            plan,
+        );
+        FloodScenario.run(&ctx, &mut TrialPool::new())
     }
 
     #[test]
     fn runnable_objects_are_usable_through_dyn() {
         let g = generators::path(8);
-        let net = NetParams::of_graph(&g);
+        let ctx = TrialCtx::new(
+            &g,
+            NetParams::of_graph(&g),
+            CollisionModel::NoCollisionDetection,
+            1,
+            &FaultPlan::none(),
+        );
         let scenario: Box<dyn Runnable> = Box::new(FloodScenario);
         assert_eq!(scenario.name(), "naive_flood");
         // A path floods fine (each frontier node is alone); a record with
         // metrics comes back.
-        let r = scenario.run_trial(&g, net, CollisionModel::NoCollisionDetection, 1);
+        let r = scenario.run(&ctx, &mut TrialPool::new());
         assert!(r.completed);
         assert!(r.rounds > 0);
         assert!(r.metrics.deliveries > 0);
     }
 
     #[test]
-    fn run_trial_under_faults_defaults_to_plain_and_degrades_under_jam() {
-        use crate::faults::FaultPlan;
+    fn trial_ctx_resolves_fault_plans_on_the_trial_seed() {
         let g = generators::path(12);
         let net = NetParams::of_graph(&g);
-        let scenario = FloodScenario;
-        let plain = scenario.run_trial(&g, net, CollisionModel::NoCollisionDetection, 1);
-        let none = scenario.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            1,
-            &FaultPlan::none(),
-        );
-        assert_eq!(plain, none, "a fault-free plan is exactly run_trial");
-        // Half the path jamming at probability 1 makes completion
-        // impossible: every non-source segment is fenced off eventually.
-        let jammed = scenario.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            1,
-            &FaultPlan::jam(12, 1.0),
-        );
+        let model = CollisionModel::NoCollisionDetection;
+        assert!(TrialCtx::new(&g, net, model, 1, &FaultPlan::none()).faults().is_none());
+        // The schedule is the plan resolved on the trial seed's fault
+        // stream: the same seed places the same jammers.
+        let plan = FaultPlan::jam(3, 0.5);
+        let ctx = TrialCtx::new(&g, net, model, 1, &plan);
+        let expected = plan.resolve(g.n(), rng::derive(1, 0xFA17));
+        assert_eq!(ctx.faults(), Some(&expected));
+        // Every node jamming at probability 1 makes completion impossible.
+        let jammed = trial(&g, 1, &FaultPlan::jam(12, 1.0));
         assert!(!jammed.completed, "no false completion when every node jams");
+        assert!(trial(&g, 1, &FaultPlan::none()).completed);
         // Determinism: the same (seed, plan) reproduces the trial exactly.
-        let again = scenario.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            1,
-            &FaultPlan::jam(12, 1.0),
-        );
-        assert_eq!(jammed, again);
+        assert_eq!(jammed, trial(&g, 1, &FaultPlan::jam(12, 1.0)));
     }
 
     #[test]

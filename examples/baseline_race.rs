@@ -33,10 +33,9 @@ fn race(name: &str, g: &Graph) {
     let seed = 7;
     let bgi = baselines::bgi_broadcast(g, net, 0, seed);
     let cr = baselines::truncated_broadcast(g, net, 0, seed);
-    let hw = core::compete_with_net(g, net, &[(0, 1)], &core::CompeteParams::haeupler_wajc(), seed)
-        .expect("valid");
-    let cd = core::compete_with_net(g, net, &[(0, 1)], &core::CompeteParams::default(), seed)
-        .expect("valid");
+    // The broadcast conveniences derive the same double-sweep `net`.
+    let hw = core::broadcast(g, 0, &core::CompeteParams::haeupler_wajc(), seed).expect("valid");
+    let cd = core::broadcast(g, 0, &core::CompeteParams::default(), seed).expect("valid");
     assert!(bgi.completed && cr.completed && hw.completed && cd.completed);
     println!(
         "{:<14} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}",

@@ -32,8 +32,15 @@ fn main() {
     // with multi-source BGI broadcast probes — a Θ(log n) multiplicative
     // overhead that Algorithm 6 removes.
     let net = NetParams::new(g.n(), g.diameter());
-    let classic =
-        baselines::binary_search_leader_election(&g, net, baselines::BroadcastKind::Bgi, 1.0, 0);
+    let classic = baselines::binary_search_leader_election(
+        &mut sim::SimScratch::new(),
+        &g,
+        net,
+        baselines::BroadcastKind::Bgi,
+        1.0,
+        0,
+        None,
+    );
     println!(
         "classical binary-search reduction: leader = {:?}, rounds = {} ({} phases)",
         classic.leader, classic.rounds, classic.phases

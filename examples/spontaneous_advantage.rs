@@ -40,8 +40,8 @@ fn main() {
         let g = graph::generators::path(n);
         let net = NetParams::new(n, (n - 1) as u32);
         let bgi = baselines::bgi_broadcast(&g, net, 0, 3);
-        let cd = core::compete_with_net(&g, net, &[(0, 1)], &core::CompeteParams::default(), 3)
-            .expect("valid");
+        // The double-sweep diameter the convenience derives is exact on paths.
+        let cd = core::broadcast(&g, 0, &core::CompeteParams::default(), 3).expect("valid");
         let d = (n - 1) as f64;
         println!(
             "{:>10} {:>12} {:>8.1} {:>12} {:>8.1}",

@@ -44,10 +44,11 @@ fn baseline_runs_are_seed_deterministic() {
     let a = baselines::bgi_broadcast(&g, net, 0, 21);
     let b = baselines::bgi_broadcast(&g, net, 0, 21);
     assert_eq!(a, b);
-    let l1 =
-        baselines::binary_search_leader_election(&g, net, baselines::BroadcastKind::Bgi, 1.0, 5);
-    let l2 =
-        baselines::binary_search_leader_election(&g, net, baselines::BroadcastKind::Bgi, 1.0, 5);
+    let bgi = baselines::BroadcastKind::Bgi;
+    // A reused scratch replays the run exactly.
+    let engine = &mut sim::SimScratch::new();
+    let l1 = baselines::binary_search_leader_election(engine, &g, net, bgi, 1.0, 5, None);
+    let l2 = baselines::binary_search_leader_election(engine, &g, net, bgi, 1.0, 5, None);
     assert_eq!(l1, l2);
 }
 

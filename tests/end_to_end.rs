@@ -64,6 +64,11 @@ fn disconnected_graph_is_rejected() {
     assert_eq!(err, core::CompeteError::Disconnected);
     let err = core::leader_election(&g, &params, 1).unwrap_err();
     assert_eq!(err, core::CompeteError::Disconnected);
+    // Invalid sources are reported before connectivity is looked at.
+    let err = core::compete(&g, &[], &params, 1).unwrap_err();
+    assert_eq!(err, core::CompeteError::NoSources);
+    let err = core::broadcast(&g, 9, &params, 1).unwrap_err();
+    assert_eq!(err, core::CompeteError::SourceOutOfRange { node: 9 });
 }
 
 #[test]
