@@ -1,5 +1,5 @@
 //! The paper-reproduction experiment suite: one function per experiment id
-//! of `DESIGN.md` §5.
+//! `e1`…`e12`.
 //!
 //! Every function takes a master seed, runs its sweep (parallel over
 //! trials), and returns markdown [`Table`]s. The `experiments` binary
@@ -473,7 +473,7 @@ pub fn e8_comparison(seed: u64) -> Vec<Table> {
          decay baselines win on constants: BGI costs ≈ 1·D·log n while the clustering pipeline \
          costs ≈ 40·D·log n/log D, so the predicted crossover sits at log D ≈ 40. The *growth \
          rates* (E7's flat normalized column vs E12c's growing BGI/D) are the reproducible \
-         claim; see EXPERIMENTS.md.",
+         claim.",
     );
     vec![t]
 }
@@ -616,12 +616,11 @@ pub fn e11_ablations(seed: u64) -> Vec<Table> {
     t.note(
         "Crossing a coarse-cluster boundary requires either the background process (Algorithm \
          2) or physically-received foreign values in Algorithm 4 (the default channel \
-         semantics, DESIGN.md §4.6): removing BOTH (strict filter + no background) strands \
+         semantics, CompeteParams::alg4_accept_foreign): removing BOTH (strict filter + no background) strands \
          every coarse cluster except the source's, and those rows hit the round cap (0/3). \
          Disabling Algorithm 4 alone halves the time-division tax and still completes at this \
          scale because the background process covers boundary nodes. Curtailment variants \
-         coincide at this scale: fine clusters are already smaller than the curtail radius \
-         (see EXPERIMENTS.md).",
+         coincide at this scale: fine clusters are already smaller than the curtail radius.",
     );
     vec![t]
 }

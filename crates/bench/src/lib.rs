@@ -1,6 +1,6 @@
 //! Benchmark harness: the declarative scenario subsystem (registry +
-//! campaign runner), the paper-reproduction experiment suite
-//! (`EXPERIMENTS.md`), and shared table / trial utilities used by the
+//! campaign runner), the paper-reproduction experiment suite `e1`…`e12`
+//! (README, *Running campaigns*), and shared table / trial utilities used by the
 //! criterion benches.
 //!
 //! Run everything with:

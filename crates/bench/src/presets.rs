@@ -3,7 +3,7 @@
 //! Two preset kinds coexist:
 //!
 //! * **table presets** — the paper-reproduction experiments `e1`…`e12`
-//!   (`EXPERIMENTS.md`), kept verbatim as functions in
+//!   (README, *Running campaigns*), kept verbatim as functions in
 //!   [`crate::experiments`] and registered here by id;
 //! * **campaign presets** — declarative topology × protocol × model sweeps
 //!   built on [`Campaign`], which additionally emit the versioned JSON

@@ -24,3 +24,14 @@ fn a_positive_trial_count_runs() {
     let out = experiments(&["--scenario", "broadcast@path(5)", "--trials", "2"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
+
+#[test]
+fn a_node_count_beyond_the_id_space_is_a_spec_error() {
+    // Regression: the spec used to parse, and building it aborted the
+    // process on a failed allocation (exit 134).
+    let out = experiments(&["--scenario", "broadcast@grid(4294967296x2)", "--trials", "1"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("too many nodes"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+}

@@ -13,8 +13,9 @@
 //!
 //! The discretization and residual collision losses make this an
 //! *approximate* sampler of the MPX distribution; `Partition::compute` is
-//! the exact oracle. Tests compare the two statistically, and the Compete
-//! pipeline can run on either (`DESIGN.md` §4.3).
+//! the exact oracle. Tests compare the two statistically. It runs as the
+//! `partition(β)` scenario and in experiment E12b; the Compete pipeline's
+//! precompute builds its clusterings with the oracle only.
 
 use crate::partition::Partition;
 use crate::shifts::ExponentialShifts;

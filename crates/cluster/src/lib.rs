@@ -20,11 +20,11 @@
 //!   entries, with ties going to the smaller center id. The paper notes
 //!   its clustering results "apply … in any setting, not just radio
 //!   networks"; clustering-property experiments use this form, and the
-//!   Compete algorithm uses it in its `Charged` precomputation mode
-//!   (`DESIGN.md` §4.3).
+//!   Compete algorithm uses it in its `Charged` precomputation mode.
 //! * [`DistributedPartition`] — a genuine radio protocol (discretized race
 //!   with per-phase Decay windows, as in Haeupler–Wajc §3) costing
-//!   `O(log³ n / β)` rounds, used to validate the charged mode.
+//!   `O(log³ n / β)` rounds. It runs as the `partition(β)` scenario and is
+//!   compared with the oracle in tests; the Compete pipeline does not run it.
 //!
 //! The [`theory`] module implements the quantities of the paper's Section 6
 //! (`S_{x,β}`, the transformations `f` and `g`, the `k_i` ratio sequence and

@@ -42,8 +42,8 @@ pub enum PrecomputeMode {
 
 /// All tunable constants of the Compete algorithm. Every asymptotic constant
 /// of the paper appears here explicitly; defaults are the practical
-/// rescalings documented in `DESIGN.md` §4.4 (the paper's literal constants
-/// like `0.01·log D` degenerate at implementable scales).
+/// rescalings documented on each field (the paper's literal constants like
+/// `0.01·log D` degenerate at implementable scales).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompeteParams {
     /// Coarse clustering uses `β = D^-coarse_beta_exp` (paper: 0.5).
@@ -73,7 +73,7 @@ pub struct CompeteParams {
     /// (paper: exponent 0.1; the factor is a practical-scale correction —
     /// at implementable diameters `D^-0.1` is ≈ 0.5–0.7, which would make
     /// "background" clusters *smaller* than fine ones, inverting the
-    /// asymptotic design; see `DESIGN.md` §4.4).
+    /// asymptotic design).
     pub bg_beta_exp: f64,
     /// Multiplier on the background β (see [`CompeteParams::bg_beta_exp`]).
     pub bg_beta_factor: f64,

@@ -466,10 +466,7 @@ impl CompeteState {
         let w = fine.schedule.window() as u64;
         let window = (ppos / w) as u32;
         let slot_in = (ppos % w) as u32;
-        for &u in fine.schedule.nodes_at_depth(window) {
-            if fine.schedule.down_slot(u) != slot_in {
-                continue;
-            }
+        for &u in fine.schedule.down_senders(window, slot_in) {
             if !bg && self.chosen[pre.coarse_idx[u as usize] as usize] != ci {
                 continue;
             }
@@ -517,10 +514,7 @@ impl CompeteState {
         if depth == 0 {
             return; // centers do not transmit upward
         }
-        for &u in fine.schedule.nodes_at_depth(depth) {
-            if fine.schedule.up_slot(u) != slot_in {
-                continue;
-            }
+        for &u in fine.schedule.up_senders(depth, slot_in) {
             if !bg && self.chosen[pre.coarse_idx[u as usize] as usize] != ci {
                 continue;
             }

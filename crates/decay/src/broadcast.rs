@@ -195,8 +195,7 @@ impl Protocol for DecayBroadcast {
 /// paths), which truncation alone cannot break.
 ///
 /// This reproduces the *complexity shape* of [9, 14], not their exact
-/// selection-sequence constructions (documented substitution, `DESIGN.md`
-/// §3.3).
+/// selection-sequence constructions.
 #[derive(Debug)]
 pub struct TruncatedDecayBroadcast {
     trunc: DecaySteps,

@@ -20,7 +20,7 @@
 //!   against, in its multi-source max-propagating form;
 //! * [`TruncatedDecayBroadcast`] — a truncated-decay variant exhibiting the
 //!   `O(D·log(n/D) + log² n)` complexity *shape* of Czumaj–Rytter /
-//!   Kowalski–Pelc (documented substitution; see `DESIGN.md` §3.3).
+//!   Kowalski–Pelc, not their selection-sequence constructions.
 //!
 //! # Example
 //!

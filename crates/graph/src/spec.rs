@@ -23,7 +23,7 @@
 //! ```
 
 use crate::generators;
-use crate::graph::Graph;
+use crate::graph::{Graph, INVALID_NODE};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::error::Error;
@@ -197,7 +197,17 @@ impl TopologySpec {
     /// statically for every family (randomness only affects edges), so
     /// protocol preconditions like "K sources need K nodes" can be checked
     /// at spec-parse time, before anything is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `usize`, which no parsed spec does
+    /// ([`FromStr`] rejects counts that are not a valid node id).
     pub fn nodes(&self) -> usize {
+        self.checked_nodes().expect("node count overflows usize")
+    }
+
+    /// [`TopologySpec::nodes`] in checked arithmetic: `None` on overflow.
+    fn checked_nodes(&self) -> Option<usize> {
         match *self {
             TopologySpec::Path(n)
             | TopologySpec::Cycle(n)
@@ -206,16 +216,16 @@ impl TopologySpec {
             | TopologySpec::BinaryTree(n)
             | TopologySpec::RandomTree(n)
             | TopologySpec::Rgg { n, .. }
-            | TopologySpec::Gnp { n, .. } => n,
-            TopologySpec::Hypercube(d) => 1usize << d,
+            | TopologySpec::Gnp { n, .. } => Some(n),
+            TopologySpec::Hypercube(d) => 1usize.checked_shl(d),
             TopologySpec::Grid { w, h }
             | TopologySpec::Torus { w, h }
-            | TopologySpec::GridChords { w, h, .. } => w * h,
-            TopologySpec::Caterpillar { spine, legs } => spine * (1 + legs),
-            TopologySpec::Barbell { clique, bridge } => 2 * clique + bridge,
-            TopologySpec::Lollipop { clique, tail } => clique + tail,
-            TopologySpec::RingOfCliques { cliques, size } => cliques * size,
-            TopologySpec::ClusterChain { cliques, blob, .. } => cliques * blob,
+            | TopologySpec::GridChords { w, h, .. } => w.checked_mul(h),
+            TopologySpec::Caterpillar { spine, legs } => spine.checked_mul(legs.checked_add(1)?),
+            TopologySpec::Barbell { clique, bridge } => clique.checked_mul(2)?.checked_add(bridge),
+            TopologySpec::Lollipop { clique, tail } => clique.checked_add(tail),
+            TopologySpec::RingOfCliques { cliques, size } => cliques.checked_mul(size),
+            TopologySpec::ClusterChain { cliques, blob, .. } => cliques.checked_mul(blob),
         }
     }
 
@@ -345,11 +355,11 @@ impl FromStr for TopologySpec {
             }
             "hypercube" => {
                 argc(1)?;
-                let d = parse_count(family, args[0], 1)? as u32;
+                let d = parse_count(family, args[0], 1)?;
                 if d > 24 {
                     return Err(TopologySpecError::new("hypercube dimension must be ≤ 24"));
                 }
-                TopologySpec::Hypercube(d)
+                TopologySpec::Hypercube(d as u32)
             }
             "grid" => {
                 argc(1)?;
@@ -435,7 +445,15 @@ impl FromStr for TopologySpec {
                 )))
             }
         };
-        Ok(spec)
+        // The bound `Graph::from_edges` enforces, checked before anything
+        // is allocated.
+        match spec.checked_nodes() {
+            Some(n) if n < INVALID_NODE as usize => Ok(spec),
+            _ => Err(TopologySpecError::new(format!(
+                "{s:?} has too many nodes (the limit is {})",
+                INVALID_NODE - 1
+            ))),
+        }
     }
 }
 
@@ -562,6 +580,12 @@ mod tests {
             "gnp(10,1.5)",
             "cluster_chain(2,5,nan)",
             "path(x)",
+            // Node counts that are not a valid node id: the dimension must
+            // not be narrowed before its check, nor a count wrap.
+            "hypercube(4294967297)",
+            "grid(4294967296x2)",
+            "caterpillar(3000000000,2)",
+            "rgg(100000000000,0.1)",
         ] {
             assert!(bad.parse::<TopologySpec>().is_err(), "{bad:?} must be rejected");
         }

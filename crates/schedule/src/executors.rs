@@ -88,10 +88,7 @@ impl Protocol for Downcast<'_> {
         if window > self.radius {
             return;
         }
-        for &u in self.sched.nodes_at_depth(window) {
-            if self.sched.down_slot(u) != slot {
-                continue;
-            }
+        for &u in self.sched.down_senders(window, slot) {
             if let Some(v) = self.value[u as usize] {
                 tx.send(u, SchedMsg { cluster: self.sched.cluster(u), value: v });
             }
@@ -176,10 +173,7 @@ impl Protocol for Upcast<'_> {
         if depth == 0 {
             return; // centers never transmit upward
         }
-        for &u in self.sched.nodes_at_depth(depth) {
-            if self.sched.up_slot(u) != slot {
-                continue;
-            }
+        for &u in self.sched.up_senders(depth, slot) {
             if let Some(v) = self.value[u as usize] {
                 tx.send(u, SchedMsg { cluster: self.sched.cluster(u), value: v });
             }

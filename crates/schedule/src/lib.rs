@@ -15,6 +15,12 @@
 //!   (the schedule's period), so a downcast pass to radius ℓ costs exactly
 //!   `(ℓ + 1) · W` rounds — the `O(ℓ + polylog n)` of Lemma 2.3 with the
 //!   `polylog` spread across windows.
+//! * Each layer is also kept as two *sender lists*, ordered by downcast and
+//!   by upcast slot ([`TreeSchedule::down_senders`],
+//!   [`TreeSchedule::up_senders`]), at `2·n` `u32` per schedule. Every
+//!   schedule walk (these executors and Compete's ICP) reads a step's
+//!   transmitters off them, so a step costs its slot's senders, not its
+//!   layer.
 //! * [`Downcast`] executes one-to-all broadcast of every cluster center's
 //!   value out to radius ℓ, as real radio transmissions in all clusters at
 //!   once (inter-cluster collisions are *not* prevented — exactly as in the
@@ -24,9 +30,8 @@
 //!   values flow layer by layer to the center, aggregated at each hop.
 //!
 //! The construction itself is performed centrally (the oracle stand-in for
-//! \[11\]'s `O(D·polylog n)`-round distributed preprocessing; substitution
-//! documented in `DESIGN.md` §4.2) and its charged cost is reported by
-//! [`TreeSchedule::charged_build_rounds`].
+//! \[11\]'s `O(D·polylog n)`-round distributed preprocessing) and its
+//! charged cost is reported by [`TreeSchedule::charged_build_rounds`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,6 +17,13 @@ pub enum SlotPolicy {
 /// Per-cluster BFS trees plus a conflict-free layer/slot schedule, for all
 /// clusters of one [`Partition`] at once.
 ///
+/// Besides the per-node slots, it keeps each depth layer twice more, once
+/// ordered by downcast slot and once by upcast slot (ascending node id
+/// within a slot, slotless nodes last): two `n`-entry `u32` arrays, the
+/// *sender lists*. [`TreeSchedule::down_senders`] and
+/// [`TreeSchedule::up_senders`] return a step's transmitters as one slice
+/// of them, so schedule walks visit only the nodes of their slot.
+///
 /// # Example
 ///
 /// ```
@@ -52,6 +59,10 @@ pub struct TreeSchedule {
     /// `max_depth` changes between trials.
     depth_start: Vec<u32>,
     depth_nodes: Vec<NodeId>,
+    /// The sender lists (see the type docs), under the same `depth_start`
+    /// bounds as `depth_nodes`.
+    down_order: Vec<NodeId>,
+    up_order: Vec<NodeId>,
     /// CSR of tree children: node `v` owns
     /// `child_data[child_start[v]..child_start[v+1]]`.
     child_start: Vec<u32>,
@@ -97,6 +108,8 @@ impl TreeSchedule {
             up_slot: Vec::new(),
             depth_start: Vec::new(),
             depth_nodes: Vec::new(),
+            down_order: Vec::new(),
+            up_order: Vec::new(),
             child_start: Vec::new(),
             child_data: Vec::new(),
             overflow: 0,
@@ -133,6 +146,8 @@ impl TreeSchedule {
             up_slot,
             depth_start,
             depth_nodes,
+            down_order,
+            up_order,
             child_start,
             child_data,
             ..
@@ -199,7 +214,7 @@ impl TreeSchedule {
             depth_nodes.resize(n, 0);
         }
         cursor.clear();
-        cursor.reserve(n + 1);
+        cursor.reserve(n + 2);
         cursor.extend_from_slice(&depth_start[..max_depth as usize + 1]);
         for v in 0..n {
             let at = &mut cursor[depth[v] as usize];
@@ -361,6 +376,9 @@ impl TreeSchedule {
             }
         }
         self.overflow = overflow;
+
+        order_layers_by_slot(depth_start, depth_nodes, down_color, window, cursor, down_order);
+        order_layers_by_slot(depth_start, depth_nodes, up_color, window, cursor, up_order);
     }
 
     /// The window width `W` (slots per layer; the schedule's period).
@@ -419,6 +437,35 @@ impl TreeSchedule {
         &self.depth_nodes[self.depth_start[d] as usize..self.depth_start[d + 1] as usize]
     }
 
+    /// The nodes at depth `d` that transmit in downcast slot `slot`: exactly
+    /// [`TreeSchedule::nodes_at_depth`] filtered on
+    /// [`TreeSchedule::down_slot`], in the same ascending-id order; empty
+    /// for `d > max_depth`.
+    pub fn down_senders(&self, d: u32, slot: u32) -> &[NodeId] {
+        self.senders(&self.down_order, &self.down_slot, d, slot)
+    }
+
+    /// The nodes at depth `d` that transmit in upcast slot `slot`: exactly
+    /// [`TreeSchedule::nodes_at_depth`] filtered on
+    /// [`TreeSchedule::up_slot`], in the same ascending-id order; empty for
+    /// `d > max_depth`.
+    pub fn up_senders(&self, d: u32, slot: u32) -> &[NodeId] {
+        self.senders(&self.up_order, &self.up_slot, d, slot)
+    }
+
+    /// The run of layer `d` of `order` (sorted by `slots`) holding `slot`,
+    /// found by two binary searches.
+    fn senders<'a>(&self, order: &'a [NodeId], slots: &[u32], d: u32, slot: u32) -> &'a [NodeId] {
+        if d > self.max_depth {
+            return &[];
+        }
+        let d = d as usize;
+        let layer = &order[self.depth_start[d] as usize..self.depth_start[d + 1] as usize];
+        let lo = layer.partition_point(|&v| slots[v as usize] < slot);
+        let len = layer[lo..].partition_point(|&v| slots[v as usize] == slot);
+        &layer[lo..lo + len]
+    }
+
     /// How many node colors wrapped past the window (0 = fully conflict-free
     /// within clusters).
     pub fn overflow(&self) -> usize {
@@ -471,6 +518,46 @@ impl TreeSchedule {
             }
         }
         violations
+    }
+}
+
+/// Writes each layer of the depth CSR into `out` ordered by `slot`: a stable
+/// counting sort per layer, so ascending node id is kept within a slot and
+/// slotless nodes (`u32::MAX`) come last. A layer's slots are below both the
+/// window and its size (greedy colors count same-layer conflicts), so its
+/// `min(window, size) + 2` counters stay within `count`'s `n + 2` reservation.
+fn order_layers_by_slot(
+    depth_start: &[u32],
+    depth_nodes: &[NodeId],
+    slot: &[u32],
+    window: u32,
+    count: &mut Vec<u32>,
+    out: &mut Vec<NodeId>,
+) {
+    if out.len() != depth_nodes.len() {
+        out.clear();
+        out.resize(depth_nodes.len(), 0);
+    }
+    for span in depth_start.windows(2) {
+        let (lo, hi) = (span[0] as usize, span[1] as usize);
+        let layer = &depth_nodes[lo..hi];
+        // Bucket `s` holds slot `s`; bucket `top` the slotless nodes.
+        let top = window.min(layer.len() as u32);
+        let bucket = |v: NodeId| slot[v as usize].min(top) as usize;
+        count.clear();
+        count.resize(top as usize + 2, 0);
+        for &v in layer {
+            debug_assert!(slot[v as usize] == u32::MAX || slot[v as usize] < top);
+            count[bucket(v) + 1] += 1;
+        }
+        for b in 0..=top as usize {
+            count[b + 1] += count[b];
+        }
+        for &v in layer {
+            let at = &mut count[bucket(v)];
+            out[lo + *at as usize] = v;
+            *at += 1;
+        }
     }
 }
 
@@ -621,7 +708,24 @@ mod tests {
             prop_assert_eq!(&sched.up_slot, &up);
             prop_assert_eq!(sched.window, window);
             prop_assert_eq!(sched.overflow, overflow);
+            for d in 0..=sched.max_depth() + 1 {
+                for slot in 0..=sched.window() {
+                    let (down, up) = filtered_senders(&sched, d, slot);
+                    prop_assert_eq!(sched.down_senders(d, slot), &down[..], "depth {} slot {}", d, slot);
+                    prop_assert_eq!(sched.up_senders(d, slot), &up[..], "depth {} slot {}", d, slot);
+                }
+            }
         }
+    }
+
+    /// The sender lists as the transmit walks first computed them: layer
+    /// `d` filtered on each slot array, in layer order.
+    fn filtered_senders(s: &TreeSchedule, d: u32, slot: u32) -> (Vec<NodeId>, Vec<NodeId>) {
+        let layer = s.nodes_at_depth(d).iter().copied();
+        (
+            layer.clone().filter(|&v| s.down_slot(v) == slot).collect(),
+            layer.filter(|&v| s.up_slot(v) == slot).collect(),
+        )
     }
 
     fn single_cluster(g: &Graph) -> Partition {
@@ -730,13 +834,23 @@ mod tests {
     fn rebuild_matches_fresh_build_exactly() {
         let mut rng = SmallRng::seed_from_u64(11);
         let g = generators::grid(11, 11);
-        let warm = generators::path(40);
+        // Warm graphs of another size and of `g`'s size: the second keeps
+        // every `n`-sized buffer at its length, so a position a rebuild
+        // fails to overwrite still holds the path's value.
+        let warms = [generators::path(40), generators::path(121)];
         let mut scratch = TreeScheduleScratch::default();
-        let mut pooled =
-            TreeSchedule::build(&warm, &Partition::compute(&warm, 0.5, &mut rng), SlotPolicy::Auto);
+        let mut pooled = TreeSchedule::build(
+            &warms[0],
+            &Partition::compute(&warms[0], 0.5, &mut rng),
+            SlotPolicy::Auto,
+        );
         for beta in [1e-9, 0.2, 0.6] {
             let part = Partition::compute(&g, beta, &mut rng);
             for policy in [SlotPolicy::Auto, SlotPolicy::Fixed(3)] {
+                for warm in &warms {
+                    let warm_part = Partition::compute(warm, 0.5, &mut rng);
+                    pooled.rebuild(warm, &warm_part, SlotPolicy::Auto, &mut scratch);
+                }
                 pooled.rebuild(&g, &part, policy, &mut scratch);
                 let fresh = TreeSchedule::build(&g, &part, policy);
                 assert_eq!(pooled.window, fresh.window, "beta {beta}");
@@ -748,6 +862,8 @@ mod tests {
                 assert_eq!(pooled.up_slot, fresh.up_slot);
                 assert_eq!(pooled.depth_start, fresh.depth_start);
                 assert_eq!(pooled.depth_nodes, fresh.depth_nodes);
+                assert_eq!(pooled.down_order, fresh.down_order);
+                assert_eq!(pooled.up_order, fresh.up_order);
                 assert_eq!(pooled.child_start, fresh.child_start);
                 assert_eq!(pooled.child_data, fresh.child_data);
                 assert_eq!(pooled.overflow, fresh.overflow);

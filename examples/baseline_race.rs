@@ -23,7 +23,7 @@ fn main() {
     }
     println!(
         "\nPropagation rounds only; the clustering algorithms additionally pay an O(D)-class\n\
-         precompute (see EXPERIMENTS.md). The paper's claims are asymptotic: the point here\n\
+         precompute, charged by formula. The paper's claims are asymptotic: the point here\n\
          is the *shape* — BGI grows like D·log n, CD'17 like D·log n/log D."
     );
 }
