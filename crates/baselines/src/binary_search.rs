@@ -13,7 +13,7 @@
 //! the BGI baseline (the classical setup) or over this paper's broadcast.
 
 use rand::Rng;
-use rn_core::{CompeteParams, CompeteProtocol, Precomputed};
+use rn_core::{CompeteParams, CompeteProtocol, CompeteState, Precomputed};
 use rn_decay::DecayBroadcast;
 use rn_graph::{Graph, NodeId};
 use rn_sim::{rng, CollisionModel, FaultSchedule, NetParams, SimScratch, Simulator};
@@ -102,8 +102,9 @@ pub fn binary_search_leader_election(
     let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
 
     // Compete probe: precompute once (clusterings don't depend on the probe),
-    // charge it once.
+    // charge it once; one protocol state serves every phase.
     let cd_params = CompeteParams::default();
+    let mut cd_state = CompeteState::default();
     let pre = match kind {
         BroadcastKind::CzumajDavies => {
             let p = Precomputed::build(g, net, &cd_params, rng::derive(seed, 0xB5));
@@ -140,11 +141,12 @@ pub fn binary_search_leader_election(
                 }
                 BroadcastKind::CzumajDavies => {
                     let pre = pre.as_ref().expect("built above");
-                    let mut p = CompeteProtocol::new(
+                    let mut p = CompeteProtocol::reuse(
                         pre,
                         cd_params,
                         &sources,
                         rng::derive(seed, 100 + phase as u64),
+                        &mut cd_state,
                     );
                     let stats = sim.run_until(&mut p, t_bc, |_, p| p.all_know_target());
                     total_rounds += stats.rounds;

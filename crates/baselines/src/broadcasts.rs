@@ -1,5 +1,4 @@
-use rn_core::{broadcast as cd_broadcast, CompeteParams, CompeteReport};
-use rn_decay::{DecayBroadcast, TruncatedDecayBroadcast};
+use rn_decay::{CoinSampler, DecayBroadcast, DecaySchedule};
 use rn_graph::{Graph, NodeId};
 use rn_sim::{CollisionModel, NetParams, Simulator};
 use serde::{Deserialize, Serialize};
@@ -16,10 +15,7 @@ pub struct BroadcastOutcome {
 /// Runs BGI'92 decay broadcasting from `source` and reports rounds until all
 /// nodes are informed.
 pub fn bgi_broadcast(g: &Graph, net: NetParams, source: NodeId, seed: u64) -> BroadcastOutcome {
-    let mut p = DecayBroadcast::single_source(net, source, 1, seed);
-    let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
-    let stats = sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-    BroadcastOutcome { completed: p.all_informed(), rounds: stats.rounds }
+    decay_broadcast(g, net, source, seed, DecaySchedule::Full)
 }
 
 /// Runs the truncated-decay (CR/KP-style) broadcast from `source`.
@@ -29,24 +25,21 @@ pub fn truncated_broadcast(
     source: NodeId,
     seed: u64,
 ) -> BroadcastOutcome {
-    let mut p = TruncatedDecayBroadcast::single_source(net, source, 1, seed);
+    decay_broadcast(g, net, source, seed, DecaySchedule::Truncated)
+}
+
+fn decay_broadcast(
+    g: &Graph,
+    net: NetParams,
+    source: NodeId,
+    seed: u64,
+    schedule: DecaySchedule,
+) -> BroadcastOutcome {
+    let coins = CoinSampler::default();
+    let mut p = DecayBroadcast::with_schedule(net, &[(source, 1)], seed, coins, schedule);
     let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
     let stats = sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
     BroadcastOutcome { completed: p.all_informed(), rounds: stats.rounds }
-}
-
-/// Runs the clustering pipeline in Haeupler–Wajc mode (the predecessor's
-/// `log log n`-longer curtailment) — the head-to-head ablation for E8/E11.
-///
-/// # Errors
-///
-/// Propagates [`rn_core::CompeteError`] (disconnected graph, bad source).
-pub fn hw_broadcast(
-    g: &Graph,
-    source: NodeId,
-    seed: u64,
-) -> Result<CompeteReport, rn_core::CompeteError> {
-    cd_broadcast(g, source, &CompeteParams::haeupler_wajc(), seed)
 }
 
 #[cfg(test)]
@@ -69,12 +62,5 @@ mod tests {
         let net = NetParams::of_graph(&g);
         let out = truncated_broadcast(&g, net, 0, 3);
         assert!(out.completed);
-    }
-
-    #[test]
-    fn hw_mode_completes_and_runs_longer_schedules() {
-        let g = generators::grid(10, 10);
-        let r = hw_broadcast(&g, 0, 5).expect("runs");
-        assert!(r.completed);
     }
 }

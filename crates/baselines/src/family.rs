@@ -2,11 +2,13 @@
 //! `truncated` and `binsearch_le(PROBE)`.
 
 use crate::binary_search::BroadcastKind;
-use crate::scenario::{BgiScenario, BinarySearchLeScenario, TruncatedScenario};
+use crate::scenario::BinarySearchLeScenario;
+use rn_decay::{CoinSampler, DecayScenario};
 use rn_sim::family::{reject_args, ParsedArgs, ProtocolFamily};
 use rn_sim::Runnable;
 
-/// `bgi` — BGI'92 decay broadcast baseline.
+/// `bgi` — BGI'92 decay broadcast baseline: `decay(1)`, whose one source
+/// is node 0 with value 1.
 pub struct BgiFamily;
 
 impl ProtocolFamily for BgiFamily {
@@ -30,13 +32,14 @@ impl ProtocolFamily for BgiFamily {
         &self,
         _args: Option<&str>,
         _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        _label: &str,
+        label: &str,
     ) -> Box<dyn Runnable> {
-        Box::new(BgiScenario)
+        Box::new(DecayScenario::new(1).with_coins(CoinSampler::default(), label))
     }
 }
 
-/// `truncated` — CR/KP-style truncated decay baseline.
+/// `truncated` — CR/KP-style truncated decay baseline: `decay_trunc(1)`,
+/// whose one source is node 0 with value 1.
 pub struct TruncatedFamily;
 
 impl ProtocolFamily for TruncatedFamily {
@@ -60,9 +63,9 @@ impl ProtocolFamily for TruncatedFamily {
         &self,
         _args: Option<&str>,
         _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        _label: &str,
+        label: &str,
     ) -> Box<dyn Runnable> {
-        Box::new(TruncatedScenario)
+        Box::new(DecayScenario::truncated(1).with_coins(CoinSampler::default(), label))
     }
 }
 

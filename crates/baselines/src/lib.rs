@@ -4,8 +4,6 @@
 //!   `O((D + log n)·log n)` (no spontaneous transmissions);
 //! * [`truncated_broadcast`] — Czumaj–Rytter / Kowalski–Pelc-*style*
 //!   truncated decay, `O(D·log(n/D) + log² n)` shape;
-//! * [`hw_broadcast`] — the Haeupler–Wajc mode of the clustering pipeline
-//!   (fixed longer curtailment: the extra `log log n` factor);
 //! * [`binary_search_leader_election`] — the classical leader-election
 //!   reduction \[2\]: network-wide binary search over the ID space using
 //!   multi-source broadcast as a subroutine, `O(T_BC · log n)`. Run it over
@@ -15,6 +13,10 @@
 //!   exactly), the CD-model comparator: with observable collisions the
 //!   binary-search reduction costs `O(D·log n)`, while in the paper's no-CD
 //!   model the same wave provably stalls.
+//!
+//! The `bgi` and `truncated` registry families run the first two as
+//! campaign cells: they are `rn_decay`'s `decay(1)` and `decay_trunc(1)`
+//! scenarios, whose one source is node 0.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,6 @@ mod scenario;
 
 pub use beep::BeepWave;
 pub use binary_search::{binary_search_leader_election, BinarySearchLeReport, BroadcastKind};
-pub use broadcasts::{bgi_broadcast, hw_broadcast, truncated_broadcast, BroadcastOutcome};
+pub use broadcasts::{bgi_broadcast, truncated_broadcast, BroadcastOutcome};
 pub use family::{families, BgiFamily, BinsearchLeFamily, TruncatedFamily};
-pub use scenario::{BgiScenario, BinarySearchLeScenario, TruncatedScenario};
+pub use scenario::BinarySearchLeScenario;

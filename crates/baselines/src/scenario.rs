@@ -1,79 +1,11 @@
 //! [`Runnable`] scenarios for the comparator algorithms, so baselines plug
 //! into campaigns on exactly the same footing as the paper's algorithms.
+//! The `bgi` and `truncated` families run `rn_decay`'s one-source
+//! [`rn_decay::DecayScenario`]; this module holds the leader-election
+//! reduction.
 
 use crate::binary_search::{binary_search_leader_election, BroadcastKind};
-use rn_decay::{CoinSampler, DecayBroadcast, TruncatedDecayBroadcast};
-use rn_sim::{CollisionModel, Runnable, TrialCtx, TrialPool, TrialRecord, TxBuf};
-
-/// Per-worker reusable state behind the baseline trials: one protocol
-/// of each decay variant (re-armed per trial via `reset`) plus the typed
-/// transmission buffer they share.
-#[derive(Debug, Default)]
-struct BaselinePool {
-    plain: Option<DecayBroadcast>,
-    trunc: Option<TruncatedDecayBroadcast>,
-    tx: TxBuf<u64>,
-}
-
-/// BGI'92 decay broadcasting from node 0 — the classical
-/// no-spontaneous-transmissions baseline (`O((D + log n)·log n)`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BgiScenario;
-
-impl Runnable for BgiScenario {
-    fn name(&self) -> String {
-        "bgi".into()
-    }
-
-    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
-        let (net, seed) = (ctx.net(), ctx.seed());
-        let (engine, st) = pool.parts(BaselinePool::default);
-        match &mut st.plain {
-            Some(p) => p.reset(net, &[(0, 1)], seed, CoinSampler::default()),
-            slot @ None => *slot = Some(DecayBroadcast::single_source(net, 0, 1, seed)),
-        }
-        let p = st.plain.as_mut().expect("slot was just filled");
-        st.tx.clear();
-        st.tx.reserve(ctx.graph().n());
-        let stats = ctx.simulator(engine).run_until_with_buf(
-            p,
-            &mut st.tx,
-            net.decay_broadcast_budget(),
-            |_, p| p.all_informed(),
-        );
-        TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-    }
-}
-
-/// Truncated-decay (Czumaj–Rytter / Kowalski–Pelc-style) broadcasting from
-/// node 0 (`O(D·log(n/D) + log² n)` shape).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TruncatedScenario;
-
-impl Runnable for TruncatedScenario {
-    fn name(&self) -> String {
-        "truncated".into()
-    }
-
-    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
-        let (net, seed) = (ctx.net(), ctx.seed());
-        let (engine, st) = pool.parts(BaselinePool::default);
-        match &mut st.trunc {
-            Some(p) => p.reset(net, &[(0, 1)], seed, CoinSampler::default()),
-            slot @ None => *slot = Some(TruncatedDecayBroadcast::single_source(net, 0, 1, seed)),
-        }
-        let p = st.trunc.as_mut().expect("slot was just filled");
-        st.tx.clear();
-        st.tx.reserve(ctx.graph().n());
-        let stats = ctx.simulator(engine).run_until_with_buf(
-            p,
-            &mut st.tx,
-            net.decay_broadcast_budget(),
-            |_, p| p.all_informed(),
-        );
-        TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-    }
-}
+use rn_sim::{CollisionModel, Runnable, TrialCtx, TrialPool, TrialRecord};
 
 /// The classical binary-search leader-election reduction over a pluggable
 /// broadcast probe (`Θ(T_BC · log n)` — the overhead Algorithm 6 removes).
@@ -131,8 +63,18 @@ impl Runnable for BinarySearchLeScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::{BgiFamily, TruncatedFamily};
     use rn_graph::{generators, Graph};
+    use rn_sim::family::ProtocolFamily;
     use rn_sim::{FaultPlan, NetParams};
+
+    /// The registered `bgi` and `truncated` runnables.
+    fn decay_baselines() -> [Box<dyn Runnable>; 2] {
+        [
+            BgiFamily.instantiate(None, &[], "bgi"),
+            TruncatedFamily.instantiate(None, &[], "truncated"),
+        ]
+    }
 
     /// One `nocd` trial under `plan` on a throwaway pool.
     fn faulted(s: &dyn Runnable, g: &Graph, seed: u64, plan: &FaultPlan) -> TrialRecord {
@@ -144,12 +86,9 @@ mod tests {
     #[test]
     fn baseline_scenarios_complete_on_small_grid() {
         let g = generators::grid(8, 8);
-        let cases: Vec<Box<dyn Runnable>> = vec![
-            Box::new(BgiScenario),
-            Box::new(TruncatedScenario),
-            Box::new(BinarySearchLeScenario { kind: BroadcastKind::BeepWaveCd }),
-        ];
-        for s in cases {
+        let beep: Box<dyn Runnable> =
+            Box::new(BinarySearchLeScenario { kind: BroadcastKind::BeepWaveCd });
+        for s in decay_baselines().into_iter().chain([beep]) {
             let r = faulted(s.as_ref(), &g, 5, &FaultPlan::none());
             assert!(r.completed, "{} must complete on grid-8x8", s.name());
             assert!(r.rounds > 0);
@@ -171,8 +110,9 @@ mod tests {
             );
         }
         // Plain scenarios honor the request (trait default).
+        let [bgi, _] = decay_baselines();
         assert_eq!(
-            BgiScenario.effective_model(CollisionModel::CollisionDetection),
+            bgi.effective_model(CollisionModel::CollisionDetection),
             CollisionModel::CollisionDetection
         );
     }
@@ -184,7 +124,7 @@ mod tests {
         // total jamming no broadcast can complete.
         let g = generators::grid(6, 6);
         let jam_all = FaultPlan::jam(36, 1.0);
-        for s in [Box::new(BgiScenario) as Box<dyn Runnable>, Box::new(TruncatedScenario)] {
+        for s in decay_baselines() {
             let r = faulted(s.as_ref(), &g, 7, &jam_all);
             assert!(!r.completed, "{}: no false completion under total jamming", s.name());
             // Mild dropout still runs, deterministically.
@@ -196,8 +136,9 @@ mod tests {
 
     #[test]
     fn scenario_names_are_stable() {
-        assert_eq!(BgiScenario.name(), "bgi");
-        assert_eq!(TruncatedScenario.name(), "truncated");
+        let [bgi, truncated] = decay_baselines();
+        assert_eq!(bgi.name(), "bgi");
+        assert_eq!(truncated.name(), "truncated");
         assert_eq!(BinarySearchLeScenario { kind: BroadcastKind::Bgi }.name(), "binsearch_le(bgi)");
         assert_eq!(
             BinarySearchLeScenario { kind: BroadcastKind::CzumajDavies }.name(),

@@ -645,6 +645,10 @@ mod tests {
             "broadcast{copies_cap=0}",
             "broadcast{copies_cap=1.5}",
             "broadcast{max_rounds=inf}",
+            "broadcast{jmin=1e300}",
+            "broadcast{jmax=1e300}",
+            "broadcast{jmax=20}",
+            "broadcast{jmin=-0.5}",
             "broadcast{curtail=1",
             "bgi{curtail=1}",
             "decay(4){mu=0.2}",

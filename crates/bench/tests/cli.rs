@@ -35,3 +35,21 @@ fn a_node_count_beyond_the_id_space_is_a_spec_error() {
     assert!(stderr.contains("too many nodes"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "nothing runs");
 }
+
+#[test]
+fn a_fine_clustering_fraction_outside_the_unit_interval_is_a_usage_error() {
+    // Regression: these parsed as plain floats, then panicked a trial worker
+    // (exit 101), aborted on a failed allocation (exit 134), or reported a
+    // wrapped round count with exit 0.
+    for (scenario, key) in [
+        ("broadcast{jmin=1e300}@grid(8x8)", "jmin"),
+        ("broadcast{jmax=1e300}@grid(8x8)", "jmax"),
+        ("broadcast{jmax=20}@grid(8x8)", "jmax"),
+    ] {
+        let out = experiments(&["--scenario", scenario, "--trials", "1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{scenario}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("{key} takes a fraction in [0, 1]")), "stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{scenario}: nothing runs");
+    }
+}

@@ -47,6 +47,7 @@ fn arb_overrides() -> impl Strategy<Value = Overrides> {
                     }
                     OverrideClass::Int => 1.0 + v.floor(),
                     OverrideClass::Float => v,
+                    OverrideClass::Fraction => v / 8.0,
                     OverrideClass::Enum(names) => (v as usize % names.len()) as f64,
                 };
                 Some((spec.key, v))

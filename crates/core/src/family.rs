@@ -28,8 +28,8 @@ pub static COMPETE_OVERRIDES: &[OverrideSpec] = &[
     OverrideSpec::new("mu", "background density multiplier (bg_beta_factor)", OverrideClass::Float),
     OverrideSpec::new("coarse_exp", "coarse clustering exponent", OverrideClass::Float),
     OverrideSpec::new("bg_exp", "background clustering exponent", OverrideClass::Float),
-    OverrideSpec::new("jmin", "fine-clustering j range lower fraction", OverrideClass::Float),
-    OverrideSpec::new("jmax", "fine-clustering j range upper fraction", OverrideClass::Float),
+    OverrideSpec::new("jmin", "fine-clustering j range lower fraction", OverrideClass::Fraction),
+    OverrideSpec::new("jmax", "fine-clustering j range upper fraction", OverrideClass::Fraction),
     OverrideSpec::new("copies_exp", "fine clusterings per j (exponent)", OverrideClass::Float),
     OverrideSpec::new("copies_cap", "fine clusterings per j (hard cap, int)", OverrideClass::Int),
     OverrideSpec::new("seq_exp", "clustering-sequence length exponent", OverrideClass::Float),

@@ -191,10 +191,13 @@ impl CompeteParams {
         (self.bg_curtail_const * net.log2_n() as f64 / self.bg_beta(net)).ceil().max(1.0) as u32
     }
 
-    /// Safety budget on propagation rounds.
+    /// Safety budget on propagation rounds, saturating at `u64::MAX`.
     pub fn max_rounds(&self, net: &NetParams) -> u64 {
         let log_n = net.log2_n() as u64;
-        self.max_rounds_factor * (net.diameter() as u64 + 1) * log_n * log_n + 100_000
+        self.max_rounds_factor
+            .saturating_mul(net.diameter() as u64 + 1)
+            .saturating_mul(log_n * log_n)
+            .saturating_add(100_000)
     }
 }
 
@@ -266,5 +269,15 @@ mod tests {
         let small = p.max_rounds(&NetParams::new(1024, 32));
         let large = p.max_rounds(&NetParams::new(1024, 512));
         assert!(large > 4 * (small - 100_000));
+    }
+
+    #[test]
+    fn max_rounds_budget_saturates_instead_of_wrapping() {
+        // Regression: a large `max_rounds` factor wrapped (release) or
+        // panicked (debug), so asking for more rounds could give fewer.
+        let p = CompeteParams { max_rounds_factor: u64::MAX, ..CompeteParams::default() };
+        assert_eq!(p.max_rounds(&net()), u64::MAX);
+        let big = CompeteParams { max_rounds_factor: 1 << 50, ..CompeteParams::default() };
+        assert_eq!(big.max_rounds(&net()), u64::MAX, "the product alone overflows");
     }
 }

@@ -207,12 +207,12 @@ impl Alg4State {
     }
 }
 
-/// All owned, per-trial mutable state of [`CompeteProtocol`], separated from
-/// the borrowed [`Precomputed`] so pooled trial loops can keep one
-/// `CompeteState` alive across trials: [`CompeteState::reset`] restores the
-/// exact post-construction state while reusing every buffer, and
-/// [`CompeteProtocol::reuse`] wraps it for one trial. After the first trial
-/// on a given `(graph, params)` pair, resets perform no heap allocation.
+/// All per-trial mutable state of [`CompeteProtocol`], separated from the
+/// borrowed [`Precomputed`] so trial loops keep one `CompeteState` alive
+/// across trials: [`CompeteProtocol::reuse`] borrows it for one trial and
+/// [`CompeteState::reset`]s it to the instance, reusing every buffer. Start
+/// from `CompeteState::default()`. After the first trial on a given
+/// `(graph, params)` pair, resets perform no heap allocation.
 #[derive(Debug)]
 pub struct CompeteState {
     know: KnowTable,
@@ -249,8 +249,9 @@ pub struct CompeteState {
 }
 
 impl Default for CompeteState {
-    /// The empty shell pools start from; [`CompeteState::reset`] (run by
-    /// every constructor and every pooled trial) grows it to the instance.
+    /// The empty shell trial loops start from; [`CompeteState::reset`] (run
+    /// by [`CompeteProtocol::reuse`] for every trial) grows it to the
+    /// instance.
     fn default() -> CompeteState {
         CompeteState {
             know: KnowTable::new(0),
@@ -278,16 +279,9 @@ impl Default for CompeteState {
 }
 
 impl CompeteState {
-    /// Fresh state for one trial (equivalent to `reset` on an empty shell —
-    /// there is exactly one initialization code path).
-    pub fn new(pre: &Precomputed, sources: &[(NodeId, u64)], seed: u64) -> CompeteState {
-        let mut st = CompeteState::default();
-        st.reset(pre, sources, seed);
-        st
-    }
-
-    /// Restores the exact post-[`CompeteState::new`] state for a (possibly
-    /// different) precompute, seed, and source set, reusing all buffers.
+    /// Restores the exact start-of-trial state for a (possibly different)
+    /// precompute, seed, and source set, reusing all buffers: whatever ran
+    /// before, the trial is byte-identical to one from an empty shell.
     /// Per-fine tables are re-sized to the new cluster counts with
     /// worst-case (`n`) reservations, so steady-state resets are
     /// allocation-free even though cluster counts vary by seed.
@@ -720,32 +714,6 @@ fn reset_cluster_tables(
     }
 }
 
-/// How a [`CompeteProtocol`] holds its mutable state: owned for one-shot
-/// runs, borrowed from a pool for reused trials.
-#[derive(Debug)]
-enum StateStore<'s> {
-    Owned(Box<CompeteState>),
-    Pooled(&'s mut CompeteState),
-}
-
-impl StateStore<'_> {
-    #[inline]
-    fn get(&self) -> &CompeteState {
-        match self {
-            StateStore::Owned(st) => st,
-            StateStore::Pooled(st) => st,
-        }
-    }
-
-    #[inline]
-    fn get_mut(&mut self) -> &mut CompeteState {
-        match self {
-            StateStore::Owned(st) => st,
-            StateStore::Pooled(st) => st,
-        }
-    }
-}
-
 /// The Compete propagation protocol (Algorithms 1–4 combined):
 ///
 /// * global even rounds run the **main process**, odd rounds the
@@ -760,37 +728,21 @@ impl StateStore<'_> {
 ///
 /// The per-node state is the highest message known (`know`); completion is
 /// every node knowing the highest source message. All of that mutable state
-/// lives in a [`CompeteState`] — owned by default, or borrowed from a pool
-/// via [`CompeteProtocol::reuse`] for allocation-free repeated trials.
+/// lives in a borrowed [`CompeteState`], so repeated trials are
+/// allocation-free.
 #[derive(Debug)]
 pub struct CompeteProtocol<'p> {
     pre: &'p Precomputed,
     params: CompeteParams,
     seed: u64,
     log_n: u64,
-    st: StateStore<'p>,
+    st: &'p mut CompeteState,
 }
 
 impl<'p> CompeteProtocol<'p> {
-    /// Creates the propagation protocol with the given informed `sources`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources` is empty or contains an out-of-range node.
-    pub fn new(
-        pre: &'p Precomputed,
-        params: CompeteParams,
-        sources: &[(NodeId, u64)],
-        seed: u64,
-    ) -> CompeteProtocol<'p> {
-        let st = StateStore::Owned(Box::new(CompeteState::new(pre, sources, seed)));
-        CompeteProtocol { pre, params, seed, log_n: pre.net.log2_n() as u64, st }
-    }
-
-    /// Like [`CompeteProtocol::new`] but reusing a pooled [`CompeteState`]:
-    /// `state` is reset to exactly the fresh construction (same single code
-    /// path), so runs are byte-identical to the owned form while steady-state
-    /// trials perform no heap allocation.
+    /// Creates the propagation protocol with the given informed `sources`
+    /// over `state`, which is reset to the instance first (so any earlier
+    /// trial in it is unobservable) while keeping its buffers.
     ///
     /// # Panics
     ///
@@ -803,34 +755,27 @@ impl<'p> CompeteProtocol<'p> {
         state: &'p mut CompeteState,
     ) -> CompeteProtocol<'p> {
         state.reset(pre, sources, seed);
-        CompeteProtocol {
-            pre,
-            params,
-            seed,
-            log_n: pre.net.log2_n() as u64,
-            st: StateStore::Pooled(state),
-        }
+        CompeteProtocol { pre, params, seed, log_n: pre.net.log2_n() as u64, st: state }
     }
 
     /// Highest message known by `node`.
     pub fn value_of(&self, node: NodeId) -> Option<u64> {
-        self.st.get().know.get(node)
+        self.st.know.get(node)
     }
 
     /// Whether every node knows the highest source message.
     pub fn all_know_target(&self) -> bool {
-        let st = self.st.get();
-        st.num_know_target == st.know.n()
+        self.st.num_know_target == self.st.know.n()
     }
 
     /// Number of nodes that know the highest source message.
     pub fn num_knowing(&self) -> usize {
-        self.st.get().num_know_target
+        self.st.num_know_target
     }
 
     /// The highest source message (the value Compete must spread).
     pub fn target(&self) -> u64 {
-        self.st.get().target
+        self.st.target
     }
 
     /// Routes a protocol-local round to (stream, kind, step).
@@ -856,7 +801,7 @@ impl Protocol for CompeteProtocol<'_> {
     fn transmit(&mut self, round: Round, tx: &mut TxBuf<CompeteMsg>) {
         let (stream, kind, step) = self.route(round);
         let (pre, params, seed, log_n) = (self.pre, &self.params, self.seed, self.log_n);
-        let st = self.st.get_mut();
+        let st = &mut *self.st;
         match (stream, kind) {
             (0, 0) => st.main_sched_transmit(pre, params, seed, step, tx),
             (0, 1) => st.alg4_transmit(pre, seed, log_n, step, false, tx),
@@ -869,7 +814,7 @@ impl Protocol for CompeteProtocol<'_> {
     fn deliver(&mut self, round: Round, node: NodeId, _from: NodeId, msg: &CompeteMsg) {
         let (stream, kind, step) = self.route(round);
         let (pre, accept_foreign) = (self.pre, self.params.alg4_accept_foreign);
-        let st = self.st.get_mut();
+        let st = &mut *self.st;
         match (msg, stream, kind) {
             (&CompeteMsg::Sched { fine, cluster, value }, 0, 0) => {
                 st.deliver_sched(pre, step, node, fine, cluster, value)
@@ -921,7 +866,8 @@ mod tests {
     fn run_broadcast(g: &rn_graph::Graph, seed: u64, params: CompeteParams) -> (bool, u64) {
         let net = NetParams::of_graph(g);
         let pre = Precomputed::build(g, net, &params, seed);
-        let mut proto = CompeteProtocol::new(&pre, params, &[(0, 42)], seed);
+        let mut state = CompeteState::default();
+        let mut proto = CompeteProtocol::reuse(&pre, params, &[(0, 42)], seed, &mut state);
         let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
         let stats = sim.run(&mut proto, params.max_rounds(&net));
         (proto.all_know_target(), stats.rounds)
@@ -953,32 +899,29 @@ mod tests {
     #[test]
     fn reused_state_replays_fresh_runs_exactly() {
         // One CompeteState across graphs and seeds: every reused run must
-        // report the same completion round and per-node values as a fresh
-        // construction.
+        // report the same completion round and per-node values as a run on
+        // a cold `CompeteState::default()`.
         let graphs = [generators::grid(8, 8), generators::path(60)];
         let params = CompeteParams::default();
-        let mut state: Option<CompeteState> = None;
+        let mut warm = CompeteState::default();
         for g in &graphs {
             let net = NetParams::of_graph(g);
             for seed in 0..3u64 {
                 let pre = Precomputed::build(g, net, &params, seed);
-                let mut fresh = CompeteProtocol::new(&pre, params, &[(0, 42)], seed);
+                let mut cold_state = CompeteState::default();
+                let mut cold =
+                    CompeteProtocol::reuse(&pre, params, &[(0, 42)], seed, &mut cold_state);
                 let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
-                let fresh_stats = sim.run(&mut fresh, params.max_rounds(&net));
+                let cold_stats = sim.run(&mut cold, params.max_rounds(&net));
 
-                match &mut state {
-                    Some(st) => st.reset(&pre, &[(0, 42)], seed),
-                    slot @ None => *slot = Some(CompeteState::new(&pre, &[(0, 42)], seed)),
-                }
-                let st = state.as_mut().expect("slot was just filled");
-                let mut pooled = CompeteProtocol::reuse(&pre, params, &[(0, 42)], seed, st);
+                let mut pooled = CompeteProtocol::reuse(&pre, params, &[(0, 42)], seed, &mut warm);
                 let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
                 let pooled_stats = sim.run(&mut pooled, params.max_rounds(&net));
 
-                assert_eq!(fresh_stats.rounds, pooled_stats.rounds, "seed {seed}");
-                assert_eq!(fresh.num_knowing(), pooled.num_knowing());
+                assert_eq!(cold_stats.rounds, pooled_stats.rounds, "seed {seed}");
+                assert_eq!(cold.num_knowing(), pooled.num_knowing());
                 for v in g.nodes() {
-                    assert_eq!(fresh.value_of(v), pooled.value_of(v), "node {v} seed {seed}");
+                    assert_eq!(cold.value_of(v), pooled.value_of(v), "node {v} seed {seed}");
                 }
             }
         }
@@ -1000,7 +943,8 @@ mod tests {
         let net = NetParams::of_graph(&g);
         let pre = Precomputed::build(&g, net, &params, 7);
         assert_eq!(pre.coarse.num_clusters(), 1, "test needs a single coarse cluster");
-        let mut proto = CompeteProtocol::new(&pre, params, &[(0, 42)], 7);
+        let mut state = CompeteState::default();
+        let mut proto = CompeteProtocol::reuse(&pre, params, &[(0, 42)], 7, &mut state);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 7);
         let stats = sim.run(&mut proto, params.max_rounds(&net));
         assert!(proto.all_know_target(), "did not complete in {} rounds", stats.rounds);
@@ -1022,7 +966,8 @@ mod tests {
         let source: NodeId = 0;
         let cc = pre.coarse.cluster_index(source);
         let coarse_size = pre.coarse.members(cc).len();
-        let mut proto = CompeteProtocol::new(&pre, params, &[(source, 42)], 7);
+        let mut state = CompeteState::default();
+        let mut proto = CompeteProtocol::reuse(&pre, params, &[(source, 42)], 7, &mut state);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 7);
         sim.run(&mut proto, 200_000);
         let knowing = proto.num_knowing();
@@ -1048,7 +993,8 @@ mod tests {
         let net = NetParams::of_graph(&g);
         let pre = Precomputed::build(&g, net, &params, 9);
         let sources = vec![(0 as NodeId, 10u64), (63, 99), (32, 50)];
-        let mut proto = CompeteProtocol::new(&pre, params, &sources, 9);
+        let mut state = CompeteState::default();
+        let mut proto = CompeteProtocol::reuse(&pre, params, &sources, 9, &mut state);
         assert_eq!(proto.target(), 99);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 9);
         sim.run(&mut proto, params.max_rounds(&net));
@@ -1064,7 +1010,8 @@ mod tests {
         let net = NetParams::of_graph(&g);
         let params = CompeteParams::default();
         let pre = Precomputed::build(&g, net, &params, 1);
-        let proto = CompeteProtocol::new(&pre, params, &[(0, 5)], 1);
+        let mut state = CompeteState::default();
+        let proto = CompeteProtocol::reuse(&pre, params, &[(0, 5)], 1, &mut state);
         assert!(proto.all_know_target());
     }
 
@@ -1075,7 +1022,8 @@ mod tests {
         let net = NetParams::of_graph(&g);
         let params = CompeteParams::default();
         let pre = Precomputed::build(&g, net, &params, 1);
-        let _ = CompeteProtocol::new(&pre, params, &[], 1);
+        let mut state = CompeteState::default();
+        let _ = CompeteProtocol::reuse(&pre, params, &[], 1, &mut state);
     }
 
     #[test]
@@ -1084,7 +1032,8 @@ mod tests {
         let net = NetParams::of_graph(&g);
         let params = CompeteParams::default();
         let pre = Precomputed::build(&g, net, &params, 2);
-        let mut proto = CompeteProtocol::new(&pre, params, &[(0, 7)], 2);
+        let mut state = CompeteState::default();
+        let mut proto = CompeteProtocol::reuse(&pre, params, &[(0, 7)], 2, &mut state);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 2);
         let mut last = proto.num_knowing();
         for _ in 0..50 {

@@ -41,24 +41,48 @@ impl CoinState {
     }
 }
 
-/// The Bar-Yehuda–Goldreich–Itai broadcasting algorithm (1992).
+/// Which cycle of decay depths a [`DecayBroadcast`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DecaySchedule {
+    /// Bar-Yehuda–Goldreich–Itai (1992): every decay round runs at full
+    /// depth `⌈log₂ n⌉`. Completes in `O((D + log n)·log n)` rounds whp.
+    #[default]
+    Full,
+    /// Czumaj–Rytter / Kowalski–Pelc-*style* truncation, with running time
+    /// shape `O(D·log(n/D) + log² n)`: decay rounds truncated to depth
+    /// `k = ⌈log₂(n/D)⌉ + 2`, since along a shortest path the number of
+    /// simultaneously competing informed neighbors is typically `O(n/D)`.
+    /// Every `⌈log₂ n / k⌉`-th round (at least every second) runs at full
+    /// depth to resolve high-degree hot spots (dense blobs attached to long
+    /// paths), which truncation alone cannot break. This reproduces the
+    /// *complexity shape* of [9, 14], not their exact selection-sequence
+    /// constructions.
+    Truncated,
+}
+
+/// Multi-source, max-propagating decay broadcast: the BGI'92 algorithm and
+/// its truncated variant, the two classical baselines of the paper's §1.3.
 ///
-/// All informed nodes run globally synchronized decay rounds; a node that
-/// receives the message joins from the next step on. Completes broadcasting
-/// in `O((D + log n)·log n)` rounds with high probability — the classical
-/// baseline of the paper's §1.3. Nodes *never transmit spontaneously*: this
-/// algorithm is correct in the more restrictive no-spontaneous-transmissions
-/// model, which is exactly why it is the comparison point for the paper's
-/// spontaneous-transmission speedups.
+/// All informed nodes run globally synchronized decay rounds, whose depths
+/// follow the [`DecaySchedule`]; a node that receives the message joins
+/// from the next step on. Nodes *never transmit spontaneously*: both
+/// schedules are correct in the more restrictive
+/// no-spontaneous-transmissions model, which is exactly why they are the
+/// comparison point for the paper's spontaneous-transmission speedups.
 ///
-/// The implementation is multi-source and max-propagating: every source
-/// starts with a `u64` value, informed nodes always transmit the highest
-/// value they know, and receivers upgrade. With a single source this is
-/// plain broadcasting; with many it is the multi-source broadcast needed by
-/// the binary-search leader-election reduction.
+/// Every source starts with a `u64` value, informed nodes always transmit
+/// the highest value they know, and receivers upgrade. With a single source
+/// this is plain broadcasting; with many it is the multi-source broadcast
+/// needed by the binary-search leader-election reduction.
 #[derive(Debug)]
 pub struct DecayBroadcast {
-    steps: DecaySteps,
+    /// The cycle of decay depths. [`DecayBroadcast::reset`] reads it to lay
+    /// out the trial's exponent cycle, so a change takes effect from the
+    /// next reset.
+    pub schedule: DecaySchedule,
+    /// One period of the schedule as decay exponents `j` (transmission
+    /// probability `2^-j`), indexed by `round mod len`.
+    cycle: Vec<u32>,
     /// Highest value known per node, frontier-native layout: informed
     /// bitset + dense value vector (see [`NodeValues`]).
     values: NodeValues,
@@ -70,14 +94,29 @@ pub struct DecayBroadcast {
     scratch: Vec<usize>,
 }
 
+impl Default for DecayBroadcast {
+    /// The empty shell pools start from; [`DecayBroadcast::reset`] arms it.
+    fn default() -> DecayBroadcast {
+        DecayBroadcast {
+            schedule: DecaySchedule::default(),
+            cycle: Vec::new(),
+            values: NodeValues::new(0),
+            informed_list: Vec::new(),
+            coins: CoinState::new(CoinSampler::default(), 0),
+            scratch: Vec::new(),
+        }
+    }
+}
+
 impl DecayBroadcast {
-    /// Multi-source broadcast: each `(node, value)` pair starts informed.
-    /// Coins come from the default [`CoinSampler::PerIndex`] sampler.
+    /// Multi-source BGI broadcast: each `(node, value)` pair starts
+    /// informed. Coins come from the default [`CoinSampler::PerIndex`]
+    /// sampler.
     pub fn new(params: NetParams, sources: &[(NodeId, u64)], seed: u64) -> DecayBroadcast {
         DecayBroadcast::with_coin_sampler(params, sources, seed, CoinSampler::default())
     }
 
-    /// Multi-source broadcast with an explicit coin sampler (see
+    /// Multi-source BGI broadcast with an explicit coin sampler (see
     /// [`CoinSampler`] for when the batched variant pays off).
     pub fn with_coin_sampler(
         params: NetParams,
@@ -85,23 +124,29 @@ impl DecayBroadcast {
         seed: u64,
         sampler: CoinSampler,
     ) -> DecayBroadcast {
-        let mut p = DecayBroadcast {
-            steps: DecaySteps::for_params(&params),
-            values: NodeValues::new(0),
-            informed_list: Vec::new(),
-            coins: CoinState::new(sampler, seed),
-            scratch: Vec::new(),
-        };
+        DecayBroadcast::with_schedule(params, sources, seed, sampler, DecaySchedule::Full)
+    }
+
+    /// Multi-source broadcast under an explicit [`DecaySchedule`].
+    pub fn with_schedule(
+        params: NetParams,
+        sources: &[(NodeId, u64)],
+        seed: u64,
+        sampler: CoinSampler,
+        schedule: DecaySchedule,
+    ) -> DecayBroadcast {
+        let mut p = DecayBroadcast { schedule, ..DecayBroadcast::default() };
         p.reset(params, sources, seed, sampler);
         p
     }
 
-    /// Re-arms the protocol for a fresh trial, reusing every allocation —
-    /// observably identical to [`DecayBroadcast::with_coin_sampler`] with
-    /// the same arguments (the fresh constructor is this method applied to
-    /// an empty shell, so the two paths cannot drift). Buffers are reserved
-    /// to their worst-case bound `n`, so a pooled steady-state trial never
-    /// touches the heap.
+    /// Re-arms the protocol for a fresh trial under its current
+    /// [`DecayBroadcast::schedule`], reusing every allocation — observably
+    /// identical to [`DecayBroadcast::with_schedule`] with the same
+    /// arguments (every constructor is this method applied to an empty
+    /// shell, so the paths cannot drift). Buffers are reserved to their
+    /// worst-case bound `n`, and the cycle's length depends only on `n`
+    /// and `D`, so a pooled steady-state trial never touches the heap.
     pub fn reset(
         &mut self,
         params: NetParams,
@@ -109,7 +154,24 @@ impl DecayBroadcast {
         seed: u64,
         sampler: CoinSampler,
     ) {
-        self.steps = DecaySteps::for_params(&params);
+        let decay_round =
+            |steps: DecaySteps| (0..steps.round_len() as u64).map(move |i| steps.exponent(i));
+        let mut full = DecaySteps::for_params(&params);
+        self.cycle.clear();
+        if self.schedule == DecaySchedule::Truncated {
+            let log_n = full.round_len();
+            let d = params.diameter().max(1) as f64;
+            let ratio = (params.n() as f64 / d).max(2.0);
+            let k = (ratio.log2().ceil() as u32 + 2).clamp(2, log_n.max(2));
+            // Full rounds rare enough not to dominate: one per ⌈log n / k⌉.
+            let full_every = ((log_n as f64 / k as f64).ceil() as u64).max(2);
+            for _ in 1..full_every {
+                self.cycle.extend(decay_round(DecaySteps::new(k)));
+            }
+            full = DecaySteps::new(log_n.max(k));
+        }
+        self.cycle.extend(decay_round(full));
+
         self.values.reset(params.n());
         self.informed_list.clear();
         self.informed_list.reserve(params.n());
@@ -123,7 +185,7 @@ impl DecayBroadcast {
         self.scratch.reserve(params.n());
     }
 
-    /// Single-source broadcast of `value` from `source`.
+    /// Single-source BGI broadcast of `value` from `source`.
     pub fn single_source(
         params: NetParams,
         source: NodeId,
@@ -152,198 +214,26 @@ impl DecayBroadcast {
     pub fn informed_count(&self) -> usize {
         self.informed_list.len()
     }
+
+    /// One period of the decay cycle as exponents `j` (probability `2^-j`),
+    /// the layout [`DecayBroadcast::reset`] built from the schedule.
+    pub fn cycle(&self) -> &[u32] {
+        &self.cycle
+    }
 }
 
 impl Protocol for DecayBroadcast {
     type Msg = u64;
 
     fn transmit(&mut self, round: Round, tx: &mut TxBuf<u64>) {
+        let j = self.cycle[(round % self.cycle.len() as u64) as usize];
         self.scratch.clear();
         match &mut self.coins {
             CoinState::PerIndex(rng) => {
-                let p = self.steps.probability(round);
+                let p = (2.0f64).powi(-(j as i32));
                 bernoulli_indices(rng, self.informed_list.len(), p, &mut self.scratch);
             }
             CoinState::Batched(ws) => {
-                let j = self.steps.exponent(round);
-                bernoulli_pow2_indices(ws, self.informed_list.len(), j, &mut self.scratch);
-            }
-        }
-        for &idx in &self.scratch {
-            let u = self.informed_list[idx];
-            let v = self.values.get(u).expect("informed nodes have values");
-            tx.send(u, v);
-        }
-    }
-
-    fn deliver(&mut self, _round: Round, node: NodeId, _from: NodeId, msg: &u64) {
-        if self.values.merge_max(node, *msg) {
-            self.informed_list.push(node);
-        }
-    }
-}
-
-/// Truncated-decay broadcast: the Czumaj–Rytter / Kowalski–Pelc-*style*
-/// baseline with running time shape `O(D·log(n/D) + log² n)`.
-///
-/// Informed nodes run decay rounds truncated to depth
-/// `k = ⌈log₂(n/D)⌉ + 2`: along a shortest path the number of simultaneously
-/// competing informed neighbors is typically `O(n/D)`, so the truncated
-/// rounds advance the frontier in `O(log(n/D))` steps instead of
-/// `O(log n)`. Every `full_every`-th decay round runs at full depth
-/// `⌈log₂ n⌉` to resolve high-degree hot spots (dense blobs attached to long
-/// paths), which truncation alone cannot break.
-///
-/// This reproduces the *complexity shape* of [9, 14], not their exact
-/// selection-sequence constructions.
-#[derive(Debug)]
-pub struct TruncatedDecayBroadcast {
-    trunc: DecaySteps,
-    full: DecaySteps,
-    /// Full-depth decay round every this many rounds (≥ 1).
-    full_every: u64,
-    /// Highest value known per node (frontier-native layout).
-    values: NodeValues,
-    informed_list: Vec<NodeId>,
-    coins: CoinState,
-    scratch: Vec<usize>,
-    /// Precomputed cycle: step offsets → probability, spanning
-    /// `(full_every - 1)` truncated rounds followed by one full round.
-    cycle_probs: Vec<f64>,
-    /// The same cycle as exponents `j` (probability `2^-j`), for the
-    /// word-batched sampler.
-    cycle_exponents: Vec<u32>,
-}
-
-impl TruncatedDecayBroadcast {
-    /// Multi-source truncated-decay broadcast with the default
-    /// [`CoinSampler::PerIndex`] sampler.
-    pub fn new(params: NetParams, sources: &[(NodeId, u64)], seed: u64) -> TruncatedDecayBroadcast {
-        TruncatedDecayBroadcast::with_coin_sampler(params, sources, seed, CoinSampler::default())
-    }
-
-    /// Multi-source truncated-decay broadcast with an explicit coin
-    /// sampler (see [`CoinSampler`]).
-    pub fn with_coin_sampler(
-        params: NetParams,
-        sources: &[(NodeId, u64)],
-        seed: u64,
-        sampler: CoinSampler,
-    ) -> TruncatedDecayBroadcast {
-        let mut p = TruncatedDecayBroadcast {
-            trunc: DecaySteps::new(2),
-            full: DecaySteps::new(2),
-            full_every: 2,
-            values: NodeValues::new(0),
-            informed_list: Vec::new(),
-            coins: CoinState::new(sampler, seed),
-            scratch: Vec::new(),
-            cycle_probs: Vec::new(),
-            cycle_exponents: Vec::new(),
-        };
-        p.reset(params, sources, seed, sampler);
-        p
-    }
-
-    /// Re-arms the protocol for a fresh trial, reusing every allocation —
-    /// observably identical to
-    /// [`TruncatedDecayBroadcast::with_coin_sampler`] with the same
-    /// arguments (the fresh constructor is this method applied to an empty
-    /// shell). The cycle tables are rebuilt in place; for a pool reused on
-    /// one topology their length never changes, so steady-state trials
-    /// never touch the heap.
-    pub fn reset(
-        &mut self,
-        params: NetParams,
-        sources: &[(NodeId, u64)],
-        seed: u64,
-        sampler: CoinSampler,
-    ) {
-        let log_n = params.log2_n();
-        let d = params.diameter().max(1) as f64;
-        let ratio = (params.n() as f64 / d).max(2.0);
-        let trunc_depth = (ratio.log2().ceil() as u32 + 2).clamp(2, log_n.max(2));
-        // Full rounds rare enough not to dominate: one per ⌈log n / k⌉ rounds.
-        let full_every = ((log_n as f64 / trunc_depth as f64).ceil() as u64).max(2);
-
-        self.trunc = DecaySteps::new(trunc_depth);
-        self.full = DecaySteps::new(log_n.max(trunc_depth));
-        self.full_every = full_every;
-        self.cycle_probs.clear();
-        self.cycle_exponents.clear();
-        for _ in 0..(full_every - 1) {
-            for i in 0..self.trunc.round_len() {
-                self.cycle_probs.push(self.trunc.probability(i as u64));
-                self.cycle_exponents.push(self.trunc.exponent(i as u64));
-            }
-        }
-        for i in 0..self.full.round_len() {
-            self.cycle_probs.push(self.full.probability(i as u64));
-            self.cycle_exponents.push(self.full.exponent(i as u64));
-        }
-
-        self.values.reset(params.n());
-        self.informed_list.clear();
-        self.informed_list.reserve(params.n());
-        for &(s, v) in sources {
-            if self.values.merge_max(s, v) {
-                self.informed_list.push(s);
-            }
-        }
-        self.coins = CoinState::new(sampler, seed);
-        self.scratch.clear();
-        self.scratch.reserve(params.n());
-    }
-
-    /// Single-source variant.
-    pub fn single_source(
-        params: NetParams,
-        source: NodeId,
-        value: u64,
-        seed: u64,
-    ) -> TruncatedDecayBroadcast {
-        TruncatedDecayBroadcast::new(params, &[(source, value)], seed)
-    }
-
-    /// Whether every node knows some value.
-    pub fn all_informed(&self) -> bool {
-        self.values.all_informed()
-    }
-
-    /// The value currently known by `node`.
-    pub fn value_of(&self, node: NodeId) -> Option<u64> {
-        self.values.get(node)
-    }
-
-    /// Depth of the truncated rounds (exposed for tests/diagnostics).
-    pub fn truncated_depth(&self) -> u32 {
-        self.trunc.round_len()
-    }
-
-    /// Depth of the periodic full rounds.
-    pub fn full_depth(&self) -> u32 {
-        self.full.round_len()
-    }
-
-    /// How often (in decay rounds) a full-depth round runs.
-    pub fn full_round_period(&self) -> u64 {
-        self.full_every
-    }
-}
-
-impl Protocol for TruncatedDecayBroadcast {
-    type Msg = u64;
-
-    fn transmit(&mut self, round: Round, tx: &mut TxBuf<u64>) {
-        let step = (round % self.cycle_probs.len() as u64) as usize;
-        self.scratch.clear();
-        match &mut self.coins {
-            CoinState::PerIndex(rng) => {
-                let p = self.cycle_probs[step];
-                bernoulli_indices(rng, self.informed_list.len(), p, &mut self.scratch);
-            }
-            CoinState::Batched(ws) => {
-                let j = self.cycle_exponents[step];
                 bernoulli_pow2_indices(ws, self.informed_list.len(), j, &mut self.scratch);
             }
         }
@@ -366,6 +256,12 @@ mod tests {
     use super::*;
     use rn_graph::{generators, Graph};
     use rn_sim::{CollisionModel, Simulator};
+
+    /// Single-source truncated-decay broadcast with the default sampler.
+    fn truncated(params: NetParams, source: NodeId, value: u64, seed: u64) -> DecayBroadcast {
+        let (sources, coins) = (&[(source, value)], CoinSampler::default());
+        DecayBroadcast::with_schedule(params, sources, seed, coins, DecaySchedule::Truncated)
+    }
 
     fn run_to_completion<P: Protocol>(
         g: &Graph,
@@ -465,8 +361,8 @@ mod tests {
     fn truncated_completes_on_path() {
         let g = generators::path(128);
         let params = NetParams::of_graph(&g);
-        let mut p = TruncatedDecayBroadcast::single_source(params, 0, 1, 17);
-        assert!(p.truncated_depth() < p.full_depth() || params.log2_n() <= 3);
+        let mut p = truncated(params, 0, 1, 17);
+        assert_eq!(p.cycle()[..4], [1, 2, 3, 1], "depth-3 truncated rounds on a path");
         assert!(run_to_completion(&g, &mut p, |p| p.all_informed(), 400_000, 17).is_some());
     }
 
@@ -477,7 +373,7 @@ mod tests {
         // full-depth rounds handle it.
         let g = generators::barbell(40, 20);
         let params = NetParams::of_graph(&g);
-        let mut p = TruncatedDecayBroadcast::single_source(params, 0, 1, 23);
+        let mut p = truncated(params, 0, 1, 23);
         assert!(run_to_completion(&g, &mut p, |p| p.all_informed(), 400_000, 23).is_some());
     }
 
@@ -488,17 +384,14 @@ mod tests {
         // per-index sequence is untouched.
         let g = generators::path(128);
         let params = NetParams::of_graph(&g);
-        let mut batched = TruncatedDecayBroadcast::with_coin_sampler(
-            params,
-            &[(0, 42)],
-            17,
-            CoinSampler::Batched,
-        );
+        let schedule = DecaySchedule::Truncated;
+        let mut batched =
+            DecayBroadcast::with_schedule(params, &[(0, 42)], 17, CoinSampler::Batched, schedule);
         let batched_rounds = run_to_completion(&g, &mut batched, |p| p.all_informed(), 400_000, 17)
             .expect("batched sampler completes");
         assert!(g.nodes().all(|v| batched.value_of(v) == Some(42)));
         let run_default = || {
-            let mut p = TruncatedDecayBroadcast::single_source(params, 0, 42, 17);
+            let mut p = truncated(params, 0, 42, 17);
             run_to_completion(&g, &mut p, |p| p.all_informed(), 400_000, 17).expect("completes")
         };
         assert_eq!(run_default(), run_default(), "default sampler is deterministic");
@@ -506,17 +399,27 @@ mod tests {
     }
 
     #[test]
-    fn truncated_cycle_exponents_match_probabilities() {
-        // The batched sampler draws Bernoulli(2^-j) from the exponent
-        // cycle; it must describe exactly the same schedule as the float
-        // probabilities the per-index sampler uses.
-        let g = generators::barbell(40, 20);
-        let params = NetParams::of_graph(&g);
-        let p = TruncatedDecayBroadcast::single_source(params, 0, 1, 1);
-        assert_eq!(p.cycle_probs.len(), p.cycle_exponents.len());
-        for (&prob, &j) in p.cycle_probs.iter().zip(&p.cycle_exponents) {
-            assert_eq!(prob, 0.5f64.powi(j as i32), "exponent {j} vs probability {prob}");
-        }
+    fn decay_cycles_lay_out_full_and_truncated_rounds() {
+        // Full: one decay round of depth ⌈log₂ n⌉. Truncated: full_every − 1
+        // rounds of depth k = ⌈log₂(n/D)⌉ + 2 (clamped to [2, ⌈log₂ n⌉]),
+        // then one of depth max(⌈log₂ n⌉, k).
+        let cycle = |n, d, schedule| {
+            let net = NetParams::new(n, d);
+            let coins = CoinSampler::default();
+            DecayBroadcast::with_schedule(net, &[(0, 1)], 1, coins, schedule).cycle().to_vec()
+        };
+        let run = |depth: u32| (1..=depth).collect::<Vec<u32>>();
+        let (full, trunc) = (DecaySchedule::Full, DecaySchedule::Truncated);
+        // log n = 9, n/D < 2 → k = 3, full_every = ⌈9/3⌉ = 3.
+        assert_eq!(cycle(512, 511, full), run(9));
+        assert_eq!(cycle(512, 511, trunc), [run(3), run(3), run(9)].concat());
+        // log n = 7, n/D ≈ 4.3 → k = 5, full_every = ⌈7/5⌉ = 2.
+        assert_eq!(cycle(100, 23, trunc), [run(5), run(7)].concat());
+        // log n = 10, n/D = 512 → k clamps to 10, full_every floors at 2.
+        assert_eq!(cycle(1024, 2, trunc), [run(10), run(10)].concat());
+        // log n = 1: k floors at 2, so the full round deepens to k.
+        assert_eq!(cycle(2, 1, full), run(1));
+        assert_eq!(cycle(2, 1, trunc), [run(2), run(2)].concat());
     }
 
     #[test]
@@ -531,7 +434,7 @@ mod tests {
             let mut bgi = DecayBroadcast::single_source(params, 0, 1, seed);
             bgi_total +=
                 run_to_completion(&g, &mut bgi, |p| p.all_informed(), 2_000_000, seed).unwrap();
-            let mut tr = TruncatedDecayBroadcast::single_source(params, 0, 1, seed);
+            let mut tr = truncated(params, 0, 1, seed);
             trunc_total +=
                 run_to_completion(&g, &mut tr, |p| p.all_informed(), 2_000_000, seed).unwrap();
         }

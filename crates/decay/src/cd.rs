@@ -40,8 +40,11 @@ pub enum CdMsg {
     Value(u64, u32),
 }
 
-/// The beep-wave assisted layered decay protocol. See the [module
-/// docs](self).
+/// The beep-wave assisted layered decay protocol: a `D + 1`-round beep wave
+/// labels every node with its layer (distance to the nearest source), then
+/// decay rounds are time-sliced by `layer mod 3`, so a listener never hears
+/// its own layer collide with the layers it wants to hear from. It needs
+/// the collision-detection model; without it the wave stalls.
 #[derive(Debug)]
 pub struct LayeredDecayCd {
     net: NetParams,

@@ -15,12 +15,15 @@
 //!   decay-based protocol in the workspace;
 //! * [`SingleDecayRound`] — a one-round experiment protocol for measuring
 //!   Lemma 3.1 directly;
-//! * [`DecayBroadcast`] — the BGI broadcasting algorithm
-//!   (`O((D + log n)·log n)` whp), the baseline the paper's §1.3 compares
-//!   against, in its multi-source max-propagating form;
-//! * [`TruncatedDecayBroadcast`] — a truncated-decay variant exhibiting the
-//!   `O(D·log(n/D) + log² n)` complexity *shape* of Czumaj–Rytter /
-//!   Kowalski–Pelc, not their selection-sequence constructions.
+//! * [`DecayBroadcast`] — multi-source max-propagating decay broadcasting,
+//!   the baseline the paper's §1.3 compares against. Its [`DecaySchedule`]
+//!   picks the cycle of decay depths: [`DecaySchedule::Full`] is the BGI
+//!   algorithm (`O((D + log n)·log n)` whp), [`DecaySchedule::Truncated`]
+//!   a truncated-decay variant exhibiting the `O(D·log(n/D) + log² n)`
+//!   complexity *shape* of Czumaj–Rytter / Kowalski–Pelc, not their
+//!   selection-sequence constructions;
+//! * [`LayeredDecayCd`] — beep-wave assisted layered decay, which exploits
+//!   collision detection.
 //!
 //! # Example
 //!
@@ -47,7 +50,7 @@ mod family;
 mod primitive;
 mod scenario;
 
-pub use broadcast::{CoinSampler, DecayBroadcast, TruncatedDecayBroadcast};
+pub use broadcast::{CoinSampler, DecayBroadcast, DecaySchedule};
 pub use cd::{CdMsg, LayeredDecayCd};
 pub use family::{families, BroadcastCdFamily, CompeteCdFamily, DecayFamily, DecayTruncFamily};
 pub use primitive::{DecaySteps, SingleDecayRound};

@@ -1,23 +1,23 @@
 //! [`Runnable`] scenarios for the decay family: multi-source max-propagating
-//! decay broadcast, its truncated variant, and the CD-*exploiting*
+//! decay broadcast under either [`DecaySchedule`], and the CD-*exploiting*
 //! beep-wave-assisted variants (`broadcast_cd` / `compete_cd(K)`) — the
-//! building blocks measured on their own terms in campaigns (the
-//! single-source wrappers with baseline budgets live in `rn_baselines`).
+//! building blocks measured on their own terms in campaigns. At one source
+//! the decay scenario is also `rn_baselines`' `bgi` and `truncated`.
 
-use crate::broadcast::{CoinSampler, DecayBroadcast, TruncatedDecayBroadcast};
+use crate::broadcast::{CoinSampler, DecayBroadcast, DecaySchedule};
 use crate::cd::{CdMsg, LayeredDecayCd};
 use rn_graph::NodeId;
 use rn_sim::{rng, CollisionModel, Runnable, TrialCtx, TrialPool, TrialRecord, TxBuf};
 
 /// Multi-source decay broadcast with `sources` evenly spread sources holding
-/// distinct values; completes when every node is informed. `truncated`
-/// selects the truncated-decay variant.
+/// distinct values; completes when every node is informed. At one source
+/// it starts from node 0 with value 1.
 #[derive(Debug, Clone)]
 pub struct DecayScenario {
     /// Number of sources (evenly spaced over the id range, values `1..=k`).
     pub sources: usize,
-    /// Run [`TruncatedDecayBroadcast`] instead of plain [`DecayBroadcast`].
-    pub truncated: bool,
+    /// The decay rounds [`DecayBroadcast`] runs.
+    pub schedule: DecaySchedule,
     /// How trials draw their transmission coins ([`CoinSampler::PerIndex`]
     /// unless the `{coins=batched}` override selects otherwise).
     pub coins: CoinSampler,
@@ -33,7 +33,7 @@ impl DecayScenario {
         let sources = sources.max(1);
         DecayScenario {
             sources,
-            truncated: false,
+            schedule: DecaySchedule::Full,
             coins: CoinSampler::default(),
             label: format!("decay({sources})"),
         }
@@ -44,7 +44,7 @@ impl DecayScenario {
         let sources = sources.max(1);
         DecayScenario {
             sources,
-            truncated: true,
+            schedule: DecaySchedule::Truncated,
             coins: CoinSampler::default(),
             label: format!("decay_trunc({sources})"),
         }
@@ -67,14 +67,13 @@ impl DecayScenario {
     }
 }
 
-/// Per-worker reusable state behind [`DecayScenario`]'s trials:
-/// the source list, the typed transmission buffer, and one protocol of
-/// each variant (re-armed per trial via `reset`).
+/// Per-worker reusable state behind [`DecayScenario`]'s trials: the source
+/// list, the protocol (re-armed per trial via `reset`, whichever schedule
+/// the trial runs) and the typed transmission buffer.
 #[derive(Debug, Default)]
 struct DecayPool {
     sources: Vec<(NodeId, u64)>,
-    plain: Option<DecayBroadcast>,
-    trunc: Option<TruncatedDecayBroadcast>,
+    protocol: DecayBroadcast,
     tx: TxBuf<u64>,
 }
 
@@ -87,37 +86,16 @@ impl Runnable for DecayScenario {
         let (n, net, seed) = (ctx.graph().n(), ctx.net(), ctx.seed());
         let (engine, st) = pool.parts(DecayPool::default);
         self.place_sources(n, &mut st.sources);
+        let p = &mut st.protocol;
+        p.schedule = self.schedule;
+        p.reset(net, &st.sources, seed, self.coins);
         st.tx.clear();
         st.tx.reserve(n);
-        let mut sim = ctx.simulator(engine);
         let budget = net.decay_broadcast_budget();
-        if self.truncated {
-            match &mut st.trunc {
-                Some(p) => p.reset(net, &st.sources, seed, self.coins),
-                slot @ None => {
-                    *slot = Some(TruncatedDecayBroadcast::with_coin_sampler(
-                        net,
-                        &st.sources,
-                        seed,
-                        self.coins,
-                    ))
-                }
-            }
-            let p = st.trunc.as_mut().expect("slot was just filled");
-            let stats = sim.run_until_with_buf(p, &mut st.tx, budget, |_, p| p.all_informed());
-            TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-        } else {
-            match &mut st.plain {
-                Some(p) => p.reset(net, &st.sources, seed, self.coins),
-                slot @ None => {
-                    *slot =
-                        Some(DecayBroadcast::with_coin_sampler(net, &st.sources, seed, self.coins))
-                }
-            }
-            let p = st.plain.as_mut().expect("slot was just filled");
-            let stats = sim.run_until_with_buf(p, &mut st.tx, budget, |_, p| p.all_informed());
-            TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-        }
+        let stats = ctx
+            .simulator(engine)
+            .run_until_with_buf(p, &mut st.tx, budget, |_, p| p.all_informed());
+        TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
     }
 }
 

@@ -2,9 +2,15 @@
 //! connected graphs and structural invariants of the truncated schedule.
 
 use proptest::prelude::*;
-use rn_decay::{DecayBroadcast, DecaySteps, TruncatedDecayBroadcast};
+use rn_decay::{CoinSampler, DecayBroadcast, DecaySchedule, DecaySteps};
 use rn_graph::Graph;
 use rn_sim::{CollisionModel, NetParams, Simulator};
+
+/// Single-source truncated-decay broadcast of `value` from node 0.
+fn truncated(net: NetParams, value: u64, seed: u64) -> DecayBroadcast {
+    let coins = CoinSampler::default();
+    DecayBroadcast::with_schedule(net, &[(0, value)], seed, coins, DecaySchedule::Truncated)
+}
 
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
     (2usize..36).prop_flat_map(|n| {
@@ -48,7 +54,7 @@ proptest! {
         g in arb_connected_graph(), seed in any::<u64>(),
     ) {
         let net = NetParams::new(g.n(), g.diameter());
-        let mut p = TruncatedDecayBroadcast::single_source(net, 0, 9, seed);
+        let mut p = truncated(net, 9, seed);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, seed);
         sim.run_until(&mut p, 500_000, |_, p| p.all_informed());
         prop_assert!(p.all_informed(), "truncated decay stalled on n={}", g.n());
@@ -58,10 +64,24 @@ proptest! {
     fn truncated_depths_are_ordered(n in 4usize..100_000, d in 2u32..10_000) {
         prop_assume!((d as usize) < n);
         let net = NetParams::new(n, d);
-        let p = TruncatedDecayBroadcast::single_source(net, 0, 1, 0);
-        prop_assert!(p.truncated_depth() >= 2);
-        prop_assert!(p.truncated_depth() <= p.full_depth());
-        prop_assert!(p.full_round_period() >= 2);
+        // The cycle splits into decay rounds 1..=depth: at least one
+        // truncated round, all of one depth k >= 2, then a full round >= k.
+        let p = truncated(net, 1, 0);
+        let mut depths: Vec<u32> = Vec::new();
+        for &j in p.cycle() {
+            match depths.last_mut() {
+                Some(depth) if j == *depth + 1 => *depth = j,
+                _ => {
+                    prop_assert_eq!(j, 1, "each decay round starts at 2^-1");
+                    depths.push(1);
+                }
+            }
+        }
+        let (&full, trunc) = depths.split_last().expect("nonempty cycle");
+        prop_assert!(!trunc.is_empty(), "a full round at most every second round");
+        prop_assert!(trunc[0] >= 2);
+        prop_assert!(trunc.iter().all(|&k| k == trunc[0]));
+        prop_assert!(trunc[0] <= full);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! cargo run -p rn_lint -- --rules          # print the registered rule table
 //! ```
 //!
-//! The core is a hand-rolled Rust tokenizer ([`lex`]) — no syn, no dylint,
+//! The core is a hand-rolled Rust tokenizer ([`lex`](mod@lex)) — no syn, no dylint,
 //! no dependencies at all — that correctly skips line/nested-block comments,
 //! strings, raw strings, char literals and lifetimes, so the token-pattern
 //! rules in [`check`] never fire on prose or string contents. Sites that

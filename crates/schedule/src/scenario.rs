@@ -56,8 +56,10 @@ impl ScheduleOp {
 /// Default clustering parameter when the spec elides it.
 pub const DEFAULT_SCHEDULE_BETA: f64 = 0.25;
 
-/// One Downcast/Upcast pass over a fresh per-trial Partition(β). See the
-/// [module docs](self).
+/// One Downcast/Upcast pass over a fresh per-trial Partition(β). A trial
+/// completes when the pass met the simultaneous-clusters contract:
+/// downcast, every node received its own cluster's center value; upcast,
+/// every center aggregated its cluster's maximum.
 #[derive(Debug, Clone)]
 pub struct ScheduleScenario {
     /// The executor under measurement.

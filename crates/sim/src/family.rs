@@ -27,6 +27,8 @@ use crate::Runnable;
 pub enum OverrideClass {
     /// Any finite float.
     Float,
+    /// A float in `[0, 1]`.
+    Fraction,
     /// `0` or `1`.
     Flag,
     /// An integer ≥ 1.
@@ -67,6 +69,9 @@ impl OverrideSpec {
         match self.class {
             OverrideClass::Flag if value != 0.0 && value != 1.0 => {
                 Err(format!("{} is a flag: use 0 or 1", self.key))
+            }
+            OverrideClass::Fraction if !(0.0..=1.0).contains(&value) => {
+                Err(format!("{} takes a fraction in [0, 1]", self.key))
             }
             OverrideClass::Int if value < 1.0 || value.fract() != 0.0 => {
                 Err(format!("{} takes an integer ≥ 1", self.key))
@@ -219,6 +224,10 @@ mod tests {
         assert!(f.validate(0.5).is_ok());
         assert!(f.validate(f64::NAN).is_err());
         assert!(f.validate(f64::INFINITY).is_err());
+        let frac = OverrideSpec::new("j", "", OverrideClass::Fraction);
+        assert!(frac.validate(0.0).is_ok() && frac.validate(1.0).is_ok());
+        assert!(frac.validate(1.5).is_err());
+        assert!(frac.validate(-0.1).is_err());
         let flag = OverrideSpec::new("b", "", OverrideClass::Flag);
         assert!(flag.validate(0.0).is_ok() && flag.validate(1.0).is_ok());
         assert!(flag.validate(2.0).is_err());

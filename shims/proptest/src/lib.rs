@@ -3,8 +3,8 @@
 //! crates.io is unreachable in the build environment, so this crate
 //! reimplements the surface the property-test suites rely on:
 //!
-//! * the [`Strategy`] trait with `prop_map`, `prop_flat_map`, `boxed`;
-//! * range / tuple / [`Just`] / `any::<T>()` strategies;
+//! * the [`Strategy`](strategy::Strategy) trait with `prop_map`, `prop_flat_map`, `boxed`;
+//! * range / tuple / [`Just`](strategy::Just) / `any::<T>()` strategies;
 //! * [`collection::vec`] and [`collection::btree_map`];
 //! * the [`proptest!`] macro (including `#![proptest_config(..)]`),
 //!   plus `prop_assert!`, `prop_assert_eq!`, `prop_assert_ne!` and

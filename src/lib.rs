@@ -12,7 +12,7 @@
 //! * [`schedule`] — intra-cluster broadcast/convergecast schedules;
 //! * [`core`] — Compete, broadcasting and leader election (the paper);
 //! * [`baselines`] — the comparison algorithms of the paper's §1.3;
-//! * [`bench`] — the scenario registry and campaign runner (plus the
+//! * [`bench`](mod@bench) — the scenario registry and campaign runner (plus the
 //!   `experiments` binary's experiment suite).
 //!
 //! # Quickstart

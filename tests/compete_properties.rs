@@ -24,7 +24,8 @@ fn known_values_are_always_real_source_values() {
     let sources = vec![(3u32, 17u64), (77, 23), (120, 40), (60, 31)];
     let legal: Vec<u64> = sources.iter().map(|&(_, v)| v).collect();
     let pre = core::Precomputed::build(&g, net, &params, 2);
-    let mut proto = core::CompeteProtocol::new(&pre, params, &sources, 2);
+    let mut state = core::CompeteState::default();
+    let mut proto = core::CompeteProtocol::reuse(&pre, params, &sources, 2, &mut state);
     let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 2);
     for _ in 0..40 {
         sim.run(&mut proto, 250);

@@ -84,7 +84,8 @@ fn compete_survives_jamming_without_false_completion() {
     let net = NetParams::of_graph(&g);
     let params = core::CompeteParams::default();
     let pre = core::Precomputed::build(&g, net, &params, 3);
-    let mut p = core::CompeteProtocol::new(&pre, params, &[(0, 7)], 3);
+    let mut state = core::CompeteState::default();
+    let mut p = core::CompeteProtocol::reuse(&pre, params, &[(0, 7)], 3, &mut state);
     let faults = jamming(g.n(), (1..8).collect(), 0.9, 17);
     let mut simulator = Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 3, faults);
     simulator.run_until(&mut p, 200_000, |_, p| p.all_know_target());
