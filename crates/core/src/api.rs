@@ -49,7 +49,8 @@ pub struct CompeteReport {
     pub propagation_rounds: u64,
     /// Rounds charged for precomputation (see `PrecomputeMode`).
     pub charged_precompute_rounds: u64,
-    /// `propagation_rounds + charged_precompute_rounds`.
+    /// `propagation_rounds + charged_precompute_rounds`, saturating at
+    /// `u64::MAX`.
     pub total_rounds: u64,
     /// Channel statistics of the propagation phase.
     pub metrics: Metrics,
@@ -153,7 +154,7 @@ fn run_compete(
         completed: proto.all_know_target(),
         propagation_rounds: stats.rounds,
         charged_precompute_rounds: pre.charged_rounds,
-        total_rounds: stats.rounds + pre.charged_rounds,
+        total_rounds: stats.rounds.saturating_add(pre.charged_rounds),
         metrics: stats.metrics,
         target: proto.target(),
         nodes_knowing: proto.num_knowing(),

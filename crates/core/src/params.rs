@@ -165,7 +165,8 @@ impl CompeteParams {
 
     /// Number of fine clustering copies per `j`: `min(D^fine_copies_exp, cap)`.
     pub fn fine_copies(&self, net: &NetParams) -> u32 {
-        (net.d_pow(self.fine_copies_exp, 1) as u32).min(self.fine_copies_cap).max(1)
+        // Cap before narrowing: `D^fine_copies_exp` can exceed `u32::MAX`.
+        (net.d_pow(self.fine_copies_exp, 1).min(u64::from(self.fine_copies_cap)) as u32).max(1)
     }
 
     /// Sequence length `D^seq_len_exp` (≥ 1).
@@ -261,6 +262,14 @@ mod tests {
         assert!(p.seq_len(&n) >= 1);
         // D = 512: D^0.99 ≈ 482.
         assert!((p.seq_len(&n) as i64 - 482).abs() <= 2);
+    }
+
+    #[test]
+    fn copies_cap_applies_before_narrowing() {
+        // Regression: `D^fine_copies_exp` was narrowed to `u32` before the
+        // cap, so 2^32 copies truncated to 0 and ran one clustering per `j`.
+        let p = CompeteParams { fine_copies_exp: 32.0, ..CompeteParams::default() };
+        assert_eq!(p.fine_copies(&NetParams::new(3, 2)), p.fine_copies_cap);
     }
 
     #[test]

@@ -3,6 +3,7 @@ use rn_cluster::{Partition, PartitionScratch};
 use rn_graph::Graph;
 use rn_schedule::{SlotPolicy, TreeSchedule, TreeScheduleScratch};
 use rn_sim::{rng, NetParams};
+use std::num::Saturating;
 
 /// One fine clustering ready for Intra-Cluster Propagation: its partition,
 /// its tree schedule, and the curtailment geometry derived from the paper's
@@ -132,7 +133,9 @@ impl Precomputed {
         scratch: &mut PrecomputeScratch,
     ) {
         let log_n = net.log2_n() as u64;
-        let mut charged: u64 = 0;
+        // The charge saturates: a long enough sequence (`seq_len = D^seq_exp`
+        // saturates at `u64::MAX`) must not wrap it into a smaller total.
+        let mut charged = Saturating(0u64);
         self.net = net;
 
         // Step 1: coarse clustering with β = D^-0.5.
@@ -179,7 +182,8 @@ impl Precomputed {
         // the coarse schedule is charged per Lemma 2.3's k-message bound.
         self.seq_len = params.seq_len(&net);
         charged += self.coarse_sched.pass_len(self.coarse_sched.max_depth());
-        charged += self.seq_len * log_n + log_n * log_n * log_n;
+        charged += self.seq_len.saturating_mul(log_n);
+        charged += log_n * log_n * log_n;
 
         // Background process steps 1–2: global clusterings at β = D^-0.1.
         let beta_bg = params.bg_beta(&net);
@@ -203,7 +207,7 @@ impl Precomputed {
         self.bg_slot_len = self.bg.iter().map(|f| f.icp_len).max().unwrap_or(1).max(1);
 
         self.charged_rounds = match params.precompute {
-            PrecomputeMode::Charged => charged,
+            PrecomputeMode::Charged => charged.0,
             PrecomputeMode::Ignored => 0,
         };
     }
@@ -288,6 +292,18 @@ mod tests {
             1,
         );
         assert_eq!(free.charged_rounds, 0);
+    }
+
+    #[test]
+    fn charge_saturates_on_a_long_sequence() {
+        // Regression: `seq_len · log n` overflowed once `seq_len = D^seq_exp`
+        // saturated, wrapping (release) to a charge below the default's or
+        // panicking (debug).
+        let g = generators::grid(8, 8);
+        let params = CompeteParams { seq_len_exp: 40.0, ..CompeteParams::default() };
+        let pre = Precomputed::build(&g, NetParams::of_graph(&g), &params, 7);
+        assert_eq!(pre.seq_len, u64::MAX);
+        assert_eq!(pre.charged_rounds, u64::MAX);
     }
 
     #[test]

@@ -2,91 +2,30 @@ use crate::params::{CompeteParams, SequenceScope};
 use crate::precompute::{FineClustering, Precomputed};
 use rand::rngs::SmallRng;
 use rn_graph::NodeId;
-use rn_sim::{rng, Protocol, Round, TxBuf, WordBitset};
-
-/// Per-node knowledge in struct-of-arrays form: membership as one bit per
-/// node plus a dense value word, instead of a `Vec<Option<u64>>` — half the
-/// memory (8 B + 1 bit vs 16 B per node) and a branch-free value read on
-/// the propagation hot paths.
-#[derive(Debug)]
-struct KnowTable {
-    informed: WordBitset,
-    val: Vec<u64>,
-}
-
-impl KnowTable {
-    fn new(n: usize) -> KnowTable {
-        KnowTable { informed: WordBitset::new(n), val: vec![0; n] }
-    }
-
-    /// Back to all-uninformed for `n` nodes, reusing the backing storage.
-    /// Stale values behind cleared bits are unobservable (`get` gates on
-    /// the bit).
-    fn reset(&mut self, n: usize) {
-        self.informed.reset_capacity(n);
-        self.informed.clear_all();
-        if self.val.len() != n {
-            self.val.clear();
-            self.val.resize(n, 0);
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.val.len()
-    }
-
-    #[inline]
-    fn get(&self, v: NodeId) -> Option<u64> {
-        self.informed.contains(v as usize).then(|| self.val[v as usize])
-    }
-
-    /// Stores `value` for `v`; returns `true` iff `v` was previously
-    /// uninformed. Callers own the max-merge policy.
-    #[inline]
-    fn set(&mut self, v: NodeId, value: u64) -> bool {
-        self.val[v as usize] = value;
-        self.informed.set(v as usize)
-    }
-}
+use rn_sim::{rng, NodeValues, Protocol, Round, TxBuf, WordBitset};
 
 /// Messages on the channel during Compete's propagation phase. Every message
 /// names the clustering and cluster it belongs to, so receivers can filter
 /// (intra-cluster propagation is per-cluster; cross-cluster transfer happens
-/// across successive clusterings).
+/// across successive clusterings). The round a message travels in says which
+/// process sent it, and so which clustering family `clustering` indexes: the
+/// main process's fine clusterings or the background clusterings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompeteMsg {
-    /// Main-process ICP schedule transmission (Algorithm 3 over Algorithm 1's
-    /// fine clusterings).
+    /// ICP schedule transmission (Algorithm 3 over Algorithm 1's fine
+    /// clusterings or Algorithm 2's background clusterings).
     Sched {
-        /// Index into the precomputed fine clusterings.
-        fine: u32,
+        /// Index into the sending process's clusterings.
+        clustering: u32,
         /// Cluster index within that clustering.
         cluster: u32,
         /// The message value being propagated.
         value: u64,
     },
-    /// Main-process ICP background decay (Algorithm 4).
+    /// ICP background decay (Algorithm 4).
     Alg4 {
-        /// Index into the precomputed fine clusterings.
-        fine: u32,
-        /// Cluster index within that clustering.
-        cluster: u32,
-        /// The message value being propagated.
-        value: u64,
-    },
-    /// Background-process ICP schedule transmission (Algorithm 2).
-    BgSched {
-        /// Index into the background clusterings.
-        bg: u32,
-        /// Cluster index within that clustering.
-        cluster: u32,
-        /// The message value being propagated.
-        value: u64,
-    },
-    /// Background-process ICP decay (Algorithm 4 under Algorithm 2).
-    BgAlg4 {
-        /// Index into the background clusterings.
-        bg: u32,
+        /// Index into the sending process's clusterings.
+        clustering: u32,
         /// Cluster index within that clustering.
         cluster: u32,
         /// The message value being propagated.
@@ -133,13 +72,15 @@ struct Scratch {
     cur_stamp: u64,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Scratch {
+impl Default for Scratch {
+    fn default() -> Scratch {
         // Real stamps are >= 1 (slot indices offset by one), so starting at
         // 0 means "no slot written yet".
-        Scratch { has: WordBitset::new(n), val: vec![0; n], touched: Vec::new(), cur_stamp: 0 }
+        Scratch { has: WordBitset::new(0), val: Vec::new(), touched: Vec::new(), cur_stamp: 0 }
     }
+}
 
+impl Scratch {
     /// Back to the all-unset state for `n` nodes without dropping storage.
     /// Relies on the `has ⊆ touched` invariant (every set bit was pushed),
     /// so the sparse clear is exact; stale `val` entries are unobservable
@@ -190,20 +131,84 @@ impl Scratch {
     }
 }
 
-/// Per-process Algorithm 4 state: which clusters participate in the current
-/// decay block.
-#[derive(Debug, Default)]
-struct Alg4State {
-    /// `(clustering index, cluster index)` pairs participating this block.
-    participating: Vec<(u32, u32)>,
-    /// Key identifying the block the list was computed for.
-    key: Option<(u64, u64)>, // (slot-scope, block)
+/// The main process's index in [`CompeteState`]'s process pair (the
+/// background process is 1).
+const MAIN: usize = 0;
+
+/// Algorithm 4's coin salt per process.
+const ALG4_SALT: [u64; 2] = [0xF1, 0xB6];
+
+/// Process `p`'s clusterings, slot length and slot count: Algorithm 1's fine
+/// clusterings over a `seq_len`-slot sequence, or Algorithm 2's background
+/// clusterings without end.
+fn family(pre: &Precomputed, p: usize) -> (&[FineClustering], u64, u64) {
+    if p == MAIN {
+        (&pre.fines, pre.main_slot_len, pre.seq_len)
+    } else {
+        (&pre.bg, pre.bg_slot_len, u64::MAX)
+    }
 }
 
-impl Alg4State {
-    fn reset(&mut self) {
-        self.participating.clear();
-        self.key = None;
+/// One Compete process — Algorithm 1's main process or Algorithm 2's
+/// background process — running one curtailed ICP (Algorithm 3) per slot
+/// plus Algorithm 4's in-cluster decay over its clustering family.
+#[derive(Debug, Default)]
+struct Process {
+    /// Current slot, the clustering each coarse cluster chose for it, and
+    /// the distinct chosen clusterings.
+    cur_slot: Option<u64>,
+    chosen: Vec<u32>,
+    active: Vec<u32>,
+
+    /// Per-clustering count of knowing members per cluster, plus the list of
+    /// clusters that have any knowledge (grow-only).
+    knowing: Vec<Vec<u32>>,
+    live: Vec<Vec<u32>>,
+
+    /// Scratch of the three ICP passes: downcast, upcast, second downcast.
+    down: Scratch,
+    up: Scratch,
+    down2: Scratch,
+
+    /// `(clustering index, cluster index)` pairs participating in the
+    /// current Algorithm 4 block, and the `(slot, block)` key they were
+    /// drawn for.
+    alg4: Vec<(u32, u32)>,
+    alg4_key: Option<(u64, u64)>,
+}
+
+impl Process {
+    /// Back to the start-of-trial state over `clusterings` and `coarse`
+    /// coarse clusters. Per-clustering tables are re-sized to the current
+    /// cluster counts with worst-case (`n`) reservations, so cluster-count
+    /// changes between trials never reallocate.
+    fn reset(&mut self, clusterings: &[FineClustering], coarse: usize, n: usize) {
+        self.cur_slot = None;
+        self.chosen.clear();
+        self.chosen.reserve(n);
+        self.chosen.resize(coarse, 0);
+        self.active.clear();
+        self.active.reserve(clusterings.len());
+
+        self.knowing.truncate(clusterings.len());
+        self.knowing.resize_with(clusterings.len(), Vec::new);
+        self.live.truncate(clusterings.len());
+        self.live.resize_with(clusterings.len(), Vec::new);
+        for (i, f) in clusterings.iter().enumerate() {
+            self.knowing[i].clear();
+            self.knowing[i].reserve(n);
+            self.knowing[i].resize(f.partition.num_clusters(), 0);
+            self.live[i].clear();
+            self.live[i].reserve(n);
+        }
+
+        self.down.reset(n);
+        self.up.reset(n);
+        self.down2.reset(n);
+
+        self.alg4.clear();
+        self.alg4.reserve(n);
+        self.alg4_key = None;
     }
 }
 
@@ -213,37 +218,23 @@ impl Alg4State {
 /// [`CompeteState::reset`]s it to the instance, reusing every buffer. Start
 /// from `CompeteState::default()`. After the first trial on a given
 /// `(graph, params)` pair, resets perform no heap allocation.
+///
+/// The main and background processes are two instances of one process
+/// type (slot, per-coarse choices, per-cluster knowledge counts, ICP pass
+/// scratch, Algorithm 4 participation); node knowledge is one
+/// [`NodeValues`] both share.
 #[derive(Debug)]
 pub struct CompeteState {
-    know: KnowTable,
+    know: NodeValues,
     target: u64,
     num_know_target: usize,
 
-    /// Current main-process slot and the fine clustering chosen by each
-    /// coarse cluster for it.
-    cur_slot: Option<u64>,
-    chosen: Vec<u32>,
-    active_fines: Vec<u32>,
+    /// The main and background processes, indexed by the process number
+    /// the round routes to.
+    procs: [Process; 2],
 
-    /// Per-fine count of knowing members per cluster, plus the list of
-    /// clusters that have any knowledge (grow-only).
-    fine_knowing: Vec<Vec<u32>>,
-    fine_live: Vec<Vec<u32>>,
-    bg_knowing: Vec<Vec<u32>>,
-    bg_live: Vec<Vec<u32>>,
-
-    // Main ICP scratch.
-    m_down: Scratch,
-    m_up: Scratch,
-    m_down2: Scratch,
-    // Background ICP scratch.
-    b_down: Scratch,
-    b_up: Scratch,
-    b_down2: Scratch,
-
-    alg4_main: Alg4State,
-    alg4_bg: Alg4State,
-
+    /// Algorithm 4's member coins, shared by both processes and drawn in
+    /// round order.
     rng: SmallRng,
     scratch_idx: Vec<usize>,
 }
@@ -254,24 +245,10 @@ impl Default for CompeteState {
     /// instance.
     fn default() -> CompeteState {
         CompeteState {
-            know: KnowTable::new(0),
+            know: NodeValues::new(0),
             target: 0,
             num_know_target: 0,
-            cur_slot: None,
-            chosen: Vec::new(),
-            active_fines: Vec::new(),
-            fine_knowing: Vec::new(),
-            fine_live: Vec::new(),
-            bg_knowing: Vec::new(),
-            bg_live: Vec::new(),
-            m_down: Scratch::new(0),
-            m_up: Scratch::new(0),
-            m_down2: Scratch::new(0),
-            b_down: Scratch::new(0),
-            b_up: Scratch::new(0),
-            b_down2: Scratch::new(0),
-            alg4_main: Alg4State::default(),
-            alg4_bg: Alg4State::default(),
+            procs: Default::default(),
             rng: rng::rng_from_seed(0),
             scratch_idx: Vec::new(),
         }
@@ -282,9 +259,6 @@ impl CompeteState {
     /// Restores the exact start-of-trial state for a (possibly different)
     /// precompute, seed, and source set, reusing all buffers: whatever ran
     /// before, the trial is byte-identical to one from an empty shell.
-    /// Per-fine tables are re-sized to the new cluster counts with
-    /// worst-case (`n`) reservations, so steady-state resets are
-    /// allocation-free even though cluster counts vary by seed.
     ///
     /// # Panics
     ///
@@ -296,34 +270,15 @@ impl CompeteState {
         let target = sources.iter().map(|&(_, v)| v).max().expect("nonempty");
         for &(s, v) in sources {
             assert!((s as usize) < n, "source {s} out of range");
-            let merged = self.know.get(s).map_or(v, |old| old.max(v));
-            self.know.set(s, merged);
+            self.know.merge_max(s, v);
         }
         self.target = target;
         self.num_know_target =
             (0..n as NodeId).filter(|&v| self.know.get(v).is_some_and(|x| x >= target)).count();
 
-        self.cur_slot = None;
-        self.chosen.clear();
-        self.chosen.reserve(n);
-        self.chosen.resize(pre.coarse.num_clusters(), 0);
-        self.active_fines.clear();
-        self.active_fines.reserve(pre.fines.len());
-
-        reset_cluster_tables(&mut self.fine_knowing, &mut self.fine_live, &pre.fines, n);
-        reset_cluster_tables(&mut self.bg_knowing, &mut self.bg_live, &pre.bg, n);
-
-        self.m_down.reset(n);
-        self.m_up.reset(n);
-        self.m_down2.reset(n);
-        self.b_down.reset(n);
-        self.b_up.reset(n);
-        self.b_down2.reset(n);
-
-        self.alg4_main.reset();
-        self.alg4_main.participating.reserve(n);
-        self.alg4_bg.reset();
-        self.alg4_bg.participating.reserve(n);
+        for (p, proc) in self.procs.iter_mut().enumerate() {
+            proc.reset(family(pre, p).0, pre.coarse.num_clusters(), n);
+        }
 
         self.rng = rng::stream_rng(seed, 0xC0);
         self.scratch_idx.clear();
@@ -331,156 +286,129 @@ impl CompeteState {
 
         // Register initial knowledge in the per-cluster counters.
         for v in 0..n as u32 {
-            if self.know.get(v).is_some() {
+            if self.know.is_informed(v) {
                 self.register_knowing(pre, v);
             }
         }
     }
 
     fn register_knowing(&mut self, pre: &Precomputed, v: NodeId) {
-        for (fi, fine) in pre.fines.iter().enumerate() {
-            let c = fine.partition.cluster_index(v) as usize;
-            if self.fine_knowing[fi][c] == 0 {
-                self.fine_live[fi].push(c as u32);
+        for (p, proc) in self.procs.iter_mut().enumerate() {
+            for (ci, clustering) in family(pre, p).0.iter().enumerate() {
+                let c = clustering.partition.cluster_index(v) as usize;
+                if proc.knowing[ci][c] == 0 {
+                    proc.live[ci].push(c as u32);
+                }
+                proc.knowing[ci][c] += 1;
             }
-            self.fine_knowing[fi][c] += 1;
-        }
-        for (bi, bg) in pre.bg.iter().enumerate() {
-            let c = bg.partition.cluster_index(v) as usize;
-            if self.bg_knowing[bi][c] == 0 {
-                self.bg_live[bi].push(c as u32);
-            }
-            self.bg_knowing[bi][c] += 1;
         }
     }
 
     fn learn(&mut self, pre: &Precomputed, v: NodeId, value: u64) {
         let old = self.know.get(v);
-        let new = old.map_or(value, |o| o.max(value));
-        if old == Some(new) {
-            return;
-        }
-        self.know.set(v, new);
-        if old.is_none() {
+        if self.know.merge_max(v, value) {
             self.register_knowing(pre, v);
         }
-        if old.is_none_or(|o| o < self.target) && new >= self.target {
+        if old.is_none_or(|o| o < self.target) && value >= self.target {
             self.num_know_target += 1;
         }
     }
 
-    fn roll_slot(&mut self, pre: &Precomputed, params: &CompeteParams, seed: u64, slot: u64) {
-        if self.cur_slot == Some(slot) {
-            return;
-        }
-        self.cur_slot = Some(slot);
-        let nf = pre.fines.len() as u64;
-        match params.sequence_scope {
-            SequenceScope::PerCoarseCluster => {
-                for cc in 0..self.chosen.len() {
-                    let r = rng::derive(rng::derive(seed, 0xA11CE ^ cc as u64), slot);
-                    self.chosen[cc] = (r % nf) as u32;
-                }
-            }
-            SequenceScope::Global => {
-                let pick = (rng::derive(seed, 0xA11CE ^ slot) % nf) as u32;
-                for c in self.chosen.iter_mut() {
-                    *c = pick;
-                }
-            }
-        }
-        self.active_fines.clear();
-        for i in 0..self.chosen.len() {
-            let f = self.chosen[i];
-            if !self.active_fines.contains(&f) {
-                self.active_fines.push(f);
-            }
-        }
-    }
-
-    /// Executes one main-process schedule step.
-    fn main_sched_transmit(
+    /// Moves process `p` to `slot`. Each coarse cluster picks its
+    /// clustering: the main process draws from that coarse cluster's
+    /// sequence (or takes the one global pick under
+    /// [`SequenceScope::Global`]); the background process round-robins.
+    fn roll_slot(
         &mut self,
         pre: &Precomputed,
         params: &CompeteParams,
         seed: u64,
+        p: usize,
+        slot: u64,
+    ) {
+        let proc = &mut self.procs[p];
+        proc.cur_slot = Some(slot);
+        if p != MAIN {
+            proc.chosen.fill((slot % pre.bg.len() as u64) as u32);
+        } else {
+            let nf = pre.fines.len() as u64;
+            match params.sequence_scope {
+                SequenceScope::PerCoarseCluster => {
+                    for (cc, c) in proc.chosen.iter_mut().enumerate() {
+                        let r = rng::derive(rng::derive(seed, 0xA11CE ^ cc as u64), slot);
+                        *c = (r % nf) as u32;
+                    }
+                }
+                SequenceScope::Global => {
+                    proc.chosen.fill((rng::derive(seed, 0xA11CE ^ slot) % nf) as u32);
+                }
+            }
+        }
+        proc.active.clear();
+        for &f in &proc.chosen {
+            if !proc.active.contains(&f) {
+                proc.active.push(f);
+            }
+        }
+    }
+
+    /// Executes one schedule step of process `p`: the current ICP pass of
+    /// every clustering some coarse cluster chose for the slot.
+    fn sched_transmit(
+        &mut self,
+        pre: &Precomputed,
+        params: &CompeteParams,
+        seed: u64,
+        p: usize,
         step: u64,
         tx: &mut TxBuf<CompeteMsg>,
     ) {
-        let slot = step / pre.main_slot_len;
-        if slot >= pre.seq_len {
+        let (clusterings, slot_len, slots) = family(pre, p);
+        let slot = step / slot_len;
+        if slot >= slots {
             return; // sequence exhausted (Algorithm 1's fixed budget)
         }
-        let pos = step % pre.main_slot_len;
-        if pos == 0 || self.cur_slot != Some(slot) {
-            self.roll_slot(pre, params, seed, slot);
+        if self.procs[p].cur_slot != Some(slot) {
+            self.roll_slot(pre, params, seed, p, slot);
         }
-        let stamp = slot + 1;
-        for k in 0..self.active_fines.len() {
-            let fi = self.active_fines[k];
-            let fine = &pre.fines[fi as usize];
+        let (pos, stamp) = (step % slot_len, slot + 1);
+        for &ci in &self.procs[p].active {
+            let fine = &clusterings[ci as usize];
             match icp_phase(pos, fine.pass_len) {
-                Phase::Down1(p) => self.down_transmit(pre, fi, fine, p, stamp, false, false, tx),
-                Phase::Up(p) => self.up_transmit(pre, fi, fine, p, stamp, false, tx),
-                Phase::Down2(p) => self.down_transmit(pre, fi, fine, p, stamp, true, false, tx),
+                Phase::Down1(q) => self.down_transmit(pre, p, ci, fine, q, stamp, false, tx),
+                Phase::Up(q) => self.up_transmit(pre, p, ci, fine, q, stamp, tx),
+                Phase::Down2(q) => self.down_transmit(pre, p, ci, fine, q, stamp, true, tx),
                 Phase::Idle => {}
             }
         }
     }
 
-    /// Executes one background-process schedule step.
-    fn bg_sched_transmit(&mut self, pre: &Precomputed, step: u64, tx: &mut TxBuf<CompeteMsg>) {
-        let slot = step / pre.bg_slot_len;
-        let pos = step % pre.bg_slot_len;
-        let bgi = (slot % pre.bg.len() as u64) as u32;
-        let fine = &pre.bg[bgi as usize];
-        let stamp = slot + 1;
-        match icp_phase(pos, fine.pass_len) {
-            Phase::Down1(p) => self.down_transmit(pre, bgi, fine, p, stamp, false, true, tx),
-            Phase::Up(p) => self.up_transmit(pre, bgi, fine, p, stamp, true, tx),
-            Phase::Down2(p) => self.down_transmit(pre, bgi, fine, p, stamp, true, true, tx),
-            Phase::Idle => {}
-        }
-    }
-
-    /// A downcast step (`second_pass` selects the post-upcast repeat; `bg`
-    /// selects the background process structures).
+    /// A downcast step (`second_pass` selects the post-upcast repeat).
     #[allow(clippy::too_many_arguments)]
     fn down_transmit(
-        &mut self,
+        &self,
         pre: &Precomputed,
+        p: usize,
         ci: u32,
         fine: &FineClustering,
         ppos: u64,
         stamp: u64,
         second_pass: bool,
-        bg: bool,
         tx: &mut TxBuf<CompeteMsg>,
     ) {
+        let proc = &self.procs[p];
         let w = fine.schedule.window() as u64;
         let window = (ppos / w) as u32;
         let slot_in = (ppos % w) as u32;
+        let pass = if second_pass { &proc.down2 } else { &proc.down };
         for &u in fine.schedule.down_senders(window, slot_in) {
-            if !bg && self.chosen[pre.coarse_idx[u as usize] as usize] != ci {
+            if proc.chosen[pre.coarse_idx[u as usize] as usize] != ci {
                 continue;
             }
-            let value = if window == 0 {
-                self.know.get(u)
-            } else if second_pass {
-                let s = if bg { &self.b_down2 } else { &self.m_down2 };
-                s.get(u, stamp)
-            } else {
-                let s = if bg { &self.b_down } else { &self.m_down };
-                s.get(u, stamp)
-            };
+            let value = if window == 0 { self.know.get(u) } else { pass.get(u, stamp) };
             if let Some(v) = value {
                 let cluster = fine.schedule.cluster(u);
-                let msg = if bg {
-                    CompeteMsg::BgSched { bg: ci, cluster, value: v }
-                } else {
-                    CompeteMsg::Sched { fine: ci, cluster, value: v }
-                };
-                tx.send(u, msg);
+                tx.send(u, CompeteMsg::Sched { clustering: ci, cluster, value: v });
             }
         }
     }
@@ -488,15 +416,16 @@ impl CompeteState {
     /// An upcast step: deepest layers first, values aggregated via scratch.
     #[allow(clippy::too_many_arguments)]
     fn up_transmit(
-        &mut self,
+        &self,
         pre: &Precomputed,
+        p: usize,
         ci: u32,
         fine: &FineClustering,
         ppos: u64,
         stamp: u64,
-        bg: bool,
         tx: &mut TxBuf<CompeteMsg>,
     ) {
+        let proc = &self.procs[p];
         let w = fine.schedule.window() as u64;
         let window = (ppos / w) as u32;
         let slot_in = (ppos % w) as u32;
@@ -509,16 +438,14 @@ impl CompeteState {
             return; // centers do not transmit upward
         }
         for &u in fine.schedule.up_senders(depth, slot_in) {
-            if !bg && self.chosen[pre.coarse_idx[u as usize] as usize] != ci {
+            if proc.chosen[pre.coarse_idx[u as usize] as usize] != ci {
                 continue;
             }
             // Aggregated value from children plus own participation:
             // a node participates if it knows a message strictly higher than
             // what the first downcast delivered to it (Algorithm 3 step 2).
-            let up = if bg { &self.b_up } else { &self.m_up };
-            let down = if bg { &self.b_down } else { &self.m_down };
-            let aggregated = up.get(u, stamp);
-            let own = match (self.know.get(u), down.get(u, stamp)) {
+            let aggregated = proc.up.get(u, stamp);
+            let own = match (self.know.get(u), proc.down.get(u, stamp)) {
                 (Some(k), Some(d)) if k > d => Some(k),
                 (Some(k), None) => Some(k),
                 _ => None,
@@ -531,118 +458,87 @@ impl CompeteState {
             };
             if let Some(v) = value {
                 let cluster = fine.schedule.cluster(u);
-                let msg = if bg {
-                    CompeteMsg::BgSched { bg: ci, cluster, value: v }
-                } else {
-                    CompeteMsg::Sched { fine: ci, cluster, value: v }
-                };
-                tx.send(u, msg);
+                tx.send(u, CompeteMsg::Sched { clustering: ci, cluster, value: v });
             }
         }
     }
 
-    /// One Algorithm-4 decay step for the main or background process.
+    /// One Algorithm-4 decay step of process `p`.
     fn alg4_transmit(
         &mut self,
         pre: &Precomputed,
         seed: u64,
         log_n: u64,
+        p: usize,
         step: u64,
-        bg: bool,
         tx: &mut TxBuf<CompeteMsg>,
     ) {
         let block = step / log_n;
         let sblock = step % log_n;
         let i = (block % log_n) as i32 + 1;
+        let clusterings = family(pre, p).0;
+        let proc = &mut self.procs[p];
 
-        // Scope key: which clusterings are active (main: depends on slot).
-        let scope = if bg {
-            (step / pre.bg_slot_len) % pre.bg.len() as u64
-        } else {
-            self.cur_slot.unwrap_or(0)
-        };
-        let state_key = Some((scope, block));
-        let need_refresh =
-            if bg { self.alg4_bg.key != state_key } else { self.alg4_main.key != state_key };
-        if need_refresh {
+        // The participants are redrawn per block, and whenever the slot
+        // (and with it the chosen clusterings) moves.
+        let key = Some((proc.cur_slot.unwrap_or(0), block));
+        if proc.alg4_key != key {
             let p_participate = (2.0f64).powi(-i);
-            if bg {
-                let bgi = scope as u32;
-                self.alg4_bg.participating.clear();
-                for &c in &self.bg_live[bgi as usize] {
+            proc.alg4.clear();
+            for &ci in &proc.active {
+                for &c in &proc.live[ci as usize] {
+                    // Only clusters whose coarse cluster chose this
+                    // clustering take part.
+                    let center = clusterings[ci as usize].partition.centers()[c as usize];
+                    if proc.chosen[pre.coarse_idx[center as usize] as usize] != ci {
+                        continue;
+                    }
                     let coin = rng::derive(
-                        rng::derive(rng::derive(seed, 0xB6 ^ bgi as u64), c as u64),
+                        rng::derive(rng::derive(seed, ALG4_SALT[p] ^ ci as u64), c as u64),
                         block,
                     );
                     if (coin as f64 / u64::MAX as f64) < p_participate {
-                        self.alg4_bg.participating.push((bgi, c));
+                        proc.alg4.push((ci, c));
                     }
                 }
-                self.alg4_bg.key = state_key;
-            } else {
-                self.alg4_main.participating.clear();
-                for k in 0..self.active_fines.len() {
-                    let fi = self.active_fines[k];
-                    for &c in &self.fine_live[fi as usize] {
-                        // Only clusters whose coarse cluster chose this fine
-                        // clustering take part.
-                        let center = pre.fines[fi as usize].partition.centers()[c as usize];
-                        let cc = pre.coarse_idx[center as usize] as usize;
-                        if self.chosen[cc] != fi {
-                            continue;
-                        }
-                        let coin = rng::derive(
-                            rng::derive(rng::derive(seed, 0xF1 ^ fi as u64), c as u64),
-                            block,
-                        );
-                        if (coin as f64 / u64::MAX as f64) < p_participate {
-                            self.alg4_main.participating.push((fi, c));
-                        }
-                    }
-                }
-                self.alg4_main.key = state_key;
             }
+            proc.alg4_key = key;
         }
 
         let p_tx = (2.0f64).powi(-(sblock as i32 + 1));
-        let participating =
-            if bg { &self.alg4_bg.participating } else { &self.alg4_main.participating };
-        for &(ci, c) in participating {
-            let fine = if bg { &pre.bg[ci as usize] } else { &pre.fines[ci as usize] };
-            let members = fine.partition.members(c);
+        for &(ci, c) in &proc.alg4 {
+            let members = clusterings[ci as usize].partition.members(c);
             self.scratch_idx.clear();
-            bernoulli_into(&mut self.rng, members.len(), p_tx, &mut self.scratch_idx);
+            rng::bernoulli_indices(&mut self.rng, members.len(), p_tx, &mut self.scratch_idx);
             for &mi in &self.scratch_idx {
                 let u = members[mi];
                 if let Some(v) = self.know.get(u) {
-                    let msg = if bg {
-                        CompeteMsg::BgAlg4 { bg: ci, cluster: c, value: v }
-                    } else {
-                        CompeteMsg::Alg4 { fine: ci, cluster: c, value: v }
-                    };
-                    tx.send(u, msg);
+                    tx.send(u, CompeteMsg::Alg4 { clustering: ci, cluster: c, value: v });
                 }
             }
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn deliver_sched(
         &mut self,
         pre: &Precomputed,
+        p: usize,
         step: u64,
         node: NodeId,
-        fine_idx: u32,
+        ci: u32,
         cluster: u32,
         value: u64,
     ) {
-        let slot = step / pre.main_slot_len;
-        let pos = step % pre.main_slot_len;
-        // The receiver must currently be using the same fine clustering.
+        let (clusterings, slot_len, _) = family(pre, p);
+        let slot = step / slot_len;
+        let proc = &mut self.procs[p];
+        // The receiver must currently be using the same clustering.
         let cc = pre.coarse_idx[node as usize] as usize;
-        if self.cur_slot != Some(slot) || self.chosen[cc] != fine_idx {
+        if proc.cur_slot != Some(slot) || proc.chosen[cc] != ci {
             return;
         }
-        let fine = &pre.fines[fine_idx as usize];
+        let fine = &clusterings[ci as usize];
         if fine.schedule.cluster(node) != cluster {
             return;
         }
@@ -650,67 +546,13 @@ impl CompeteState {
             return; // curtailment
         }
         let stamp = slot + 1;
-        match icp_phase(pos, fine.pass_len) {
-            Phase::Down1(_) => self.m_down.merge_max(node, stamp, value),
-            Phase::Up(_) => self.m_up.merge_max(node, stamp, value),
-            Phase::Down2(_) => self.m_down2.merge_max(node, stamp, value),
+        match icp_phase(step % slot_len, fine.pass_len) {
+            Phase::Down1(_) => proc.down.merge_max(node, stamp, value),
+            Phase::Up(_) => proc.up.merge_max(node, stamp, value),
+            Phase::Down2(_) => proc.down2.merge_max(node, stamp, value),
             Phase::Idle => return,
         }
         self.learn(pre, node, value);
-    }
-
-    fn deliver_bg_sched(
-        &mut self,
-        pre: &Precomputed,
-        step: u64,
-        node: NodeId,
-        bgi: u32,
-        cluster: u32,
-        value: u64,
-    ) {
-        let slot = step / pre.bg_slot_len;
-        let pos = step % pre.bg_slot_len;
-        if (slot % pre.bg.len() as u64) as u32 != bgi {
-            return;
-        }
-        let fine = &pre.bg[bgi as usize];
-        if fine.schedule.cluster(node) != cluster {
-            return;
-        }
-        if fine.schedule.depth(node) > fine.radius {
-            return;
-        }
-        let stamp = slot + 1;
-        match icp_phase(pos, fine.pass_len) {
-            Phase::Down1(_) => self.b_down.merge_max(node, stamp, value),
-            Phase::Up(_) => self.b_up.merge_max(node, stamp, value),
-            Phase::Down2(_) => self.b_down2.merge_max(node, stamp, value),
-            Phase::Idle => return,
-        }
-        self.learn(pre, node, value);
-    }
-}
-
-/// Re-sizes the per-clustering `(knowing counts, live lists)` tables to the
-/// current cluster counts, reusing inner buffers with worst-case (`n`)
-/// reservations so cluster-count changes between trials never reallocate.
-fn reset_cluster_tables(
-    knowing: &mut Vec<Vec<u32>>,
-    live: &mut Vec<Vec<u32>>,
-    fines: &[FineClustering],
-    n: usize,
-) {
-    knowing.truncate(fines.len());
-    knowing.resize_with(fines.len(), Vec::new);
-    live.truncate(fines.len());
-    live.resize_with(fines.len(), Vec::new);
-    for (i, f) in fines.iter().enumerate() {
-        let k = f.partition.num_clusters();
-        knowing[i].clear();
-        knowing[i].reserve(n);
-        knowing[i].resize(k, 0);
-        live[i].clear();
-        live[i].reserve(n);
     }
 }
 
@@ -725,6 +567,12 @@ fn reset_cluster_tables(
 ///   fine clusterings (Algorithm 1 steps 5–7), executing one curtailed ICP
 ///   (down/up/down, Algorithm 3) per sequence element;
 /// * the background process round-robins over its global clusterings.
+///
+/// Both processes are one process type run twice, differing only in data:
+/// clusterings, slot length and count, the per-slot choice, and the
+/// Algorithm 4 coin salt. The round decides which process runs, and so
+/// which clustering family a [`CompeteMsg`]'s `clustering` index refers
+/// to; every step has one implementation.
 ///
 /// The per-node state is the highest message known (`know`); completion is
 /// every node knowing the highest source message. All of that mutable state
@@ -765,7 +613,7 @@ impl<'p> CompeteProtocol<'p> {
 
     /// Whether every node knows the highest source message.
     pub fn all_know_target(&self) -> bool {
-        self.st.num_know_target == self.st.know.n()
+        self.st.num_know_target == self.st.know.len()
     }
 
     /// Number of nodes that know the highest source message.
@@ -778,74 +626,54 @@ impl<'p> CompeteProtocol<'p> {
         self.st.target
     }
 
-    /// Routes a protocol-local round to (stream, kind, step).
-    /// stream: 0 = main, 1 = background; kind: 0 = schedule, 1 = Alg-4 decay.
-    fn route(&self, m: Round) -> (u8, u8, u64) {
-        let (stream, sub) =
-            if self.params.background_process { ((m % 2) as u8, m / 2) } else { (0u8, m) };
-        let (kind, step) =
-            if self.params.icp_background { ((sub % 2) as u8, sub / 2) } else { (0u8, sub) };
-        (stream, kind, step)
+    /// Routes a protocol-local round to (process, Alg-4?, step).
+    /// process: 0 = main, 1 = background; Alg-4?: false = schedule, true =
+    /// Algorithm 4 decay.
+    fn route(&self, m: Round) -> (usize, bool, u64) {
+        let (p, sub) =
+            if self.params.background_process { ((m % 2) as usize, m / 2) } else { (MAIN, m) };
+        let (alg4, step) =
+            if self.params.icp_background { (sub % 2 == 1, sub / 2) } else { (false, sub) };
+        (p, alg4, step)
     }
-}
-
-/// `bernoulli_indices` over `usize` output (local alias to keep call sites
-/// short).
-fn bernoulli_into(rng: &mut SmallRng, k: usize, p: f64, out: &mut Vec<usize>) {
-    rn_sim::rng::bernoulli_indices(rng, k, p, out);
 }
 
 impl Protocol for CompeteProtocol<'_> {
     type Msg = CompeteMsg;
 
     fn transmit(&mut self, round: Round, tx: &mut TxBuf<CompeteMsg>) {
-        let (stream, kind, step) = self.route(round);
-        let (pre, params, seed, log_n) = (self.pre, &self.params, self.seed, self.log_n);
-        let st = &mut *self.st;
-        match (stream, kind) {
-            (0, 0) => st.main_sched_transmit(pre, params, seed, step, tx),
-            (0, 1) => st.alg4_transmit(pre, seed, log_n, step, false, tx),
-            (1, 0) => st.bg_sched_transmit(pre, step, tx),
-            (1, 1) => st.alg4_transmit(pre, seed, log_n, step, true, tx),
-            _ => unreachable!(),
+        let (p, alg4, step) = self.route(round);
+        let (pre, seed) = (self.pre, self.seed);
+        if alg4 {
+            self.st.alg4_transmit(pre, seed, self.log_n, p, step, tx);
+        } else {
+            self.st.sched_transmit(pre, &self.params, seed, p, step, tx);
         }
     }
 
     fn deliver(&mut self, round: Round, node: NodeId, _from: NodeId, msg: &CompeteMsg) {
-        let (stream, kind, step) = self.route(round);
-        let (pre, accept_foreign) = (self.pre, self.params.alg4_accept_foreign);
-        let st = &mut *self.st;
-        match (msg, stream, kind) {
-            (&CompeteMsg::Sched { fine, cluster, value }, 0, 0) => {
-                st.deliver_sched(pre, step, node, fine, cluster, value)
+        let (p, alg4, step) = self.route(round);
+        let pre = self.pre;
+        match (*msg, alg4) {
+            (CompeteMsg::Sched { clustering, cluster, value }, false) => {
+                self.st.deliver_sched(pre, p, step, node, clustering, cluster, value)
             }
-            (&CompeteMsg::Alg4 { fine, cluster, value }, 0, 1) => {
+            (CompeteMsg::Alg4 { clustering, cluster, value }, true) => {
                 // Accept if the node's coarse cluster currently uses this
                 // clustering and the cluster matches — or unconditionally
                 // when foreign values are merged (they are true source
                 // messages; see `CompeteParams::alg4_accept_foreign`).
                 let cc = pre.coarse_idx[node as usize] as usize;
-                if accept_foreign
-                    || (st.chosen[cc] == fine
-                        && pre.fines[fine as usize].partition.cluster_index(node) == cluster)
+                if self.params.alg4_accept_foreign
+                    || (self.st.procs[p].chosen[cc] == clustering
+                        && family(pre, p).0[clustering as usize].partition.cluster_index(node)
+                            == cluster)
                 {
-                    st.learn(pre, node, value);
+                    self.st.learn(pre, node, value);
                 }
             }
-            (&CompeteMsg::BgSched { bg, cluster, value }, 1, 0) => {
-                st.deliver_bg_sched(pre, step, node, bg, cluster, value)
-            }
-            (&CompeteMsg::BgAlg4 { bg, cluster, value }, 1, 1) => {
-                let slot = step / pre.bg_slot_len;
-                if accept_foreign
-                    || ((slot % pre.bg.len() as u64) as u32 == bg
-                        && pre.bg[bg as usize].partition.cluster_index(node) == cluster)
-                {
-                    st.learn(pre, node, value);
-                }
-            }
-            // Message type arriving on the wrong parity: the transmission
-            // was triggered by the matching stream, so this cannot happen.
+            // Message kind arriving on the wrong sub-round: the transmission
+            // was triggered by the matching kind, so this cannot happen.
             _ => {}
         }
     }
