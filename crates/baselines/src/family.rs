@@ -1,71 +1,53 @@
 //! [`ProtocolFamily`] registrations for the comparator algorithms: `bgi`,
 //! `truncated` and `binsearch_le(PROBE)`.
+//!
+//! `bgi` and `truncated` differ only in their [`DecaySchedule`], so they
+//! are `static` values of one [`DecayBaselineFamily`].
 
 use crate::binary_search::BroadcastKind;
 use crate::scenario::BinarySearchLeScenario;
-use rn_decay::{CoinSampler, DecayScenario};
-use rn_sim::family::{reject_args, ParsedArgs, ProtocolFamily};
-use rn_sim::Runnable;
+use rn_decay::{DecayScenario, DecaySchedule};
+use rn_sim::family::{ParsedArgs, ProtocolFamily};
+use rn_sim::{OverrideSpec, Runnable};
 
-/// `bgi` — BGI'92 decay broadcast baseline: `decay(1)`, whose one source
-/// is node 0 with value 1.
-pub struct BgiFamily;
-
-impl ProtocolFamily for BgiFamily {
-    fn name(&self) -> &'static str {
-        "bgi"
-    }
-
-    fn grammar(&self) -> &'static str {
-        "bgi"
-    }
-
-    fn about(&self) -> &'static str {
-        "BGI'92 decay broadcast baseline"
-    }
-
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        reject_args(self.name(), args)
-    }
-
-    fn instantiate(
-        &self,
-        _args: Option<&str>,
-        _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        label: &str,
-    ) -> Box<dyn Runnable> {
-        Box::new(DecayScenario::new(1).with_coins(CoinSampler::default(), label))
-    }
+/// A §1.3 decay broadcast baseline: `rn_decay`'s [`DecayScenario`] at one
+/// source — node 0 with value 1 — under one [`DecaySchedule`]. [`BGI`] and
+/// [`TRUNCATED`] are its values.
+pub struct DecayBaselineFamily {
+    name: &'static str,
+    about: &'static str,
+    schedule: DecaySchedule,
 }
 
-/// `truncated` — CR/KP-style truncated decay baseline: `decay_trunc(1)`,
-/// whose one source is node 0 with value 1.
-pub struct TruncatedFamily;
+/// `bgi` — BGI'92 decay broadcast baseline: `decay(1)`.
+pub static BGI: DecayBaselineFamily = DecayBaselineFamily {
+    name: "bgi",
+    about: "BGI'92 decay broadcast baseline",
+    schedule: DecaySchedule::Full,
+};
 
-impl ProtocolFamily for TruncatedFamily {
+/// `truncated` — CR/KP-style truncated decay baseline: `decay_trunc(1)`.
+pub static TRUNCATED: DecayBaselineFamily = DecayBaselineFamily {
+    name: "truncated",
+    about: "CR/KP-style truncated decay baseline",
+    schedule: DecaySchedule::Truncated,
+};
+
+impl ProtocolFamily for DecayBaselineFamily {
     fn name(&self) -> &'static str {
-        "truncated"
-    }
-
-    fn grammar(&self) -> &'static str {
-        "truncated"
+        self.name
     }
 
     fn about(&self) -> &'static str {
-        "CR/KP-style truncated decay baseline"
-    }
-
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        reject_args(self.name(), args)
+        self.about
     }
 
     fn instantiate(
         &self,
         _args: Option<&str>,
-        _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        label: &str,
+        _overrides: &[(&'static OverrideSpec, f64)],
     ) -> Box<dyn Runnable> {
-        Box::new(DecayScenario::truncated(1).with_coins(CoinSampler::default(), label))
+        Box::new(DecayScenario::new(1, self.schedule))
     }
 }
 
@@ -115,8 +97,7 @@ impl ProtocolFamily for BinsearchLeFamily {
     fn instantiate(
         &self,
         args: Option<&str>,
-        _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        _label: &str,
+        _overrides: &[(&'static OverrideSpec, f64)],
     ) -> Box<dyn Runnable> {
         let kind = self.probe(args).expect("canonical binsearch_le probe");
         Box::new(BinarySearchLeScenario { kind })
@@ -125,7 +106,7 @@ impl ProtocolFamily for BinsearchLeFamily {
 
 /// The protocol families this crate contributes to the registry.
 pub fn families() -> Vec<&'static dyn ProtocolFamily> {
-    vec![&BgiFamily, &TruncatedFamily, &BinsearchLeFamily]
+    vec![&BGI, &TRUNCATED, &BinsearchLeFamily]
 }
 
 #[cfg(test)]
@@ -138,14 +119,11 @@ mod tests {
         for probe in ["bgi", "cd17", "beep"] {
             let p = f.parse_args(Some(probe)).expect("parses");
             assert_eq!(p.canonical.as_deref(), Some(probe));
-            let label = format!("binsearch_le({probe})");
-            let r = f.instantiate(Some(probe), &[], &label);
-            assert_eq!(r.name(), label, "Runnable name matches the spec");
         }
         assert!(f.parse_args(None).is_err());
         assert!(f.parse_args(Some("zz")).is_err());
-        assert!(BgiFamily.parse_args(Some("1")).is_err());
-        assert_eq!(BgiFamily.instantiate(None, &[], "bgi").name(), "bgi");
-        assert_eq!(TruncatedFamily.instantiate(None, &[], "truncated").name(), "truncated");
+        assert!(BGI.parse_args(Some("1")).is_err());
+        assert_eq!((BGI.name(), BGI.grammar()), ("bgi", "bgi"));
+        assert_eq!(TRUNCATED.name(), "truncated");
     }
 }

@@ -30,5 +30,5 @@ mod scenario;
 pub use beep::BeepWave;
 pub use binary_search::{binary_search_leader_election, BinarySearchLeReport, BroadcastKind};
 pub use broadcasts::{bgi_broadcast, truncated_broadcast, BroadcastOutcome};
-pub use family::{families, BgiFamily, BinsearchLeFamily, TruncatedFamily};
+pub use family::{families, BinsearchLeFamily, DecayBaselineFamily, BGI, TRUNCATED};
 pub use scenario::BinarySearchLeScenario;

@@ -21,22 +21,7 @@ pub struct BinarySearchLeScenario {
     pub kind: BroadcastKind,
 }
 
-impl BinarySearchLeScenario {
-    /// Registry name suffix for the probe kind.
-    fn kind_name(&self) -> &'static str {
-        match self.kind {
-            BroadcastKind::Bgi => "bgi",
-            BroadcastKind::CzumajDavies => "cd17",
-            BroadcastKind::BeepWaveCd => "beep",
-        }
-    }
-}
-
 impl Runnable for BinarySearchLeScenario {
-    fn name(&self) -> String {
-        format!("binsearch_le({})", self.kind_name())
-    }
-
     fn effective_model(&self, _requested: CollisionModel) -> CollisionModel {
         match self.kind {
             BroadcastKind::BeepWaveCd => CollisionModel::CollisionDetection,
@@ -63,17 +48,14 @@ impl Runnable for BinarySearchLeScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::{BgiFamily, TruncatedFamily};
+    use crate::family::{BGI, TRUNCATED};
     use rn_graph::{generators, Graph};
     use rn_sim::family::ProtocolFamily;
     use rn_sim::{FaultPlan, NetParams};
 
-    /// The registered `bgi` and `truncated` runnables.
-    fn decay_baselines() -> [Box<dyn Runnable>; 2] {
-        [
-            BgiFamily.instantiate(None, &[], "bgi"),
-            TruncatedFamily.instantiate(None, &[], "truncated"),
-        ]
+    /// The registered `bgi` and `truncated` runnables, by name.
+    fn decay_baselines() -> [(&'static str, Box<dyn Runnable>); 2] {
+        [&BGI, &TRUNCATED].map(|f| (f.name(), f.instantiate(None, &[])))
     }
 
     /// One `nocd` trial under `plan` on a throwaway pool.
@@ -88,9 +70,9 @@ mod tests {
         let g = generators::grid(8, 8);
         let beep: Box<dyn Runnable> =
             Box::new(BinarySearchLeScenario { kind: BroadcastKind::BeepWaveCd });
-        for s in decay_baselines().into_iter().chain([beep]) {
+        for (name, s) in decay_baselines().into_iter().chain([("binsearch_le(beep)", beep)]) {
             let r = faulted(s.as_ref(), &g, 5, &FaultPlan::none());
-            assert!(r.completed, "{} must complete on grid-8x8", s.name());
+            assert!(r.completed, "{name} must complete on grid-8x8");
             assert!(r.rounds > 0);
         }
     }
@@ -110,7 +92,7 @@ mod tests {
             );
         }
         // Plain scenarios honor the request (trait default).
-        let [bgi, _] = decay_baselines();
+        let [(_, bgi), _] = decay_baselines();
         assert_eq!(
             bgi.effective_model(CollisionModel::CollisionDetection),
             CollisionModel::CollisionDetection
@@ -124,25 +106,21 @@ mod tests {
         // total jamming no broadcast can complete.
         let g = generators::grid(6, 6);
         let jam_all = FaultPlan::jam(36, 1.0);
-        for s in decay_baselines() {
+        for (name, s) in decay_baselines() {
             let r = faulted(s.as_ref(), &g, 7, &jam_all);
-            assert!(!r.completed, "{}: no false completion under total jamming", s.name());
+            assert!(!r.completed, "{name}: no false completion under total jamming");
             // Mild dropout still runs, deterministically.
             let plan = FaultPlan::drop(0.05);
             let (a, b) = (faulted(s.as_ref(), &g, 7, &plan), faulted(s.as_ref(), &g, 7, &plan));
-            assert_eq!(a, b, "{}: faulted trials are seed-deterministic", s.name());
+            assert_eq!(a, b, "{name}: faulted trials are seed-deterministic");
         }
     }
 
     #[test]
     fn scenario_names_are_stable() {
-        let [bgi, truncated] = decay_baselines();
-        assert_eq!(bgi.name(), "bgi");
-        assert_eq!(truncated.name(), "truncated");
-        assert_eq!(BinarySearchLeScenario { kind: BroadcastKind::Bgi }.name(), "binsearch_le(bgi)");
-        assert_eq!(
-            BinarySearchLeScenario { kind: BroadcastKind::CzumajDavies }.name(),
-            "binsearch_le(cd17)"
-        );
+        // Scenarios carry no name: the registry names them by family, in
+        // this crate's listing order.
+        let names: Vec<&str> = crate::family::families().iter().map(|f| f.name()).collect();
+        assert_eq!(names, ["bgi", "truncated", "binsearch_le"]);
     }
 }

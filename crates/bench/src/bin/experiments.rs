@@ -19,9 +19,10 @@
 //!   preset;
 //! * `--trials N` — trials per campaign cell (a positive integer; default
 //!   10 for `--scenario`, the preset's own count otherwise);
-//! * `--threads N` — campaign worker-thread budget (default: the
-//!   `RN_BENCH_THREADS` env var, else available parallelism capped at 16);
-//!   results are byte-identical for any value;
+//! * `--threads N` — worker-thread budget of campaigns and table
+//!   experiments alike (default: the `RN_BENCH_THREADS` env var, else
+//!   available parallelism capped at 16); results are byte-identical for
+//!   any value;
 //! * `--faults SPEC` — replace a campaign target's fault axis with one plan
 //!   (`jam(K,P)`, `drop(P)`, `jam(K,P)!drop(P)` or `none`);
 //! * `--json PATH` — additionally stream the campaign's versioned JSON
@@ -220,7 +221,7 @@ fn run_presets(args: &Args) {
         let t0 = Instant::now();
         match preset.kind {
             PresetKind::Tables(run) => {
-                for t in run(args.seed) {
+                for t in run(args.seed, executor::resolve_threads(args.threads)) {
                     t.print();
                 }
             }

@@ -22,7 +22,7 @@
 //! [`crate::json`] writer, so the same `(campaign, seed)` pair always
 //! produces a byte-identical results file.
 
-use crate::executor;
+use crate::executor::{self, ExecOptions};
 use crate::harness::Table;
 use crate::json::Json;
 use crate::registry::{model_name, ProtocolSpec, ScenarioSpec};
@@ -200,10 +200,10 @@ impl Campaign {
     /// semantics apply to every protocol uniformly.
     ///
     /// To stream cells to a sink instead of collecting them (bounded
-    /// memory), use [`crate::executor::execute`] directly.
+    /// memory), use [`crate::executor::execute_with`] directly.
     pub fn run_with_threads(&self, master_seed: u64, threads: usize) -> CampaignResult {
         let mut sink = MemorySink::new();
-        executor::execute(self, master_seed, threads, &mut sink)
+        executor::execute_with(self, master_seed, threads, &mut sink, ExecOptions::default())
             .expect("the in-memory sink cannot fail");
         sink.into_result()
     }

@@ -89,8 +89,8 @@ pub struct DiffRow {
     pub new_p95: Option<f64>,
     /// Baseline `elapsed_ms` annotation, when the file has one.
     /// **Informational by default** — wall-clock is machine-dependent, so
-    /// it only gates when the caller opts in via [`diff_results_gated`]'s
-    /// time-gate percentage (the scale lane, where machine and scenario are
+    /// it only gates when the caller opts in via
+    /// [`DiffOptions::time_gate_pct`] (the scale lane, where machine and scenario are
     /// pinned); perf regressions elsewhere are caught by the criterion
     /// scale suite.
     pub base_elapsed_ms: Option<u64>,
@@ -271,45 +271,22 @@ fn extract(doc: &Json) -> Result<(String, Vec<CellNums>), String> {
     Ok((id, out))
 }
 
-/// Compares `base` and `new` (parsed results documents) under a `sigma`
-/// noise multiplier, with elapsed time informational only.
+/// Compares `base` and `new` (parsed results documents) under the noise
+/// multiplier and opt-in gates of `options`; [`DiffOptions::default`] is
+/// the plain informational diff.
+///
+/// When [`DiffOptions::time_gate_pct`] is `Some(pct)`, a matched cell whose
+/// `elapsed_ms` grew by more than `pct` percent over the baseline counts as
+/// [`DiffStatus::Regressed`] even if its rounds are within noise. The p95
+/// gate mirrors it: a matched cell whose rounds p95 grew by more than
+/// [`DiffOptions::p95_gate_pct`] percent counts as regressed. Cells
+/// missing `elapsed_ms` (or p95) on either side are never gated on it —
+/// there is nothing to judge — and the round gate still applies to them.
 ///
 /// # Errors
 ///
 /// A schema-validation message if either document is not a well-formed
 /// `rn-bench-results/v1` file, or a description of duplicate cell keys.
-pub fn diff_results(base: &Json, new: &Json, sigma: f64) -> Result<DiffReport, String> {
-    diff_results_gated(base, new, sigma, None)
-}
-
-/// [`diff_results`] with an opt-in wall-clock gate: when `time_gate_pct` is
-/// `Some(pct)`, a matched cell whose `elapsed_ms` grew by more than `pct`
-/// percent over the baseline counts as [`DiffStatus::Regressed`] even if
-/// its rounds are within noise. Cells missing `elapsed_ms` on either side
-/// are never time-gated (there is nothing to judge) — the round gate still
-/// applies to them as usual.
-///
-/// # Errors
-///
-/// Same conditions as [`diff_results`].
-pub fn diff_results_gated(
-    base: &Json,
-    new: &Json,
-    sigma: f64,
-    time_gate_pct: Option<f64>,
-) -> Result<DiffReport, String> {
-    diff_results_with(base, new, DiffOptions { sigma, time_gate_pct, ..DiffOptions::default() })
-}
-
-/// The full-option diff: [`diff_results`] plus both opt-in gates. The p95
-/// gate mirrors the time gate — a matched cell whose rounds p95 grew by
-/// more than [`DiffOptions::p95_gate_pct`] percent counts as
-/// [`DiffStatus::Regressed`]; cells missing p95 on either side (files
-/// predating the quantile fields) are never p95-gated.
-///
-/// # Errors
-///
-/// Same conditions as [`diff_results`].
 pub fn diff_results_with(
     base: &Json,
     new: &Json,
@@ -409,6 +386,10 @@ pub fn diff_results_with(
 mod tests {
     use super::*;
 
+    /// The plain diff plus a 10 % wall-clock gate.
+    const TIME_GATE_10: DiffOptions =
+        DiffOptions { sigma: DEFAULT_SIGMA, time_gate_pct: Some(10.0), p95_gate_pct: None };
+
     /// A minimal schema-valid document with one tweakable cell.
     fn doc(mean: f64, stddev: f64, trials: u64, protocol: &str) -> String {
         format!(
@@ -423,7 +404,7 @@ mod tests {
     #[test]
     fn identical_files_report_zero_regressions() {
         let a = parse(&doc(100.0, 5.0, 10, "bgi"));
-        let r = diff_results(&a, &a, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&a, &a, DiffOptions::default()).expect("diffs");
         assert!(!r.has_regressions());
         assert_eq!(r.count(DiffStatus::WithinNoise), 1);
         assert!(r.to_markdown().contains("PASS"), "{}", r.to_markdown());
@@ -434,13 +415,13 @@ mod tests {
         // band = 3·sqrt(25/10 + 25/10) ≈ 6.7; a +50 move is far outside.
         let a = parse(&doc(100.0, 5.0, 10, "bgi"));
         let b = parse(&doc(150.0, 5.0, 10, "bgi"));
-        let r = diff_results(&a, &b, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&a, &b, DiffOptions::default()).expect("diffs");
         assert!(r.has_regressions());
         assert_eq!(r.rows[0].status, DiffStatus::Regressed);
         assert_eq!(r.rows[0].delta(), Some(50.0));
         assert!(r.to_markdown().contains("REGRESSED"));
         // The same move downward is an improvement, not a failure.
-        let r = diff_results(&b, &a, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&b, &a, DiffOptions::default()).expect("diffs");
         assert!(!r.has_regressions());
         assert_eq!(r.rows[0].status, DiffStatus::Improved);
     }
@@ -450,20 +431,22 @@ mod tests {
         // +4 against a ±6.7 band: noise.
         let a = parse(&doc(100.0, 5.0, 10, "bgi"));
         let b = parse(&doc(104.0, 5.0, 10, "bgi"));
-        let r = diff_results(&a, &b, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&a, &b, DiffOptions::default()).expect("diffs");
         assert_eq!(r.rows[0].status, DiffStatus::WithinNoise);
         // stddev 0 (deterministic cells or pre-stddev files): any upward
         // movement is out of band.
         let a = parse(&doc(100.0, 0.0, 10, "bgi"));
         let b = parse(&doc(100.5, 0.0, 10, "bgi"));
-        assert!(diff_results(&a, &b, DEFAULT_SIGMA).expect("diffs").has_regressions());
+        assert!(diff_results_with(&a, &b, DiffOptions::default())
+            .expect("diffs")
+            .has_regressions());
     }
 
     #[test]
     fn missing_cells_fail_and_new_cells_inform() {
         let a = parse(&doc(100.0, 5.0, 10, "bgi"));
         let b = parse(&doc(100.0, 5.0, 10, "truncated"));
-        let r = diff_results(&a, &b, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&a, &b, DiffOptions::default()).expect("diffs");
         assert!(r.has_regressions(), "losing a baseline cell must fail the gate");
         assert_eq!(r.count(DiffStatus::MissingInNew), 1);
         assert_eq!(r.count(DiffStatus::NewOnly), 1);
@@ -477,7 +460,7 @@ mod tests {
         let old = doc(100.0, 0.0, 10, "bgi").replace(",\"stddev\":0}", "}");
         assert!(!old.contains("stddev"));
         let a = parse(&old);
-        let r = diff_results(&a, &a, DEFAULT_SIGMA).expect("old schema diffs");
+        let r = diff_results_with(&a, &a, DiffOptions::default()).expect("old schema diffs");
         assert!(!r.has_regressions());
         assert_eq!(r.rows[0].noise, 0.0);
     }
@@ -491,14 +474,14 @@ mod tests {
             .replace("\"stddev\":0}}]}", "\"stddev\":0},\"elapsed_ms\":52100}]}");
         let b = parse(&timed);
         assert!(b.get("cells").unwrap().as_arr().unwrap()[0].get("elapsed_ms").is_some());
-        let r = diff_results(&a, &b, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&a, &b, DiffOptions::default()).expect("diffs");
         assert!(!r.has_regressions());
         assert_eq!(r.rows[0].base_elapsed_ms, None);
         assert_eq!(r.rows[0].new_elapsed_ms, Some(52100));
         let md = r.to_markdown();
         assert!(md.contains("- → 52100"), "{md}");
         // Both sides timed: rendered as base → new.
-        let r = diff_results(&b, &b, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&b, &b, DiffOptions::default()).expect("diffs");
         assert!(r.to_markdown().contains("52100 → 52100"));
     }
 
@@ -512,14 +495,12 @@ mod tests {
 
     #[test]
     fn time_gate_passes_growth_within_the_percentage() {
-        let r = diff_results_gated(&timed_doc(1000), &timed_doc(1040), DEFAULT_SIGMA, Some(10.0))
-            .expect("diffs");
+        let r = diff_results_with(&timed_doc(1000), &timed_doc(1040), TIME_GATE_10).expect("diffs");
         assert!(!r.has_regressions(), "+4% elapsed is inside a 10% gate");
         assert_eq!(r.rows[0].status, DiffStatus::WithinNoise);
         assert!(r.to_markdown().contains("elapsed-ms gate +10%"), "{}", r.to_markdown());
         // Exactly at the threshold is still a pass (the gate is strict >).
-        let r = diff_results_gated(&timed_doc(1000), &timed_doc(1100), DEFAULT_SIGMA, Some(10.0))
-            .expect("diffs");
+        let r = diff_results_with(&timed_doc(1000), &timed_doc(1100), TIME_GATE_10).expect("diffs");
         assert!(!r.has_regressions());
     }
 
@@ -528,11 +509,11 @@ mod tests {
         let base = timed_doc(1000);
         let slow = timed_doc(1200);
         // Without the gate the same pair passes (informational default).
-        let r = diff_results(&base, &slow, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&base, &slow, DiffOptions::default()).expect("diffs");
         assert!(!r.has_regressions(), "default stays informational");
         // With a 10% gate, +20% wall-clock is a regression even though the
         // round counts are identical.
-        let r = diff_results_gated(&base, &slow, DEFAULT_SIGMA, Some(10.0)).expect("diffs");
+        let r = diff_results_with(&base, &slow, TIME_GATE_10).expect("diffs");
         assert!(r.has_regressions());
         assert_eq!(r.rows[0].status, DiffStatus::Regressed);
         assert!(r.to_markdown().contains("FAIL"), "{}", r.to_markdown());
@@ -542,7 +523,7 @@ mod tests {
     fn time_gate_ignores_cells_missing_elapsed_on_either_side() {
         let untimed = parse(&doc(100.0, 5.0, 10, "bgi"));
         for (a, b) in [(&untimed, &timed_doc(9999)), (&timed_doc(9999), &untimed)] {
-            let r = diff_results_gated(a, b, DEFAULT_SIGMA, Some(10.0)).expect("diffs");
+            let r = diff_results_with(a, b, TIME_GATE_10).expect("diffs");
             assert!(!r.has_regressions(), "absent elapsed_ms cannot be judged");
             assert_eq!(r.rows[0].status, DiffStatus::WithinNoise);
         }
@@ -562,7 +543,7 @@ mod tests {
         let heavy_tail = quantile_doc(150.0);
         // Without the gate the same pair passes: quantiles are
         // informational by default, and the means are identical.
-        let r = diff_results(&base, &heavy_tail, DEFAULT_SIGMA).expect("diffs");
+        let r = diff_results_with(&base, &heavy_tail, DiffOptions::default()).expect("diffs");
         assert!(!r.has_regressions(), "default keeps the tail informational");
         assert!(r.to_markdown().contains("120.0 → 150.0"), "{}", r.to_markdown());
         // With a 10% gate, +25% p95 is a regression even at equal means.
@@ -610,7 +591,7 @@ mod tests {
     fn invalid_documents_are_rejected() {
         let good = parse(&doc(1.0, 0.0, 1, "bgi"));
         let bad = parse(r#"{"schema":"other/v9","id":"x","master_seed":1,"cells":[{}]}"#);
-        assert!(diff_results(&bad, &good, 3.0).is_err());
-        assert!(diff_results(&good, &bad, 3.0).is_err());
+        assert!(diff_results_with(&bad, &good, DiffOptions::default()).is_err());
+        assert!(diff_results_with(&good, &bad, DiffOptions::default()).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! The campaign executor: a work-queue of worker threads over *trial units*
 //! of a planned campaign.
 //!
-//! [`execute`] turns a [`Campaign`]'s plan (see [`Campaign::plan_cells`])
+//! [`execute_with`] turns a [`Campaign`]'s plan (see [`Campaign::plan_cells`])
 //! into `cells × trials` work units claimed off a single atomic cursor, so
 //! parallelism covers both axes at once: a one-cell `--scenario` run
 //! saturates the thread budget with its trials, while a wide sweep overlaps
@@ -59,8 +59,8 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 
 /// Knobs for [`execute_with`] beyond the campaign itself.
 ///
-/// Defaults reproduce [`execute`] exactly, so plain runs (and every
-/// committed byte-pinned baseline) are unaffected by new options.
+/// The defaults are a plain run: every committed byte-pinned baseline is
+/// generated with them, so new options never change those bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
     /// Record per-cell wall-clock as [`CellResult::elapsed_ms`] (the sum of
@@ -87,7 +87,7 @@ impl Emitter<'_> {
                 if let Err(e) = self.sink.cell(&ready) {
                     // Keep draining (workers must not deadlock on a full
                     // buffer) but stop writing; the first error surfaces
-                    // from execute().
+                    // from execute_with().
                     self.error = Some(e);
                 }
             }
@@ -98,9 +98,11 @@ impl Emitter<'_> {
 /// Runs `campaign` on `threads` workers, emitting cells to `sink` in plan
 /// order. Returns the number of cells emitted.
 ///
-/// Output is a pure function of `(campaign, master_seed)` — the thread count
-/// affects wall-clock only. See the [module docs](self) for the execution
-/// model.
+/// The simulation results are a pure function of `(campaign,
+/// master_seed)` — the thread count affects wall-clock only, and the
+/// optional `elapsed_ms` annotation ([`ExecOptions::timing`], the CLI's
+/// `--timing` flag) is the only part that varies run to run. See the
+/// [module docs](self) for the execution model.
 ///
 /// # Errors
 ///
@@ -112,27 +114,6 @@ impl Emitter<'_> {
 ///
 /// Propagates panics from trial workers (a protocol bug or an invalid
 /// campaign assembled without [`Campaign::validate`]).
-pub fn execute(
-    campaign: &Campaign,
-    master_seed: u64,
-    threads: usize,
-    sink: &mut dyn CampaignSink,
-) -> io::Result<usize> {
-    execute_with(campaign, master_seed, threads, sink, ExecOptions::default())
-}
-
-/// [`execute`] with explicit [`ExecOptions`] (the CLI's `--timing` flag
-/// lands here). Same determinism contract: the simulation results are a pure
-/// function of `(campaign, master_seed)`; only the optional `elapsed_ms`
-/// annotation varies run to run.
-///
-/// # Errors
-///
-/// The first sink I/O error, as for [`execute`].
-///
-/// # Panics
-///
-/// Propagates panics from trial workers, as for [`execute`].
 pub fn execute_with(
     campaign: &Campaign,
     master_seed: u64,
@@ -159,7 +140,7 @@ pub fn execute_with(
             let net = NetParams::new(g.n(), g.diameter_double_sweep());
             let cell = CellResult::aggregate(
                 spec.topology.to_string(),
-                spec.protocol.instantiate().name(),
+                spec.protocol.to_string(),
                 spec.model,
                 spec.faults,
                 net,
@@ -231,7 +212,7 @@ pub fn execute_with(
                     if let Some(acc) = complete {
                         let cell = CellResult::from_accum(
                             spec.topology.to_string(),
-                            runnable.name(),
+                            spec.protocol.to_string(),
                             spec.model,
                             spec.faults,
                             *net,

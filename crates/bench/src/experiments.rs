@@ -1,10 +1,11 @@
 //! The paper-reproduction experiment suite: one function per experiment id
 //! `e1`…`e12`.
 //!
-//! Every function takes a master seed, runs its sweep (parallel over
-//! trials), and returns markdown [`Table`]s. The `experiments` binary
-//! reaches these through the preset registry ([`crate::presets`]), which
-//! also hosts the declarative campaign presets built on
+//! Every function takes a master seed and a worker-thread budget, runs its
+//! sweep (parallel over trials, on at most that many threads), and returns
+//! markdown [`Table`]s — the same bytes for any budget. The `experiments`
+//! binary reaches these through the preset registry ([`crate::presets`]),
+//! which also hosts the declarative campaign presets built on
 //! [`crate::campaign`].
 
 use crate::harness::{mean, parallel_trials, Table};
@@ -34,7 +35,7 @@ fn fmt_f(x: f64) -> String {
 
 /// E1 — Lemma 3.1: a single decay round informs a listener with constant
 /// probability, uniformly in the number of participating neighbors.
-pub fn e1_decay_success(seed: u64) -> Vec<Table> {
+pub fn e1_decay_success(seed: u64, threads: usize) -> Vec<Table> {
     let mut t = Table::new(
         "E1 (Lemma 3.1): single decay-round success probability at the hub of a star",
         &["participants k", "trials", "success rate"],
@@ -45,7 +46,7 @@ pub fn e1_decay_success(seed: u64) -> Vec<Table> {
     for k in [1usize, 2, 4, 16, 64, 256, 1024, 4096] {
         let g = generators::star(k + 1);
         let participants: Vec<NodeId> = (1..=k as NodeId).collect();
-        let successes: u64 = parallel_trials(trials, |i| {
+        let successes: u64 = parallel_trials(trials, threads, |i| {
             let s = rng::derive(seed, i ^ (k as u64) << 32);
             let mut p = SingleDecayRound::new(k + 1, depth, participants.clone(), s);
             let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, s);
@@ -68,7 +69,7 @@ pub fn e1_decay_success(seed: u64) -> Vec<Table> {
 
 /// E2 — Lemma 2.1: Partition(β) strong radius `O(log n / β)` and edge-cut
 /// probability `O(β)`.
-pub fn e2_partition_properties(seed: u64) -> Vec<Table> {
+pub fn e2_partition_properties(seed: u64, threads: usize) -> Vec<Table> {
     let mut rng0 = rng::stream_rng(seed, 1);
     let graphs: Vec<(&str, Graph)> = vec![
         ("grid-40x40", generators::grid(40, 40)),
@@ -83,7 +84,7 @@ pub fn e2_partition_properties(seed: u64) -> Vec<Table> {
         let ln_n = (g.n() as f64).ln();
         for j in [1u32, 2, 3, 4, 5, 6, 7] {
             let beta = (2.0f64).powi(-(j as i32));
-            let results = parallel_trials(30, |i| {
+            let results = parallel_trials(30, threads, |i| {
                 let mut r = rng::stream_rng(seed, i ^ (j as u64) << 40);
                 let p = Partition::compute(g, beta, &mut r);
                 let s = stats::PartitionStats::measure(g, &p);
@@ -114,7 +115,7 @@ pub fn e2_partition_properties(seed: u64) -> Vec<Table> {
 
 /// E3 — Theorem 2.2: for a random `j`, with probability ≥ 0.55 the expected
 /// distance to the cluster center is `O(log n / (β log D))`.
-pub fn e3_theorem_2_2(seed: u64) -> Vec<Table> {
+pub fn e3_theorem_2_2(seed: u64, threads: usize) -> Vec<Table> {
     let mut rng0 = rng::stream_rng(seed, 2);
     let graphs: Vec<(&str, Graph)> = vec![
         ("path-2048", generators::path(2048)),
@@ -134,7 +135,7 @@ pub fn e3_theorem_2_2(seed: u64) -> Vec<Table> {
         let mut normalized_all = Vec::new();
         for j in 1u32..=7 {
             let beta = (2.0f64).powi(-(j as i32));
-            let dists = parallel_trials(30, |i| {
+            let dists = parallel_trials(30, threads, |i| {
                 let mut r = rng::stream_rng(seed, i ^ (j as u64) << 44);
                 let p = Partition::compute(g, beta, &mut r);
                 p.strong_dist_to_center(g)[v as usize] as f64
@@ -173,7 +174,7 @@ pub fn e3_theorem_2_2(seed: u64) -> Vec<Table> {
 
 /// E4 — Section 6 machinery: Lemmas 6.1, 6.2, 6.4, 6.7 on real layer
 /// vectors.
-pub fn e4_section6(seed: u64) -> Vec<Table> {
+pub fn e4_section6(seed: u64, threads: usize) -> Vec<Table> {
     let mut rng0 = rng::stream_rng(seed, 3);
     let graphs: Vec<(&str, Graph)> = vec![
         ("path-1024", generators::path(1024)),
@@ -214,7 +215,7 @@ pub fn e4_section6(seed: u64) -> Vec<Table> {
                 0.0
             };
             // Monte-Carlo E[dist to center] for Lemma 6.1.
-            let dists = parallel_trials(20, |i| {
+            let dists = parallel_trials(20, threads, |i| {
                 let mut r = rng::stream_rng(seed, i ^ (j as u64) << 48);
                 let p = Partition::compute(g, beta, &mut r);
                 p.strong_dist_to_center(g)[v as usize] as f64
@@ -240,7 +241,7 @@ pub fn e4_section6(seed: u64) -> Vec<Table> {
 }
 
 /// E5 — Lemma 4.3 (cluster counts near a node) and Lemma 4.4 (bad subpaths).
-pub fn e5_bad_subpaths(seed: u64) -> Vec<Table> {
+pub fn e5_bad_subpaths(seed: u64, threads: usize) -> Vec<Table> {
     let mut rng0 = rng::stream_rng(seed, 4);
     let graphs: Vec<(&str, Graph)> = vec![
         ("grid-64x64", generators::grid(64, 64)),
@@ -259,7 +260,7 @@ pub fn e5_bad_subpaths(seed: u64) -> Vec<Table> {
         let beta = (d_diam as f64).powf(-0.5);
         // Lemma 4.3: sample nodes, three radii.
         for probe_d in [1u32, 2, 4] {
-            let hits = parallel_trials(25, |i| {
+            let hits = parallel_trials(25, threads, |i| {
                 let mut r = rng::stream_rng(seed, i ^ 0xE5);
                 let p = Partition::compute(g, beta, &mut r);
                 let mut count = 0usize;
@@ -280,7 +281,7 @@ pub fn e5_bad_subpaths(seed: u64) -> Vec<Table> {
         // Lemma 4.4: canonical paths between spread pairs.
         let sub_len = ((d_diam as f64).powf(0.12).round() as usize).max(3);
         let nbhd = ((d_diam as f64).powf(0.11).round() as u32).max(1);
-        let outcomes = parallel_trials(15, |i| {
+        let outcomes = parallel_trials(15, threads, |i| {
             let mut r = rng::stream_rng(seed, i ^ 0xE5B);
             let p = Partition::compute(g, beta, &mut r);
             let u = ((i as usize * 37) % g.n()) as NodeId;
@@ -312,8 +313,8 @@ pub fn e5_bad_subpaths(seed: u64) -> Vec<Table> {
 }
 
 /// E6 — Lemma 2.3 contract: schedule passes reach distance ℓ in
-/// `(ℓ+1)·W` rounds with period `W = O(log n)`.
-pub fn e6_schedule_contract(seed: u64) -> Vec<Table> {
+/// `(ℓ+1)·W` rounds with period `W = O(log n)`. Runs on the calling thread.
+pub fn e6_schedule_contract(seed: u64, _threads: usize) -> Vec<Table> {
     use rn_schedule::{Downcast, SlotPolicy, TreeSchedule};
     let mut rng0 = rng::stream_rng(seed, 5);
     let graphs: Vec<(&str, Graph)> = vec![
@@ -382,7 +383,7 @@ fn cd_rounds(g: &Graph, net: NetParams, params: &CompeteParams, seed: u64) -> (b
 }
 
 /// E7 — Theorem 5.1 headline: broadcast scaling `O(D·log n / log D)`.
-pub fn e7_broadcast_scaling(seed: u64) -> Vec<Table> {
+pub fn e7_broadcast_scaling(seed: u64, threads: usize) -> Vec<Table> {
     let mut t = Table::new(
         "E7 (Theorem 5.1): broadcast rounds vs D (3 seeds each)",
         &["graph", "n", "D", "prop rounds", "prop/D", "prop/(D·logn/logD)", "completed"],
@@ -397,7 +398,8 @@ pub fn e7_broadcast_scaling(seed: u64) -> Vec<Table> {
     let params = CompeteParams::default();
     for (name, g) in &configs {
         let net = NetParams::new(g.n(), g.diameter_double_sweep());
-        let outcomes = parallel_trials(3, |i| cd_rounds(g, net, &params, rng::derive(seed, i)));
+        let outcomes =
+            parallel_trials(3, threads, |i| cd_rounds(g, net, &params, rng::derive(seed, i)));
         let prop = mean(&outcomes.iter().map(|o| o.1 as f64).collect::<Vec<_>>());
         let all_ok = outcomes.iter().all(|o| o.0);
         let d = net.diameter() as f64;
@@ -420,7 +422,7 @@ pub fn e7_broadcast_scaling(seed: u64) -> Vec<Table> {
 }
 
 /// E8 — the §1.3 comparison table: ours vs BGI'92 vs CR/KP-style vs HW'16.
-pub fn e8_comparison(seed: u64) -> Vec<Table> {
+pub fn e8_comparison(seed: u64, threads: usize) -> Vec<Table> {
     let mut t = Table::new(
         "E8 (§1.3 table): broadcast rounds by algorithm (3 seeds each)",
         &[
@@ -443,18 +445,18 @@ pub fn e8_comparison(seed: u64) -> Vec<Table> {
     }
     for (name, g) in &configs {
         let net = NetParams::new(g.n(), g.diameter_double_sweep());
-        let bgi = mean(&parallel_trials(3, |i| {
+        let bgi = mean(&parallel_trials(3, threads, |i| {
             bgi_broadcast(g, net, 0, rng::derive(seed, i)).rounds as f64
         }));
-        let cr = mean(&parallel_trials(3, |i| {
+        let cr = mean(&parallel_trials(3, threads, |i| {
             truncated_broadcast(g, net, 0, rng::derive(seed, 0x10 + i)).rounds as f64
         }));
         let hw_params = CompeteParams::haeupler_wajc();
-        let hw = mean(&parallel_trials(3, |i| {
+        let hw = mean(&parallel_trials(3, threads, |i| {
             cd_rounds(g, net, &hw_params, rng::derive(seed, 0x20 + i)).1 as f64
         }));
         let cd_params = CompeteParams::default();
-        let cd = mean(&parallel_trials(3, |i| {
+        let cd = mean(&parallel_trials(3, threads, |i| {
             cd_rounds(g, net, &cd_params, rng::derive(seed, 0x30 + i)).1 as f64
         }));
         t.row(&[
@@ -480,7 +482,7 @@ pub fn e8_comparison(seed: u64) -> Vec<Table> {
 
 /// E9 — Theorem 5.2: leader election ≈ broadcast time; binary-search
 /// reduction costs Θ(log n)× more.
-pub fn e9_leader_election(seed: u64) -> Vec<Table> {
+pub fn e9_leader_election(seed: u64, threads: usize) -> Vec<Table> {
     let mut t = Table::new(
         "E9 (Theorem 5.2): leader election vs broadcast (3 seeds each)",
         &[
@@ -502,19 +504,19 @@ pub fn e9_leader_election(seed: u64) -> Vec<Table> {
     let params = CompeteParams::default();
     for (name, g) in &configs {
         let net = NetParams::new(g.n(), g.diameter_double_sweep());
-        let le = mean(&parallel_trials(3, |i| {
+        let le = mean(&parallel_trials(3, threads, |i| {
             let ctx = nocd_ctx(g, net, rng::derive(seed, i));
             let r = leader_election_trial(&ctx, &params, &mut TrialPool::new()).expect("connected");
             assert!(r.compete.completed && r.unique_winner);
             r.compete.propagation_rounds as f64
         }));
-        let bc = mean(&parallel_trials(3, |i| {
+        let bc = mean(&parallel_trials(3, threads, |i| {
             cd_rounds(g, net, &params, rng::derive(seed, 0x40 + i)).1 as f64
         }));
-        let bgi_bc = mean(&parallel_trials(3, |i| {
+        let bgi_bc = mean(&parallel_trials(3, threads, |i| {
             bgi_broadcast(g, net, 0, rng::derive(seed, 0x50 + i)).rounds as f64
         }));
-        let bs = mean(&parallel_trials(2, |i| {
+        let bs = mean(&parallel_trials(2, threads, |i| {
             let seed = rng::derive(seed, i);
             let (kind, engine) = (BroadcastKind::Bgi, &mut SimScratch::new());
             binary_search_leader_election(engine, g, net, kind, 1.0, seed, None).rounds as f64
@@ -538,7 +540,7 @@ pub fn e9_leader_election(seed: u64) -> Vec<Table> {
 }
 
 /// E10 — Theorem 4.1: Compete cost vs |S|.
-pub fn e10_compete_sources(seed: u64) -> Vec<Table> {
+pub fn e10_compete_sources(seed: u64, threads: usize) -> Vec<Table> {
     let mut t = Table::new(
         "E10 (Theorem 4.1): Compete propagation rounds vs |S| on grid-64x64 (3 seeds)",
         &["|S|", "prop rounds", "completed", "rounds/bound(D·logn/logD + |S|·D^0.125)"],
@@ -548,7 +550,7 @@ pub fn e10_compete_sources(seed: u64) -> Vec<Table> {
     let params = CompeteParams::default();
     let d = net.diameter() as f64;
     for s_count in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-        let outcomes = parallel_trials(3, |i| {
+        let outcomes = parallel_trials(3, threads, |i| {
             let mut srng = rng::stream_rng(seed, 0xE10 + i);
             let mut sources = Vec::with_capacity(s_count);
             for k in 0..s_count {
@@ -573,7 +575,7 @@ pub fn e10_compete_sources(seed: u64) -> Vec<Table> {
 }
 
 /// E11 — ablations of the paper's design choices.
-pub fn e11_ablations(seed: u64) -> Vec<Table> {
+pub fn e11_ablations(seed: u64, threads: usize) -> Vec<Table> {
     let mut rng0 = rng::stream_rng(seed, 7);
     let graphs: Vec<(&str, Graph)> = vec![
         ("grid-48x48", generators::grid(48, 48)),
@@ -606,8 +608,9 @@ pub fn e11_ablations(seed: u64) -> Vec<Table> {
         for (vname, params) in &variants {
             // Cap the budget so failing variants terminate in bounded time.
             let capped = CompeteParams { max_rounds_factor: 8, ..*params };
-            let outcomes =
-                parallel_trials(3, |i| cd_rounds(g, net, &capped, rng::derive(seed, 0xAB + i)));
+            let outcomes = parallel_trials(3, threads, |i| {
+                cd_rounds(g, net, &capped, rng::derive(seed, 0xAB + i))
+            });
             let ok = outcomes.iter().filter(|o| o.0).count();
             let rounds = mean(&outcomes.iter().map(|o| o.1 as f64).collect::<Vec<_>>());
             t.row(&[gname.to_string(), vname.to_string(), format!("{ok}/3"), fmt_f(rounds)]);
@@ -627,7 +630,7 @@ pub fn e11_ablations(seed: u64) -> Vec<Table> {
 
 /// E12 — model sanity: exact collision semantics and the role of
 /// spontaneous transmissions.
-pub fn e12_model(seed: u64) -> Vec<Table> {
+pub fn e12_model(seed: u64, threads: usize) -> Vec<Table> {
     // Part A: the deterministic collision trap.
     let mut ta = Table::new(
         "E12a: exact collision semantics — naive flooding on a 4-cycle",
@@ -694,10 +697,10 @@ pub fn e12_model(seed: u64) -> Vec<Table> {
         for n in [512usize, 1024, 2048] {
             let g = generators::path(n);
             let net = NetParams::new(g.n(), (n - 1) as u32);
-            let bgi = mean(&parallel_trials(3, |i| {
+            let bgi = mean(&parallel_trials(3, threads, |i| {
                 bgi_broadcast(&g, net, 0, rng::derive(seed, 0x60 + i)).rounds as f64
             }));
-            let cd = mean(&parallel_trials(3, |i| {
+            let cd = mean(&parallel_trials(3, threads, |i| {
                 cd_rounds(&g, net, &params, rng::derive(seed, 0x70 + i)).1 as f64
             }));
             let d = (n - 1) as f64;
@@ -751,33 +754,6 @@ pub fn e12_model(seed: u64) -> Vec<Table> {
     vec![ta, tb, tc, td]
 }
 
-/// Runs an experiment by id, returning its tables.
-///
-/// # Panics
-///
-/// Panics on an unknown id.
-pub fn run(id: &str, seed: u64) -> Vec<Table> {
-    match id {
-        "e1" => e1_decay_success(seed),
-        "e2" => e2_partition_properties(seed),
-        "e3" => e3_theorem_2_2(seed),
-        "e4" => e4_section6(seed),
-        "e5" => e5_bad_subpaths(seed),
-        "e6" => e6_schedule_contract(seed),
-        "e7" => e7_broadcast_scaling(seed),
-        "e8" => e8_comparison(seed),
-        "e9" => e9_leader_election(seed),
-        "e10" => e10_compete_sources(seed),
-        "e11" => e11_ablations(seed),
-        "e12" => e12_model(seed),
-        other => panic!("unknown experiment id {other:?} (expected e1..e12)"),
-    }
-}
-
-/// All experiment ids in order.
-pub const ALL_IDS: [&str; 12] =
-    ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,14 +761,8 @@ mod tests {
     #[test]
     fn e1_runs_tiny() {
         // Smoke: the harness path works end to end (full runs live in the bin).
-        let tables = e1_decay_success(1);
+        let tables = e1_decay_success(1, 2);
         assert_eq!(tables.len(), 1);
         assert!(tables[0].len() >= 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown experiment id")]
-    fn unknown_id_panics() {
-        let _ = run("e99", 0);
     }
 }

@@ -89,15 +89,21 @@ impl Table {
     }
 }
 
-/// Runs `trials` seeded executions of `f` across threads (one logical trial
-/// per seed `0..trials`), preserving seed order in the output.
+/// Runs `trials` seeded executions of `f` on at most `threads` threads (one
+/// logical trial per seed `0..trials`), preserving seed order in the
+/// output. A budget of 0 counts as 1.
 ///
 /// The result vector is split into disjoint per-thread chunks up front, so
 /// every worker writes straight into its own shard — the hot trial loop
 /// takes no lock and shares no cache line (no mutex, no atomics). Chunks are
-/// contiguous, so output order is seed order by construction.
-pub fn parallel_trials<T: Send>(trials: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(16);
+/// contiguous, so output order is seed order by construction, and the
+/// output is the same for any budget.
+pub fn parallel_trials<T: Send>(
+    trials: u64,
+    threads: usize,
+    f: impl Fn(u64) -> T + Sync,
+) -> Vec<T> {
+    let threads = threads.max(1);
     let trials_usize = usize::try_from(trials).expect("trial count fits in memory");
     let mut results: Vec<Option<T>> = (0..trials).map(|_| None).collect();
     let chunk_len = trials_usize.div_ceil(threads).max(1);
@@ -192,15 +198,37 @@ mod tests {
 
     #[test]
     fn parallel_trials_preserves_seed_order() {
-        let out = parallel_trials(64, |seed| seed * 2);
+        let out = parallel_trials(64, 4, |seed| seed * 2);
         assert_eq!(out, (0..64).map(|s| s * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_trials_handles_uneven_and_tiny_counts() {
         for trials in [0u64, 1, 2, 13, 17, 31] {
-            let out = parallel_trials(trials, |seed| seed + 100);
-            assert_eq!(out, (0..trials).map(|s| s + 100).collect::<Vec<_>>(), "trials={trials}");
+            for threads in [0, 1, 3, 16] {
+                let out = parallel_trials(trials, threads, |seed| seed + 100);
+                let want: Vec<u64> = (0..trials).map(|s| s + 100).collect();
+                assert_eq!(out, want, "trials={trials} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_trials_runs_on_at_most_its_thread_budget() {
+        for budget in [1, 2, 3, 5] {
+            let out = parallel_trials(40, budget, |seed| (seed, std::thread::current().id()));
+            let seeds: Vec<u64> = out.iter().map(|&(seed, _)| seed).collect();
+            assert_eq!(seeds, (0..40).collect::<Vec<_>>(), "budget {budget}: seed order kept");
+            let mut threads = Vec::new();
+            for &(_, id) in &out {
+                if !threads.contains(&id) {
+                    threads.push(id);
+                }
+            }
+            if budget == 1 {
+                assert_eq!(threads.len(), 1, "a budget of 1 runs every trial on one thread");
+            }
+            assert!(threads.len() <= budget, "budget {budget} ran on {} threads", threads.len());
         }
     }
 

@@ -40,9 +40,7 @@ pub use campaign::{
     validate_results, Campaign, CampaignResult, CellResult, CellSpec, CellStats, TrialPlan,
     RESULTS_SCHEMA,
 };
-pub use diff::{
-    diff_results, diff_results_gated, diff_results_with, DiffOptions, DiffReport, DiffStatus,
-};
+pub use diff::{diff_results_with, DiffOptions, DiffReport, DiffStatus};
 pub use executor::{execute_with, resolve_threads, ExecOptions};
 pub use harness::{parallel_trials, Table};
 pub use json::{Json, JsonError};

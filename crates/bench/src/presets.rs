@@ -26,8 +26,9 @@ fn p(spec: &str) -> ProtocolSpec {
 
 /// What a preset id resolves to.
 pub enum PresetKind {
-    /// A legacy markdown-table experiment: a pure function of the seed.
-    Tables(fn(u64) -> Vec<Table>),
+    /// A legacy markdown-table experiment: a pure function of the seed
+    /// (first argument), run on at most the given number of worker threads.
+    Tables(fn(u64, usize) -> Vec<Table>),
     /// A declarative campaign (tables + JSON results).
     Campaign(fn() -> Campaign),
 }
@@ -303,7 +304,7 @@ mod tests {
     #[test]
     fn registry_contains_all_table_ids_and_campaigns() {
         let ids: Vec<&str> = presets().iter().map(|p| p.id).collect();
-        for e in experiments::ALL_IDS {
+        for e in ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12"] {
             assert!(ids.contains(&e), "table preset {e} must stay registered");
         }
         for c in [

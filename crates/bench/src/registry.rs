@@ -10,8 +10,12 @@
 //! `rn_baselines`, `rn_decay`, `rn_cluster` and `rn_schedule` (in that
 //! order) and drives everything — parsing, validation, override schemas,
 //! help output, instantiation — through the trait. Adding an algorithm
-//! anywhere in the workspace is one `ProtocolFamily` impl plus one line in
+//! anywhere in the workspace is one `ProtocolFamily` value plus one line in
 //! its crate's `families()`; no code here changes.
+//!
+//! A [`ProtocolSpec`]'s `Display` is the only name a protocol has: the
+//! executor labels every result cell, and bench workloads their ids, with
+//! that string. A `Runnable` never names itself.
 //!
 //! Three orthogonal string axes ride on the base grammar:
 //!
@@ -305,10 +309,11 @@ impl ProtocolSpec {
             .collect()
     }
 
-    /// Instantiates the matching [`Runnable`] from its home crate. The
-    /// returned object's [`Runnable::name`] equals `self.to_string()`.
+    /// Instantiates the matching [`Runnable`] from its home crate, with
+    /// this spec's overrides applied. The runnable carries no name: results
+    /// it produces are labelled with `self.to_string()`.
     pub fn instantiate(&self) -> Box<dyn Runnable> {
-        self.family.instantiate(self.args.as_deref(), self.overrides.pairs(), &self.to_string())
+        self.family.instantiate(self.args.as_deref(), self.overrides.pairs())
     }
 }
 
@@ -520,11 +525,7 @@ mod tests {
             let s = spec.to_string();
             let back: ProtocolSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(back, spec, "parse(display) round trip for {s}");
-            assert_eq!(
-                spec.instantiate().name(),
-                s,
-                "registry name and Runnable::name must agree for {s}"
-            );
+            spec.instantiate();
         }
     }
 
@@ -568,7 +569,7 @@ mod tests {
             let spec: ProtocolSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(spec.to_string(), s);
             assert_eq!(spec.required_nodes(), nodes, "{s}");
-            assert_eq!(spec.instantiate().name(), s);
+            spec.instantiate();
         }
         // Arg canonicalization mirrors the compete(K,uniform) precedent.
         assert_eq!(ProtocolSpec::parse("partition(0.50)").to_string(), "partition(0.5)");
@@ -602,7 +603,15 @@ mod tests {
             assert!(!spec.overrides.is_empty());
             let back: ProtocolSpec = spec.to_string().parse().expect("reparses");
             assert_eq!(back, spec, "value round trip for {s}");
-            assert_eq!(spec.instantiate().name(), spec.to_string());
+            // The spec names what it runs: the executor labels the cell with
+            // the canonical override string.
+            let scenario = ScenarioSpec {
+                protocol: spec.clone(),
+                topology: TopologySpec::Grid { w: 4, h: 4 },
+                faults: FaultPlan::none(),
+            };
+            let result = crate::campaign::Campaign::single(&scenario, 1).run_with_threads(1, 1);
+            assert_eq!(result.cells[0].protocol, spec.to_string());
         }
         // Display is the shortest float form: 1e6 renders as 1000000 but
         // parses back to the same value.
@@ -615,7 +624,6 @@ mod tests {
         for s in ["decay(4){coins=batched}", "decay_trunc(2){coins=per_index}"] {
             let spec: ProtocolSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(spec.to_string(), s, "enum values display as names, not indices");
-            assert_eq!(spec.instantiate().name(), s);
         }
         let err = "decay(4){coins=fast}".parse::<ProtocolSpec>().unwrap_err().to_string();
         assert!(err.contains("coins takes one of: per_index, batched"), "{err}");

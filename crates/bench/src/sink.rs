@@ -41,7 +41,7 @@ pub struct RunHeader {
 /// # Errors
 ///
 /// All methods return [`io::Result`]; the executor aborts emission on the
-/// first error and surfaces it from [`crate::executor::execute`].
+/// first error and surfaces it from [`crate::executor::execute_with`].
 pub trait CampaignSink: Send {
     /// Called once before any cell, with the run's identifying header.
     fn begin(&mut self, header: &RunHeader) -> io::Result<()>;
@@ -162,7 +162,7 @@ impl<W: io::Write + Send> CampaignSink for JsonStreamSink<W> {
 mod tests {
     use super::*;
     use crate::campaign::{Campaign, TrialPlan};
-    use crate::executor;
+    use crate::executor::{self, ExecOptions};
     use crate::registry::ProtocolSpec;
     use rn_graph::TopologySpec;
     use rn_sim::CollisionModel;
@@ -183,7 +183,8 @@ mod tests {
         let campaign = tiny();
         let expected = campaign.run(77).to_json();
         let mut sink = JsonStreamSink::new(Vec::new());
-        executor::execute(&campaign, 77, 4, &mut sink).expect("streamed run");
+        executor::execute_with(&campaign, 77, 4, &mut sink, ExecOptions::default())
+            .expect("streamed run");
         assert_eq!(sink.cells_written(), 4);
         let streamed = String::from_utf8(sink.into_inner().expect("flush")).expect("utf8");
         assert_eq!(streamed, expected, "streaming sink must be byte-identical to to_json()");
@@ -194,7 +195,8 @@ mod tests {
         let mut campaign = tiny();
         campaign.topologies.clear();
         let mut sink = JsonStreamSink::new(Vec::new());
-        executor::execute(&campaign, 1, 2, &mut sink).expect("empty run");
+        executor::execute_with(&campaign, 1, 2, &mut sink, ExecOptions::default())
+            .expect("empty run");
         let streamed = String::from_utf8(sink.into_inner().expect("flush")).expect("utf8");
         assert_eq!(streamed, campaign.run(1).to_json());
         assert!(streamed.ends_with("\"cells\":[]}"), "{streamed}");
@@ -218,7 +220,8 @@ mod tests {
         }
         let campaign = tiny();
         let mut sink = JsonStreamSink::new(Failing(120));
-        let err = executor::execute(&campaign, 77, 2, &mut sink).unwrap_err();
+        let err = executor::execute_with(&campaign, 77, 2, &mut sink, ExecOptions::default())
+            .unwrap_err();
         assert!(err.to_string().contains("disk full"), "{err}");
     }
 }

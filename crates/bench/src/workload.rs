@@ -46,7 +46,7 @@ impl BenchWorkload {
         let net = NetParams::new(graph.n(), graph.diameter_double_sweep());
         let runnable = spec.protocol.instantiate();
         let model = runnable.effective_model(CollisionModel::NoCollisionDetection);
-        BenchWorkload { name: runnable.name(), spec, graph, net, runnable, model }
+        BenchWorkload { name: spec.protocol.to_string(), spec, graph, net, runnable, model }
     }
 
     /// Runs one trial under the workload's fault plan (most workloads have

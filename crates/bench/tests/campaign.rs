@@ -3,8 +3,8 @@
 //! scenario path the CLI exposes.
 
 use rn_bench::{
-    executor, validate_results, Campaign, Json, JsonStreamSink, ProtocolSpec, ScenarioSpec,
-    TrialPlan,
+    executor, validate_results, Campaign, ExecOptions, Json, JsonStreamSink, ProtocolSpec,
+    ScenarioSpec, TrialPlan,
 };
 use rn_graph::TopologySpec;
 use rn_sim::{CollisionModel, FaultPlan};
@@ -139,7 +139,8 @@ fn streamed_json_is_byte_identical_to_the_in_memory_path() {
     let campaign = small_campaign();
     let expected = campaign.run_with_threads(77, 1).to_json();
     let mut sink = JsonStreamSink::new(Vec::new());
-    executor::execute(&campaign, 77, 8, &mut sink).expect("streamed run");
+    executor::execute_with(&campaign, 77, 8, &mut sink, ExecOptions::default())
+        .expect("streamed run");
     let streamed = String::from_utf8(sink.into_inner().expect("flush")).expect("utf8");
     assert_eq!(streamed, expected);
 }

@@ -19,7 +19,7 @@
 //! a fingerprint mismatch.
 
 use rn_bench::ProtocolSpec;
-use rn_core::{BroadcastScenario, CompeteParams, Precomputed, SequenceScope};
+use rn_core::{CompeteParams, CompeteScenario, Precomputed, SequenceScope, SourceRule};
 use rn_graph::TopologySpec;
 use rn_sim::rng::{derive, splitmix64};
 use rn_sim::{CollisionModel, FaultPlan, NetParams, Runnable, TrialCtx, TrialPool, TrialRecord};
@@ -67,7 +67,9 @@ fn compete_family_trials_are_byte_identical() {
     let runnables: Vec<Box<dyn Runnable>> = pinned
         .iter()
         .map(|&(s, _)| match s {
-            GLOBAL => Box::new(BroadcastScenario::with_params(global, s)) as Box<dyn Runnable>,
+            GLOBAL => {
+                Box::new(CompeteScenario::new(global, SourceRule::Origin)) as Box<dyn Runnable>
+            }
             _ => ProtocolSpec::parse(s).instantiate(),
         })
         .collect();

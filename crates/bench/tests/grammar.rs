@@ -5,10 +5,14 @@
 //! `schedule(OP[,BETA])`, …). `parse(display(x)) == x` must hold for every
 //! constructible value, not just hand-picked examples — float values rely
 //! on Rust's shortest-round-trip `Display`, which these tests pin down.
+//! Arbitrary strings must never panic any of the four parsers.
 
 use proptest::prelude::*;
-use rn_bench::{find_family, Overrides, ProtocolSpec, ScenarioSpec};
+use rn_bench::{families, find_family, Overrides, ProtocolSpec, ScenarioSpec};
+use rn_graph::TopologySpec;
 use rn_sim::{FaultPlan, OverrideClass};
+use std::fmt::{Debug, Display};
+use std::str::FromStr;
 
 /// Strategy: an arbitrary *valid* fault plan (including the fault-free one).
 fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
@@ -94,6 +98,95 @@ fn arb_protocol_string() -> impl Strategy<Value = String> {
     )
 }
 
+/// The words scenario strings are made of: every registered family name,
+/// override key and enum value, every topology and fault form's name, the
+/// grammar's punctuation, signed, huge and non-finite numbers, and
+/// multibyte characters.
+fn vocabulary() -> Vec<String> {
+    let head = |form: &str| form.split('(').next().unwrap_or(form).to_string();
+    let mut words: Vec<String> = Vec::new();
+    for f in families() {
+        words.push(f.name().into());
+        for key in f.overrides() {
+            words.push(key.key.into());
+            if let OverrideClass::Enum(names) = key.class {
+                words.extend(names.iter().map(|n| n.to_string()));
+            }
+        }
+    }
+    words.extend(TopologySpec::GRAMMAR.iter().map(|form| head(form)));
+    words.extend(FaultPlan::GRAMMAR.iter().map(|form| head(form)));
+    // `|`-separated so that a space is one of the words.
+    let extra = "uniform|clustered|corner|bgi|cd17|beep|downcast|upcast|(|)|{|}|=|,|@|!|x| \
+                 |0|1|2|4|7|-1|+3|0.5|-0.5|0.25|1e6|1e-300|1e308|1e400|-1e400|NaN|nan|inf|-inf\
+                 |4x4|6x6|0x3|18446744073709551616|99999999999999999999|σ|é|日本|🦀|\u{202e}|\0";
+    words.extend(extra.split('|').map(String::from));
+    words
+}
+
+/// Strategy: a scenario-ish string — a valid scenario (or nothing) edited by
+/// up to eight random insertions of vocabulary words and deletions of
+/// characters.
+fn arb_scenario_soup() -> impl Strategy<Value = String> {
+    let words = vocabulary();
+    let n = words.len();
+    let edits = proptest::collection::vec((0u8..3, 0..n, 0usize..64), 0..8);
+    (0usize..4, edits).prop_map(move |(base, edits)| {
+        let mut s = [
+            "",
+            "broadcast@grid(4x4)",
+            "compete(4,corner){mu=0.2}@rgg(50,0.3)!jam(2,0.5)",
+            "schedule(upcast,0.1)@torus(6x6)!drop(0.1)!crash(0.01)",
+        ][base]
+            .to_string();
+        for (op, word, at) in edits {
+            let chars = s.chars().count();
+            let pos = s.char_indices().nth(at % (chars + 1)).map_or(s.len(), |(i, _)| i);
+            if op == 0 && pos < s.len() {
+                s.remove(pos);
+            } else {
+                s.insert_str(pos, &words[word]);
+            }
+        }
+        s
+    })
+}
+
+/// Parses `s` as a `T`: an `Err` is fine, a panic fails the case, and an
+/// `Ok` value must re-parse from its `Display` to an equal value.
+fn parses_or_rejects<T>(s: &str) -> Result<(), TestCaseError>
+where
+    T: FromStr + Display + PartialEq + Debug,
+    T::Err: Display,
+{
+    if let Ok(v) = s.parse::<T>() {
+        let shown = v.to_string();
+        match shown.parse::<T>() {
+            Ok(back) => prop_assert_eq!(back, v, "{:?} displays as {:?}", s, shown),
+            Err(e) => prop_assert!(false, "{:?} displays as {:?}, which fails: {}", s, shown, e),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    #[test]
+    fn arbitrary_scenario_strings_never_panic_the_parsers(s in arb_scenario_soup()) {
+        parses_or_rejects::<ScenarioSpec>(&s)?;
+        // The halves of a scenario feed the other three parsers, so edited
+        // protocols, topologies and fault plans all reach their own parser.
+        let (proto, rest) = s.split_once('@').unwrap_or((&s, ""));
+        let (topo, faults) = rest.split_once('!').unwrap_or((rest, ""));
+        for part in [s.as_str(), proto, topo, faults] {
+            parses_or_rejects::<ProtocolSpec>(part)?;
+            parses_or_rejects::<TopologySpec>(part)?;
+            parses_or_rejects::<FaultPlan>(part)?;
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn fault_plan_strings_round_trip(plan in arb_fault_plan()) {
@@ -130,16 +223,14 @@ proptest! {
         coins in 0usize..3,
     ) {
         // The decay families' enum-valued `coins` override: symbolic names
-        // parse, display canonically (never as an index), and the
-        // instantiated runnable reports the full spec string.
+        // parse and display canonically (never as an index).
         let family = if trunc == 1 { "decay_trunc" } else { "decay" };
         let suffix = ["", "{coins=per_index}", "{coins=batched}"][coins];
         let s = format!("{family}({k}){suffix}");
         let spec: ProtocolSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
         prop_assert_eq!(spec.to_string(), s.clone(), "canonical form is stable");
         let back: ProtocolSpec = spec.to_string().parse().expect("reparses");
-        prop_assert_eq!(back, spec.clone(), "parse(display) for {}", s);
-        prop_assert_eq!(spec.instantiate().name(), s);
+        prop_assert_eq!(back, spec, "parse(display) for {}", s);
     }
 
     #[test]

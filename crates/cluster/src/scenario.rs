@@ -29,12 +29,10 @@ use rn_sim::{Runnable, TrialCtx, TrialPool, TrialRecord, TxBuf};
 pub struct PartitionScenario {
     /// The clustering parameter β ∈ (0, 1].
     pub beta: f64,
-    /// Registry name (e.g. `"partition(0.5)"`).
-    pub label: String,
 }
 
 impl PartitionScenario {
-    /// A scenario for `beta`, named `partition(BETA)`.
+    /// A scenario for `beta`.
     ///
     /// # Panics
     ///
@@ -44,15 +42,11 @@ impl PartitionScenario {
             beta > 0.0 && beta <= 1.0 && beta.is_finite(),
             "partition beta {beta} not in (0, 1]"
         );
-        PartitionScenario { beta, label: format!("partition({beta})") }
+        PartitionScenario { beta }
     }
 }
 
 impl Runnable for PartitionScenario {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
     fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
         let (g, net, seed) = (ctx.graph(), ctx.net(), ctx.seed());
         let (engine, st) = pool.parts(PartitionPool::default);
@@ -126,7 +120,6 @@ impl ProtocolFamily for PartitionFamily {
         &self,
         args: Option<&str>,
         _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        _label: &str,
     ) -> Box<dyn Runnable> {
         let beta = PartitionFamily::parse_beta(args).expect("canonical partition args");
         Box::new(PartitionScenario::new(beta))
@@ -155,7 +148,6 @@ mod tests {
     fn partition_scenario_runs_and_scores_validity() {
         let g = generators::grid(10, 10);
         let s = PartitionScenario::new(0.5);
-        assert_eq!(s.name(), "partition(0.5)");
         let r = faulted(&s, &g, 7, &FaultPlan::none());
         assert!(r.rounds > 0, "the construction consumes radio rounds");
         assert!(r.metrics.transmissions > 0, "announcements really go on the air");
@@ -188,8 +180,6 @@ mod tests {
         assert!(f.parse_args(Some("0")).is_err());
         assert!(f.parse_args(Some("1.5")).is_err());
         assert!(f.parse_args(Some("x")).is_err());
-        let r = f.instantiate(Some("0.25"), &[], "partition(0.25)");
-        assert_eq!(r.name(), "partition(0.25)");
     }
 
     #[test]

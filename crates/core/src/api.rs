@@ -100,9 +100,10 @@ pub(crate) struct CompetePool {
     state: CompeteState,
     tx: TxBuf<CompeteMsg>,
     candidates: Vec<(NodeId, u64)>,
-    /// Source-placement scratch for the compete scenarios: the raw Floyd
-    /// sample, the placed node ids, and the `(node, value)` list handed to
-    /// the protocol — reused so steady-state placement is allocation-free.
+    /// Source-placement scratch for placed-source Compete trials: the raw
+    /// Floyd sample, the placed node ids, and the `(node, value)` list
+    /// handed to the protocol — reused so steady-state placement is
+    /// allocation-free.
     pub(crate) place_idx: Vec<usize>,
     pub(crate) source_ids: Vec<NodeId>,
     pub(crate) sources: Vec<(NodeId, u64)>,

@@ -1,27 +1,26 @@
 //! [`ProtocolFamily`] registrations for the paper's algorithms: `broadcast`,
 //! `broadcast_hw`, `compete(K[,POLICY])` and `leader_election`.
 //!
-//! All four are Compete-family protocols parameterized by [`CompeteParams`],
-//! so they share one override schema ([`COMPETE_OVERRIDES`]): every
-//! `{key=value}` pair addresses one `CompeteParams` field, class-validated
-//! at parse time and applied by [`apply_overrides`] at instantiation.
+//! All four run [`CompeteScenario`] over [`CompeteParams`], so they share
+//! one override schema ([`COMPETE_OVERRIDES`]): every `{key=value}` pair
+//! addresses one `CompeteParams` field, class-validated at parse time and
+//! applied by [`apply_overrides`] at instantiation. The three bare names
+//! differ only in constants — base parameters and a [`SourceRule`] — so they
+//! are `static` values of one [`BareCompeteFamily`]; `compete` parses its
+//! own arguments.
 
 use crate::params::CompeteParams;
-use crate::scenario::{
-    BroadcastScenario, CompeteScenario, LeaderElectionScenario, SourcePlacement,
-};
-use rn_sim::family::{
-    parse_count, reject_args, OverrideClass, OverrideSpec, ParsedArgs, ProtocolFamily,
-};
+use crate::scenario::{CompeteScenario, SourcePlacement, SourceRule};
+use rn_sim::family::{parse_count, OverrideClass, OverrideSpec, ParsedArgs, ProtocolFamily};
 use rn_sim::Runnable;
 
 /// The shared override schema of the Compete-family protocols: each key
 /// addresses one [`CompeteParams`] field. Keys are deliberately short — they
 /// live inside scenario strings.
-// A `static` (not `const`): the four families' `overrides()` methods must
-// all return the *same* slice address — the listing groups shared schemas
-// by pointer identity, and const promotion does not guarantee one
-// allocation per use.
+// A `static` (not `const`): both family types' `overrides()` methods must
+// return the *same* slice address — the listing groups shared schemas by
+// pointer identity, and const promotion does not guarantee one allocation
+// per use.
 pub static COMPETE_OVERRIDES: &[OverrideSpec] = &[
     OverrideSpec::new("curtail", "main-process curtailment multiplier", OverrideClass::Float),
     OverrideSpec::new("bg_curtail", "background curtailment multiplier", OverrideClass::Float),
@@ -68,75 +67,70 @@ pub fn apply_overrides(p: &mut CompeteParams, pairs: &[(&'static OverrideSpec, f
     }
 }
 
-/// `broadcast` — the paper's broadcast (Theorem 5.1, default parameters).
-pub struct BroadcastFamily;
-
-impl ProtocolFamily for BroadcastFamily {
-    fn name(&self) -> &'static str {
-        "broadcast"
-    }
-
-    fn grammar(&self) -> &'static str {
-        "broadcast"
-    }
-
-    fn about(&self) -> &'static str {
-        "the paper's broadcast (Theorem 5.1, default params)"
-    }
-
-    fn overrides(&self) -> &'static [OverrideSpec] {
-        COMPETE_OVERRIDES
-    }
-
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        reject_args(self.name(), args)
-    }
-
-    fn instantiate(
-        &self,
-        _args: Option<&str>,
-        overrides: &[(&'static OverrideSpec, f64)],
-        label: &str,
-    ) -> Box<dyn Runnable> {
-        let mut p = CompeteParams::default();
-        apply_overrides(&mut p, overrides);
-        Box::new(BroadcastScenario::with_params(p, label))
-    }
+/// [`CompeteScenario`] over `params` with `overrides` applied.
+fn scenario(
+    mut params: CompeteParams,
+    overrides: &[(&'static OverrideSpec, f64)],
+    sources: SourceRule,
+) -> Box<dyn Runnable> {
+    apply_overrides(&mut params, overrides);
+    Box::new(CompeteScenario::new(params, sources))
 }
 
+/// A bare-name Compete-family protocol: base parameters plus a fixed
+/// [`SourceRule`]. [`BROADCAST`], [`BROADCAST_HW`] and [`LEADER_ELECTION`]
+/// are its values.
+pub struct BareCompeteFamily {
+    name: &'static str,
+    about: &'static str,
+    /// The parameters overrides apply onto.
+    base: fn() -> CompeteParams,
+    sources: SourceRule,
+}
+
+/// `broadcast` — the paper's broadcast (Theorem 5.1, default parameters).
+pub static BROADCAST: BareCompeteFamily = BareCompeteFamily {
+    name: "broadcast",
+    about: "the paper's broadcast (Theorem 5.1, default params)",
+    base: CompeteParams::default,
+    sources: SourceRule::Origin,
+};
+
 /// `broadcast_hw` — the same pipeline under Haeupler–Wajc curtailment.
-pub struct BroadcastHwFamily;
+pub static BROADCAST_HW: BareCompeteFamily = BareCompeteFamily {
+    name: "broadcast_hw",
+    about: "same pipeline under Haeupler-Wajc curtailment",
+    base: CompeteParams::haeupler_wajc,
+    sources: SourceRule::Origin,
+};
 
-impl ProtocolFamily for BroadcastHwFamily {
+/// `leader_election` — Algorithm 6 (Theorem 5.2).
+pub static LEADER_ELECTION: BareCompeteFamily = BareCompeteFamily {
+    name: "leader_election",
+    about: "Algorithm 6 leader election (Theorem 5.2)",
+    base: CompeteParams::default,
+    sources: SourceRule::Candidates,
+};
+
+impl ProtocolFamily for BareCompeteFamily {
     fn name(&self) -> &'static str {
-        "broadcast_hw"
-    }
-
-    fn grammar(&self) -> &'static str {
-        "broadcast_hw"
+        self.name
     }
 
     fn about(&self) -> &'static str {
-        "same pipeline under Haeupler-Wajc curtailment"
+        self.about
     }
 
     fn overrides(&self) -> &'static [OverrideSpec] {
         COMPETE_OVERRIDES
     }
 
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        reject_args(self.name(), args)
-    }
-
     fn instantiate(
         &self,
         _args: Option<&str>,
         overrides: &[(&'static OverrideSpec, f64)],
-        label: &str,
     ) -> Box<dyn Runnable> {
-        let mut p = CompeteParams::haeupler_wajc();
-        apply_overrides(&mut p, overrides);
-        Box::new(BroadcastScenario::with_params(p, label))
+        scenario((self.base)(), overrides, self.sources)
     }
 }
 
@@ -194,54 +188,15 @@ impl ProtocolFamily for CompeteFamily {
         &self,
         args: Option<&str>,
         overrides: &[(&'static OverrideSpec, f64)],
-        label: &str,
     ) -> Box<dyn Runnable> {
         let (k, placement) = self.parse(args).expect("canonical compete args");
-        let mut p = CompeteParams::default();
-        apply_overrides(&mut p, overrides);
-        Box::new(CompeteScenario::with_placement(k, placement, p, label))
-    }
-}
-
-/// `leader_election` — Algorithm 6 (Theorem 5.2).
-pub struct LeaderElectionFamily;
-
-impl ProtocolFamily for LeaderElectionFamily {
-    fn name(&self) -> &'static str {
-        "leader_election"
-    }
-
-    fn grammar(&self) -> &'static str {
-        "leader_election"
-    }
-
-    fn about(&self) -> &'static str {
-        "Algorithm 6 leader election (Theorem 5.2)"
-    }
-
-    fn overrides(&self) -> &'static [OverrideSpec] {
-        COMPETE_OVERRIDES
-    }
-
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        reject_args(self.name(), args)
-    }
-
-    fn instantiate(
-        &self,
-        _args: Option<&str>,
-        overrides: &[(&'static OverrideSpec, f64)],
-        label: &str,
-    ) -> Box<dyn Runnable> {
-        let mut p = CompeteParams::default();
-        apply_overrides(&mut p, overrides);
-        Box::new(LeaderElectionScenario::with_params(p, label))
+        scenario(CompeteParams::default(), overrides, SourceRule::Placed { k, placement })
     }
 }
 
 /// The protocol families this crate contributes to the registry.
 pub fn families() -> Vec<&'static dyn ProtocolFamily> {
-    vec![&BroadcastFamily, &BroadcastHwFamily, &CompeteFamily, &LeaderElectionFamily]
+    vec![&BROADCAST, &BROADCAST_HW, &CompeteFamily, &LEADER_ELECTION]
 }
 
 #[cfg(test)]
@@ -259,8 +214,8 @@ mod tests {
         assert!(f.parse_args(None).is_err());
         assert!(f.parse_args(Some("0")).is_err());
         assert!(f.parse_args(Some("4,nearby")).is_err());
-        assert!(BroadcastFamily.parse_args(Some("3")).is_err(), "broadcast takes no args");
-        assert_eq!(BroadcastFamily.parse_args(None).expect("bare").required_nodes, 1);
+        assert!(BROADCAST.parse_args(Some("3")).is_err(), "broadcast takes no args");
+        assert_eq!(BROADCAST.parse_args(None).expect("bare").required_nodes, 1);
     }
 
     #[test]
@@ -281,21 +236,6 @@ mod tests {
         let mut p = CompeteParams::default();
         let pairs: Vec<_> = schema.iter().map(|s| (s, 1.0)).collect();
         apply_overrides(&mut p, &pairs);
-    }
-
-    #[test]
-    fn instantiated_runnables_report_the_given_label() {
-        for f in families() {
-            for inst in f.canonical_instances() {
-                let parsed = f.parse_args(*inst).expect("canonical instances parse");
-                let label = match &parsed.canonical {
-                    None => f.name().to_string(),
-                    Some(a) => format!("{}({a})", f.name()),
-                };
-                let r = f.instantiate(parsed.canonical.as_deref(), &[], &label);
-                assert_eq!(r.name(), label, "{} instance names match", f.name());
-            }
-        }
     }
 
     #[test]

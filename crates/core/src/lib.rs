@@ -60,10 +60,10 @@ pub use api::{
     CompeteReport, LeaderElectionReport,
 };
 pub use family::{
-    apply_overrides, families, BroadcastFamily, BroadcastHwFamily, CompeteFamily,
-    LeaderElectionFamily, COMPETE_OVERRIDES,
+    apply_overrides, families, BareCompeteFamily, CompeteFamily, BROADCAST, BROADCAST_HW,
+    COMPETE_OVERRIDES, LEADER_ELECTION,
 };
 pub use params::{CompeteParams, CurtailMode, PrecomputeMode, SequenceScope};
 pub use precompute::{FineClustering, PrecomputeScratch, Precomputed};
 pub use protocol::{CompeteMsg, CompeteProtocol, CompeteState};
-pub use scenario::{BroadcastScenario, CompeteScenario, LeaderElectionScenario, SourcePlacement};
+pub use scenario::{CompeteScenario, SourcePlacement, SourceRule};

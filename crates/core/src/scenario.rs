@@ -1,4 +1,4 @@
-//! [`Runnable`] scenarios for the paper's algorithms — the plug the
+//! The [`Runnable`] scenario for the paper's algorithms — the plug the
 //! campaign registry uses to run Compete, broadcasting and leader election
 //! uniformly against any topology and collision model.
 
@@ -8,48 +8,6 @@ use rn_graph::{traversal, Graph, NodeId};
 use rn_sim::{rng, Runnable, TrialCtx, TrialPool, TrialRecord};
 use std::fmt;
 use std::str::FromStr;
-
-/// Broadcasting (Theorem 5.1): `Compete({node 0})` with the given parameter
-/// set. `label` is the registry name, so the same struct serves the default
-/// Czumaj–Davies configuration and ablation variants (e.g. Haeupler–Wajc
-/// curtailment).
-#[derive(Debug, Clone)]
-pub struct BroadcastScenario {
-    /// Algorithm constants for this variant.
-    pub params: CompeteParams,
-    /// Registry name (e.g. `"broadcast"`, `"broadcast_hw"`).
-    pub label: String,
-}
-
-impl BroadcastScenario {
-    /// The paper's default configuration, named `broadcast`.
-    pub fn czumaj_davies() -> BroadcastScenario {
-        BroadcastScenario { params: CompeteParams::default(), label: "broadcast".into() }
-    }
-
-    /// The Haeupler–Wajc curtailment ablation, named `broadcast_hw`.
-    pub fn haeupler_wajc() -> BroadcastScenario {
-        BroadcastScenario { params: CompeteParams::haeupler_wajc(), label: "broadcast_hw".into() }
-    }
-
-    /// An explicit parameter set under an explicit registry name (how the
-    /// scenario registry materializes per-cell `{key=value}` overrides).
-    pub fn with_params(params: CompeteParams, label: impl Into<String>) -> BroadcastScenario {
-        BroadcastScenario { params, label: label.into() }
-    }
-}
-
-impl Runnable for BroadcastScenario {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
-        let r = compete_trial(ctx, &[(0, 1)], &self.params, pool)
-            .expect("campaign graphs are connected with an in-range source");
-        TrialRecord::new(r.completed, r.total_rounds, r.metrics)
-    }
-}
 
 /// Where [`CompeteScenario`] places its `K` sources on the graph.
 ///
@@ -180,151 +138,91 @@ impl FromStr for SourcePlacement {
     }
 }
 
-/// Multi-source **Compete(S)** (Theorem 4.1) with `sources` sources holding
-/// distinct messages, placed per [`SourcePlacement`]. Sources are always
-/// placed on *distinct* nodes each trial — sampling with replacement would
-/// silently merge two messages onto one node, measuring `Compete(S')` with
-/// `|S'| < |S|`.
+/// Which nodes start a [`CompeteScenario`] with which values, and what
+/// completes a trial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceRule {
+    /// Broadcasting (Theorem 5.1): node 0 holds value 1.
+    Origin,
+    /// **Compete(S)** (Theorem 4.1): `k` sources on distinct nodes, placed
+    /// per trial by `placement`, holding values `1..=k` in placement order.
+    /// Sampling with replacement would silently merge two messages onto one
+    /// node, measuring `Compete(S')` with `|S'| < |S|`.
+    Placed {
+        /// Number of sources `|S| ≥ 1`.
+        k: usize,
+        /// Where the sources land on the graph.
+        placement: SourcePlacement,
+    },
+    /// Leader election (Algorithm 6): self-selected candidates with random
+    /// IDs run Compete on the IDs. A trial completes only when exactly one
+    /// node holds the winning ID.
+    Candidates,
+}
+
+/// One trial of Compete under a [`SourceRule`]: broadcasting, multi-source
+/// Compete(S) or leader election, all through the same pooled Compete core.
 #[derive(Debug, Clone)]
 pub struct CompeteScenario {
     /// Algorithm constants.
     pub params: CompeteParams,
-    /// Number of sources `|S| ≥ 1` (placed on distinct nodes per trial).
-    pub sources: usize,
-    /// Where the sources land on the graph.
-    pub placement: SourcePlacement,
-    /// Registry name (e.g. `"compete(4)"`, `"compete(4,corner){mu=0.2}"`).
-    pub label: String,
+    /// Who starts, and what completes a trial.
+    pub sources: SourceRule,
 }
 
 impl CompeteScenario {
-    /// Default-parameter Compete with `sources` uniform-random sources.
+    /// A scenario running `params` under `sources`.
     ///
     /// # Panics
     ///
-    /// Panics if `sources == 0` — a sourceless Compete is meaningless and
-    /// used to be silently clamped to 1.
-    pub fn new(sources: usize) -> CompeteScenario {
-        CompeteScenario::with_params(
-            sources,
-            CompeteParams::default(),
-            format!("compete({sources})"),
-        )
-    }
-
-    /// An explicit parameter set under an explicit registry name, with
-    /// uniform placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources == 0`.
-    pub fn with_params(
-        sources: usize,
-        params: CompeteParams,
-        label: impl Into<String>,
-    ) -> CompeteScenario {
-        CompeteScenario::with_placement(sources, SourcePlacement::Uniform, params, label)
-    }
-
-    /// Fully explicit constructor: source count, placement policy,
-    /// parameters and registry name (how the scenario registry materializes
-    /// `compete(K,POLICY){overrides}` specs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources == 0`.
-    pub fn with_placement(
-        sources: usize,
-        placement: SourcePlacement,
-        params: CompeteParams,
-        label: impl Into<String>,
-    ) -> CompeteScenario {
-        assert!(sources >= 1, "compete needs at least one source (got 0)");
-        CompeteScenario { params, sources, placement, label: label.into() }
+    /// Panics on [`SourceRule::Placed`] with `k == 0` — a sourceless
+    /// Compete is meaningless and used to be silently clamped to 1.
+    pub fn new(params: CompeteParams, sources: SourceRule) -> CompeteScenario {
+        if let SourceRule::Placed { k, .. } = sources {
+            assert!(k >= 1, "compete needs at least one source (got 0)");
+        }
+        CompeteScenario { params, sources }
     }
 }
 
 impl Runnable for CompeteScenario {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
     fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
-        let g = ctx.graph();
-        assert!(
-            self.sources <= g.n(),
-            "compete({}) needs {} distinct sources but the graph has only {} nodes",
-            self.sources,
-            self.sources,
-            g.n()
-        );
-        // Source placement is part of the trial's randomness (for the
-        // randomized policies): distinct nodes, drawn from the trial seed on
-        // a separate stream, holding values 1..=K in placement order. The
-        // buffers come from the pool, so steady-state uniform placement
-        // stays on the zero-allocation contract the alloc_count gate pins.
-        let cp = pool.parts(CompetePool::default).1;
-        let mut sources = std::mem::take(&mut cp.sources);
-        self.placement.place_into(
-            g,
-            self.sources,
-            ctx.seed(),
-            &mut cp.place_idx,
-            &mut cp.source_ids,
-        );
-        sources.clear();
-        sources.extend(cp.source_ids.iter().enumerate().map(|(k, &v)| (v, (k + 1) as u64)));
-        let r = compete_trial(ctx, &sources, &self.params, pool)
-            .expect("campaign graphs are connected with in-range sources");
-        // Hand the buffer back for the next trial.
-        pool.parts(CompetePool::default).1.sources = sources;
-        TrialRecord::new(r.completed, r.total_rounds, r.metrics)
-    }
-}
-
-/// Leader election (Algorithm 6, Theorem 5.2): candidate self-selection,
-/// random IDs, Compete on the IDs. A trial completes when Compete finishes
-/// and exactly one node holds the winning ID.
-#[derive(Debug, Clone)]
-pub struct LeaderElectionScenario {
-    /// Algorithm constants.
-    pub params: CompeteParams,
-    /// Registry name (e.g. `"leader_election"`,
-    /// `"leader_election{curtail=5}"`).
-    pub label: String,
-}
-
-impl LeaderElectionScenario {
-    /// Default-parameter leader election.
-    pub fn new() -> LeaderElectionScenario {
-        LeaderElectionScenario::with_params(CompeteParams::default(), "leader_election")
-    }
-
-    /// An explicit parameter set under an explicit registry name.
-    pub fn with_params(params: CompeteParams, label: impl Into<String>) -> LeaderElectionScenario {
-        LeaderElectionScenario { params, label: label.into() }
-    }
-}
-
-impl Default for LeaderElectionScenario {
-    fn default() -> Self {
-        LeaderElectionScenario::new()
-    }
-}
-
-impl Runnable for LeaderElectionScenario {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
-        let r =
-            leader_election_trial(ctx, &self.params, pool).expect("campaign graphs are connected");
-        TrialRecord::new(
-            r.compete.completed && r.unique_winner,
-            r.compete.total_rounds,
-            r.compete.metrics,
-        )
+        let (completed, r) = match self.sources {
+            SourceRule::Origin => {
+                let r = compete_trial(ctx, &[(0, 1)], &self.params, pool)
+                    .expect("campaign graphs are connected with an in-range source");
+                (r.completed, r)
+            }
+            SourceRule::Placed { k, placement } => {
+                let g = ctx.graph();
+                assert!(
+                    k <= g.n(),
+                    "compete({k}) needs {k} distinct sources but the graph has only {} nodes",
+                    g.n()
+                );
+                // Source placement is part of the trial's randomness (for
+                // the randomized policies): distinct nodes, drawn from the
+                // trial seed on a separate stream. The buffers come from
+                // the pool, so steady-state uniform placement stays on the
+                // zero-allocation contract the alloc_count gate pins.
+                let cp = pool.parts(CompetePool::default).1;
+                let mut sources = std::mem::take(&mut cp.sources);
+                placement.place_into(g, k, ctx.seed(), &mut cp.place_idx, &mut cp.source_ids);
+                sources.clear();
+                sources.extend(cp.source_ids.iter().enumerate().map(|(i, &v)| (v, (i + 1) as u64)));
+                let r = compete_trial(ctx, &sources, &self.params, pool)
+                    .expect("campaign graphs are connected with in-range sources");
+                // Hand the buffer back for the next trial.
+                pool.parts(CompetePool::default).1.sources = sources;
+                (r.completed, r)
+            }
+            SourceRule::Candidates => {
+                let le = leader_election_trial(ctx, &self.params, pool)
+                    .expect("campaign graphs are connected");
+                (le.compete.completed && le.unique_winner, le.compete)
+            }
+        };
+        TrialRecord::new(completed, r.total_rounds, r.metrics)
     }
 }
 
@@ -345,11 +243,20 @@ mod tests {
         faulted(s, g, seed, &FaultPlan::none())
     }
 
+    /// Default-parameter Compete under `sources`.
+    fn scenario(sources: SourceRule) -> CompeteScenario {
+        CompeteScenario::new(CompeteParams::default(), sources)
+    }
+
+    /// Default-parameter Compete(S) with `k` uniform-random sources.
+    fn compete(k: usize) -> CompeteScenario {
+        scenario(SourceRule::Placed { k, placement: SourcePlacement::Uniform })
+    }
+
     #[test]
     fn broadcast_scenario_completes_on_grid() {
         let g = generators::grid(8, 8);
-        let s = BroadcastScenario::czumaj_davies();
-        assert_eq!(s.name(), "broadcast");
+        let s = scenario(SourceRule::Origin);
         let r = trial(&s, &g, 3);
         assert!(r.completed);
         assert!(r.rounds > 0);
@@ -359,8 +266,7 @@ mod tests {
     #[test]
     fn leader_election_scenario_elects() {
         let g = generators::grid(8, 8);
-        let s = LeaderElectionScenario::new();
-        assert_eq!(s.name(), "leader_election");
+        let s = scenario(SourceRule::Candidates);
         let r = trial(&s, &g, 5);
         assert!(r.completed);
     }
@@ -368,8 +274,7 @@ mod tests {
     #[test]
     fn compete_scenario_is_seed_deterministic() {
         let g = generators::grid(6, 6);
-        let s = CompeteScenario::new(4);
-        assert_eq!(s.name(), "compete(4)");
+        let s = compete(4);
         let a = trial(&s, &g, 11);
         let b = trial(&s, &g, 11);
         assert_eq!(a, b, "same seed, same trial");
@@ -384,7 +289,7 @@ mod tests {
         // distinct placement, Compete(S) sees exactly |S| = n sources, so
         // the run completes with every node a source.
         let g = generators::grid(3, 3);
-        let s = CompeteScenario::new(9);
+        let s = compete(9);
         for seed in 0..16 {
             let r = trial(&s, &g, seed);
             assert!(r.completed, "seed {seed}");
@@ -395,14 +300,14 @@ mod tests {
     #[should_panic(expected = "at least one source")]
     fn compete_scenario_rejects_zero_sources() {
         // Regression: K = 0 used to be silently clamped to 1.
-        CompeteScenario::new(0);
+        compete(0);
     }
 
     #[test]
     #[should_panic(expected = "only 9 nodes")]
     fn compete_scenario_rejects_more_sources_than_nodes() {
         let g = generators::grid(3, 3);
-        let s = CompeteScenario::new(10);
+        let s = compete(10);
         trial(&s, &g, 1);
     }
 
@@ -478,12 +383,7 @@ mod tests {
     fn compete_scenario_with_placement_completes_and_is_deterministic() {
         let g = generators::grid(6, 6);
         for &placement in SourcePlacement::ALL {
-            let s = CompeteScenario::with_placement(
-                4,
-                placement,
-                CompeteParams::default(),
-                format!("compete(4,{placement})"),
-            );
+            let s = scenario(SourceRule::Placed { k: 4, placement });
             let a = trial(&s, &g, 11);
             let b = trial(&s, &g, 11);
             assert_eq!(a, b, "{placement}: same seed, same trial");
@@ -497,7 +397,7 @@ mod tests {
         // non-source node jamming at probability 1, nothing can spread — and
         // the trial must report that honestly rather than complete falsely.
         let g = generators::grid(4, 4);
-        let s = BroadcastScenario::czumaj_davies();
+        let s = scenario(SourceRule::Origin);
         let r = faulted(&s, &g, 3, &FaultPlan::jam(16, 1.0));
         assert!(!r.completed, "no false completion under total jamming");
         // A mild fault plan still runs deterministically.

@@ -2,17 +2,22 @@
 //! multi-source primitives (`decay(K)`, `decay_trunc(K)`) and the
 //! CD-exploiting beep-wave-assisted variants (`broadcast_cd`,
 //! `compete_cd(K)`).
+//!
+//! `decay` and `decay_trunc` differ only in their [`DecaySchedule`], so
+//! they are `static` values of one [`DecayFamily`].
 
-use crate::broadcast::CoinSampler;
+use crate::broadcast::{CoinSampler, DecaySchedule};
 use crate::scenario::{CdDecayScenario, DecayScenario};
-use rn_sim::family::{parse_count, reject_args, ParsedArgs, ProtocolFamily};
+use rn_sim::family::{parse_count, ParsedArgs, ProtocolFamily};
 use rn_sim::{OverrideClass, OverrideSpec, Runnable};
 
-/// Shared override schema of `decay(K)` / `decay_trunc(K)`: the coin
-/// sampler. `per_index` is the baseline-pinned default; `batched` draws 64
-/// coins per `u64` word (a different, equally valid random sequence —
-/// opt-in for large-scale runs).
-const DECAY_OVERRIDES: &[OverrideSpec] = &[OverrideSpec::new(
+/// The override schema of [`DecayFamily`]: the coin sampler. `per_index`
+/// is the baseline-pinned default; `batched` draws 64 coins per `u64` word
+/// (a different, equally valid random sequence — opt-in for large-scale
+/// runs).
+// A `static` (not `const`): every value of the family must return the same
+// slice address — the listing groups shared schemas by pointer identity.
+static DECAY_OVERRIDES: &[OverrideSpec] = &[OverrideSpec::new(
     "coins",
     "coin sampler: per_index (baseline sequence) or batched (word-level draws)",
     OverrideClass::Enum(&["per_index", "batched"]),
@@ -27,20 +32,42 @@ fn coin_sampler(overrides: &[(&'static OverrideSpec, f64)]) -> CoinSampler {
     }
 }
 
+/// Raw multi-source decay with `K` spread sources under one
+/// [`DecaySchedule`]. [`DECAY`] and [`DECAY_TRUNC`] are its values.
+pub struct DecayFamily {
+    name: &'static str,
+    grammar: &'static str,
+    about: &'static str,
+    schedule: DecaySchedule,
+}
+
 /// `decay(K)` — raw multi-source decay with `K` spread sources.
-pub struct DecayFamily;
+pub static DECAY: DecayFamily = DecayFamily {
+    name: "decay",
+    grammar: "decay(K)",
+    about: "raw multi-source decay with K spread sources",
+    schedule: DecaySchedule::Full,
+};
+
+/// `decay_trunc(K)` — truncated multi-source decay.
+pub static DECAY_TRUNC: DecayFamily = DecayFamily {
+    name: "decay_trunc",
+    grammar: "decay_trunc(K)",
+    about: "truncated multi-source decay",
+    schedule: DecaySchedule::Truncated,
+};
 
 impl ProtocolFamily for DecayFamily {
     fn name(&self) -> &'static str {
-        "decay"
+        self.name
     }
 
     fn grammar(&self) -> &'static str {
-        "decay(K)"
+        self.grammar
     }
 
     fn about(&self) -> &'static str {
-        "raw multi-source decay with K spread sources"
+        self.about
     }
 
     fn canonical_instances(&self) -> &'static [Option<&'static str>] {
@@ -52,7 +79,7 @@ impl ProtocolFamily for DecayFamily {
     }
 
     fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        let k = parse_count(self.name(), args)?;
+        let k = parse_count(self.name, args)?;
         Ok(ParsedArgs::with_args(k.to_string()))
     }
 
@@ -60,50 +87,9 @@ impl ProtocolFamily for DecayFamily {
         &self,
         args: Option<&str>,
         overrides: &[(&'static OverrideSpec, f64)],
-        label: &str,
     ) -> Box<dyn Runnable> {
-        let k = parse_count(self.name(), args).expect("canonical decay args");
-        Box::new(DecayScenario::new(k).with_coins(coin_sampler(overrides), label))
-    }
-}
-
-/// `decay_trunc(K)` — truncated multi-source decay.
-pub struct DecayTruncFamily;
-
-impl ProtocolFamily for DecayTruncFamily {
-    fn name(&self) -> &'static str {
-        "decay_trunc"
-    }
-
-    fn grammar(&self) -> &'static str {
-        "decay_trunc(K)"
-    }
-
-    fn about(&self) -> &'static str {
-        "truncated multi-source decay"
-    }
-
-    fn canonical_instances(&self) -> &'static [Option<&'static str>] {
-        &[Some("4")]
-    }
-
-    fn overrides(&self) -> &'static [OverrideSpec] {
-        DECAY_OVERRIDES
-    }
-
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        let k = parse_count(self.name(), args)?;
-        Ok(ParsedArgs::with_args(k.to_string()))
-    }
-
-    fn instantiate(
-        &self,
-        args: Option<&str>,
-        overrides: &[(&'static OverrideSpec, f64)],
-        label: &str,
-    ) -> Box<dyn Runnable> {
-        let k = parse_count(self.name(), args).expect("canonical decay_trunc args");
-        Box::new(DecayScenario::truncated(k).with_coins(coin_sampler(overrides), label))
+        let k = parse_count(self.name, args).expect("canonical decay args");
+        Box::new(DecayScenario::new(k, self.schedule).with_coins(coin_sampler(overrides)))
     }
 }
 
@@ -116,23 +102,14 @@ impl ProtocolFamily for BroadcastCdFamily {
         "broadcast_cd"
     }
 
-    fn grammar(&self) -> &'static str {
-        "broadcast_cd"
-    }
-
     fn about(&self) -> &'static str {
         "CD-exploiting broadcast: beep-wave layer labels + layered decay"
-    }
-
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
-        reject_args(self.name(), args)
     }
 
     fn instantiate(
         &self,
         _args: Option<&str>,
-        _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        _label: &str,
+        _overrides: &[(&'static OverrideSpec, f64)],
     ) -> Box<dyn Runnable> {
         Box::new(CdDecayScenario::broadcast())
     }
@@ -167,8 +144,7 @@ impl ProtocolFamily for CompeteCdFamily {
     fn instantiate(
         &self,
         args: Option<&str>,
-        _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        _label: &str,
+        _overrides: &[(&'static OverrideSpec, f64)],
     ) -> Box<dyn Runnable> {
         let k = parse_count(self.name(), args).expect("canonical compete_cd args");
         Box::new(CdDecayScenario::compete(k))
@@ -177,7 +153,7 @@ impl ProtocolFamily for CompeteCdFamily {
 
 /// The protocol families this crate contributes to the registry.
 pub fn families() -> Vec<&'static dyn ProtocolFamily> {
-    vec![&DecayFamily, &DecayTruncFamily, &BroadcastCdFamily, &CompeteCdFamily]
+    vec![&DECAY, &DECAY_TRUNC, &BroadcastCdFamily, &CompeteCdFamily]
 }
 
 #[cfg(test)]
@@ -190,16 +166,12 @@ mod tests {
         assert_eq!(p.canonical.as_deref(), Some("4"));
         assert_eq!(p.required_nodes, 4, "compete_cd needs K distinct nodes");
         assert_eq!(
-            CompeteCdFamily.instantiate(Some("4"), &[], "compete_cd(4)").name(),
-            "compete_cd(4)"
+            DECAY_TRUNC.parse_args(Some("2")).expect("parses").canonical.as_deref(),
+            Some("2")
         );
-        assert_eq!(BroadcastCdFamily.instantiate(None, &[], "broadcast_cd").name(), "broadcast_cd");
-        assert_eq!(DecayFamily.instantiate(Some("3"), &[], "decay(3)").name(), "decay(3)");
-        assert_eq!(
-            DecayTruncFamily.instantiate(Some("2"), &[], "decay_trunc(2)").name(),
-            "decay_trunc(2)"
-        );
-        assert!(DecayFamily.parse_args(None).is_err());
+        assert_eq!(DECAY.grammar(), "decay(K)");
+        assert_eq!(BroadcastCdFamily.grammar(), "broadcast_cd", "bare names default their grammar");
+        assert!(DECAY.parse_args(None).is_err());
         assert!(CompeteCdFamily.parse_args(Some("0")).is_err());
         assert!(BroadcastCdFamily.parse_args(Some("1")).is_err());
     }
@@ -210,11 +182,8 @@ mod tests {
         assert_eq!(coin_sampler(&[]), CoinSampler::PerIndex);
         assert_eq!(coin_sampler(&[(spec, 0.0)]), CoinSampler::PerIndex);
         assert_eq!(coin_sampler(&[(spec, 1.0)]), CoinSampler::Batched);
-        let label = "decay(2){coins=batched}";
-        let r = DecayFamily.instantiate(Some("2"), &[(spec, 1.0)], label);
-        assert_eq!(r.name(), label, "the runnable reports the full override label");
-        let label = "decay_trunc(3){coins=batched}";
-        let r = DecayTruncFamily.instantiate(Some("3"), &[(spec, 1.0)], label);
-        assert_eq!(r.name(), label);
+        // Both schedules share the one schema, so `{coins=…}` reads the
+        // same on either family.
+        assert!(std::ptr::eq(DECAY.overrides(), DECAY_TRUNC.overrides()));
     }
 }

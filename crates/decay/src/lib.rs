@@ -52,6 +52,6 @@ mod scenario;
 
 pub use broadcast::{CoinSampler, DecayBroadcast, DecaySchedule};
 pub use cd::{CdMsg, LayeredDecayCd};
-pub use family::{families, BroadcastCdFamily, CompeteCdFamily, DecayFamily, DecayTruncFamily};
+pub use family::{families, BroadcastCdFamily, CompeteCdFamily, DecayFamily, DECAY, DECAY_TRUNC};
 pub use primitive::{DecaySteps, SingleDecayRound};
 pub use scenario::{CdDecayScenario, DecayScenario};

@@ -21,40 +21,19 @@ pub struct DecayScenario {
     /// How trials draw their transmission coins ([`CoinSampler::PerIndex`]
     /// unless the `{coins=batched}` override selects otherwise).
     pub coins: CoinSampler,
-    /// The canonical spec label this scenario reports as its name (the
-    /// registry requires `Runnable::name` to equal the full spec string,
-    /// overrides included).
-    label: String,
 }
 
 impl DecayScenario {
-    /// Plain multi-source decay with `sources` sources.
-    pub fn new(sources: usize) -> DecayScenario {
-        let sources = sources.max(1);
-        DecayScenario {
-            sources,
-            schedule: DecaySchedule::Full,
-            coins: CoinSampler::default(),
-            label: format!("decay({sources})"),
-        }
+    /// Decay with `sources` sources (at least one) under `schedule`,
+    /// drawing coins per index.
+    pub fn new(sources: usize, schedule: DecaySchedule) -> DecayScenario {
+        DecayScenario { sources: sources.max(1), schedule, coins: CoinSampler::default() }
     }
 
-    /// Truncated-decay variant with `sources` sources.
-    pub fn truncated(sources: usize) -> DecayScenario {
-        let sources = sources.max(1);
-        DecayScenario {
-            sources,
-            schedule: DecaySchedule::Truncated,
-            coins: CoinSampler::default(),
-            label: format!("decay_trunc({sources})"),
-        }
-    }
-
-    /// Selects the coin sampler and the label the scenario reports
-    /// (builder-style, for family instantiation with overrides).
-    pub fn with_coins(mut self, coins: CoinSampler, label: impl Into<String>) -> DecayScenario {
+    /// Selects the coin sampler (builder-style, for the `{coins=…}`
+    /// override).
+    pub fn with_coins(mut self, coins: CoinSampler) -> DecayScenario {
         self.coins = coins;
-        self.label = label.into();
         self
     }
 
@@ -78,10 +57,6 @@ struct DecayPool {
 }
 
 impl Runnable for DecayScenario {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
     fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
         let (n, net, seed) = (ctx.graph().n(), ctx.net(), ctx.seed());
         let (engine, st) = pool.parts(DecayPool::default);
@@ -118,7 +93,7 @@ pub struct CdDecayScenario {
     /// `broadcast_cd`: pin the single source to node 0 (comparable with
     /// `broadcast`/`bgi` cells) instead of drawing it per trial. The two
     /// forms are distinct registry families even at one source —
-    /// `compete_cd(1)` keeps its own name and its random placement.
+    /// `compete_cd(1)` keeps its random placement.
     pub fixed_origin: bool,
 }
 
@@ -140,14 +115,6 @@ impl CdDecayScenario {
 }
 
 impl Runnable for CdDecayScenario {
-    fn name(&self) -> String {
-        if self.fixed_origin {
-            "broadcast_cd".into()
-        } else {
-            format!("compete_cd({})", self.sources)
-        }
-    }
-
     fn effective_model(&self, _requested: CollisionModel) -> CollisionModel {
         CollisionModel::CollisionDetection
     }
@@ -235,21 +202,19 @@ mod tests {
     fn decay_scenario_completes_and_names_stably() {
         let g = generators::grid(10, 10);
         let nocd = CollisionModel::NoCollisionDetection;
-        let plain = DecayScenario::new(4);
-        assert_eq!(plain.name(), "decay(4)");
+        let plain = DecayScenario::new(4, DecaySchedule::Full);
         let r = trial(&plain, &g, nocd, 3);
         assert!(r.completed);
         assert!(r.metrics.deliveries > 0);
 
-        let trunc = DecayScenario::truncated(2);
-        assert_eq!(trunc.name(), "decay_trunc(2)");
+        let trunc = DecayScenario::new(2, DecaySchedule::Truncated);
         assert!(trial(&trunc, &g, nocd, 3).completed);
     }
 
     #[test]
     fn decay_scenario_runs_under_faults_without_scenario_code() {
         let g = generators::grid(6, 6);
-        let s = DecayScenario::new(2);
+        let s = DecayScenario::new(2, DecaySchedule::Full);
         // Total jamming: decay cannot inform anyone beyond the sources.
         let r = faulted(&s, &g, 3, &FaultPlan::jam(36, 1.0));
         assert!(!r.completed, "no false completion under total jamming");
@@ -263,7 +228,6 @@ mod tests {
     fn cd_scenarios_complete_under_the_pinned_cd_model() {
         let g = generators::grid(8, 8);
         let b = CdDecayScenario::broadcast();
-        assert_eq!(b.name(), "broadcast_cd");
         // The axis may request nocd; the scenario pins CD.
         let model = b.effective_model(CollisionModel::NoCollisionDetection);
         assert_eq!(model, CollisionModel::CollisionDetection);
@@ -272,7 +236,6 @@ mod tests {
         assert!(r.metrics.deliveries > 0);
 
         let c = CdDecayScenario::compete(4);
-        assert_eq!(c.name(), "compete_cd(4)");
         let a = trial(&c, &g, model, 9);
         assert_eq!(a, trial(&c, &g, model, 9), "same seed, same trial");
         assert!(a.completed, "compete_cd(4) completes on grid-8x8");
@@ -299,9 +262,8 @@ mod tests {
         // (mislabeling campaign cells and bench-diff keys) with its source
         // silently pinned to node 0. The two forms stay distinct.
         let one = CdDecayScenario::compete(1);
-        assert_eq!(one.name(), "compete_cd(1)");
         assert!(!one.fixed_origin, "compete_cd(1) draws its source per trial");
-        assert_eq!(CdDecayScenario::broadcast().name(), "broadcast_cd");
+        assert!(CdDecayScenario::broadcast().fixed_origin);
         // And it is a genuinely different workload: on a path, the trial
         // stream differs from the node-0-pinned broadcast for some seed.
         let g = generators::path(40);
@@ -343,7 +305,7 @@ mod tests {
         // the graph's address plus (n, m), so a binding reassigned in place
         // to another graph of the same shape stepped dense rounds over the
         // old graph's adjacency rows.
-        let s = DecayScenario::new(4);
+        let s = DecayScenario::new(4, DecaySchedule::Full);
         let model = CollisionModel::NoCollisionDetection;
         let mut pool = TrialPool::new();
         let mut g = dense_graph(1);
@@ -358,7 +320,7 @@ mod tests {
 
     #[test]
     fn sources_are_clamped_to_graph_size() {
-        let s = DecayScenario::new(100);
+        let s = DecayScenario::new(100, DecaySchedule::Full);
         let mut placed = Vec::new();
         s.place_sources(10, &mut placed);
         assert_eq!(placed.len(), 10);

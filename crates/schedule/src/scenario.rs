@@ -66,8 +66,6 @@ pub struct ScheduleScenario {
     pub op: ScheduleOp,
     /// Clustering parameter of the per-trial partition.
     pub beta: f64,
-    /// Registry name (e.g. `"schedule(upcast)"`, `"schedule(downcast,0.1)"`).
-    pub label: String,
 }
 
 impl ScheduleScenario {
@@ -81,12 +79,7 @@ impl ScheduleScenario {
             beta > 0.0 && beta <= 1.0 && beta.is_finite(),
             "schedule beta {beta} not in (0, 1]"
         );
-        let label = if beta == DEFAULT_SCHEDULE_BETA {
-            format!("schedule({})", op.as_str())
-        } else {
-            format!("schedule({},{beta})", op.as_str())
-        };
-        ScheduleScenario { op, beta, label }
+        ScheduleScenario { op, beta }
     }
 
     /// One executor pass over the trial's clustering + schedule.
@@ -134,10 +127,6 @@ impl ScheduleScenario {
 }
 
 impl Runnable for ScheduleScenario {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
     fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
         let g = ctx.graph();
         let (engine, st) = pool.parts(SchedulePool::default);
@@ -223,7 +212,6 @@ impl ProtocolFamily for ScheduleFamily {
         &self,
         args: Option<&str>,
         _overrides: &[(&'static rn_sim::OverrideSpec, f64)],
-        _label: &str,
     ) -> Box<dyn Runnable> {
         let (op, beta) = ScheduleFamily::parse(args).expect("canonical schedule args");
         Box::new(ScheduleScenario::new(op, beta))
@@ -286,10 +274,6 @@ mod tests {
         assert!(f.parse_args(None).is_err());
         assert!(f.parse_args(Some("sideways")).is_err());
         assert!(f.parse_args(Some("upcast,2")).is_err());
-        let r = f.instantiate(Some("upcast"), &[], "schedule(upcast)");
-        assert_eq!(r.name(), "schedule(upcast)");
-        let r = f.instantiate(Some("downcast,0.1"), &[], "schedule(downcast,0.1)");
-        assert_eq!(r.name(), "schedule(downcast,0.1)");
     }
 
     #[test]

@@ -13,8 +13,16 @@
 //! and the CD-exploiting variants, `rn_cluster` the `Partition(β)`
 //! sub-protocol and `rn_schedule` the Downcast/Upcast executors — and
 //! `rn_bench` merely *assembles* the lists. Adding an algorithm anywhere in
-//! the workspace is one `ProtocolFamily` impl plus one line in that crate's
-//! `families()`; no registry code changes.
+//! the workspace is one `ProtocolFamily` value plus one line in that
+//! crate's `families()`; no registry code changes.
+//!
+//! A family does not name the [`Runnable`] it builds: the registry's spec
+//! string (`compete(4,corner){mu=0.2}`) is the only name a protocol has.
+//! Bare-name families need only [`ProtocolFamily::name`],
+//! [`ProtocolFamily::about`] and [`ProtocolFamily::instantiate`] — the
+//! grammar and the argument check default to the bare name. Families that
+//! differ only in constants (base parameters, a decay schedule) are
+//! `static` values of one family type, not one type each.
 //!
 //! The trait lives here (not in `rn_bench`) because `rn_sim` is the one
 //! crate every protocol crate already depends on: it is the lowest layer at
@@ -130,9 +138,10 @@ impl ParsedArgs {
 
 /// One protocol family of the open registry. See the [module docs](self).
 ///
-/// Implementations are unit-like structs registered as `&'static dyn
-/// ProtocolFamily` in their crate's `families()` list; all methods take
-/// `&self` so a single static serves every spec of the family.
+/// Implementations are unit structs or `static` values of a family type,
+/// registered as `&'static dyn ProtocolFamily` in their crate's
+/// `families()` list; all methods take `&self` so a single static serves
+/// every spec of the family.
 pub trait ProtocolFamily: Send + Sync {
     /// The family name — the identifier before any `(...)` / `{...}` in a
     /// spec. Must be unique across the assembled registry (checked at
@@ -140,9 +149,11 @@ pub trait ProtocolFamily: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// The positional-argument grammar, for help output — e.g.
-    /// `"compete(K[,uniform|clustered|corner])"`. Bare-name families return
-    /// just the name.
-    fn grammar(&self) -> &'static str;
+    /// `"compete(K[,uniform|clustered|corner])"`. Defaults to the bare
+    /// name.
+    fn grammar(&self) -> &'static str {
+        self.name()
+    }
 
     /// One-line description for `--list`.
     fn about(&self) -> &'static str;
@@ -162,17 +173,22 @@ pub trait ProtocolFamily: Send + Sync {
     }
 
     /// Validates and canonicalizes the positional arguments (the text
-    /// between the parentheses; `None` when absent).
+    /// between the parentheses; `None` when absent). Defaults to a bare
+    /// name: no arguments allowed, one required node.
     ///
     /// # Errors
     ///
     /// A human-readable description of what is wrong with the arguments.
-    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String>;
+    fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
+        match args {
+            None => Ok(ParsedArgs::bare()),
+            Some(_) => Err(format!("{} takes no arguments", self.name())),
+        }
+    }
 
     /// Builds the family's [`Runnable`] for previously validated canonical
     /// `args`, with `overrides` (pairs from this family's own schema,
-    /// already class-validated) applied. `label` is the full canonical spec
-    /// string; the returned object's [`Runnable::name`] must equal it.
+    /// already class-validated) applied.
     ///
     /// # Panics
     ///
@@ -183,21 +199,7 @@ pub trait ProtocolFamily: Send + Sync {
         &self,
         args: Option<&str>,
         overrides: &[(&'static OverrideSpec, f64)],
-        label: &str,
     ) -> Box<dyn Runnable>;
-}
-
-/// The `parse_args` body of a bare-name family (shared by several
-/// families): no arguments allowed, one required node.
-///
-/// # Errors
-///
-/// A description naming `family` when arguments were given.
-pub fn reject_args(family: &str, args: Option<&str>) -> Result<ParsedArgs, String> {
-    match args {
-        None => Ok(ParsedArgs::bare()),
-        Some(_) => Err(format!("{family} takes no arguments")),
-    }
 }
 
 /// Parses a `K`-style positive count argument (shared by several families).
@@ -251,6 +253,36 @@ mod tests {
         let p = ParsedArgs::with_args("4,corner").needing_nodes(4);
         assert_eq!(p.canonical.as_deref(), Some("4,corner"));
         assert_eq!(p.required_nodes, 4);
+    }
+
+    /// A bare-name family relying on every default.
+    struct Bare;
+
+    impl ProtocolFamily for Bare {
+        fn name(&self) -> &'static str {
+            "bare"
+        }
+
+        fn about(&self) -> &'static str {
+            "a bare name"
+        }
+
+        fn instantiate(
+            &self,
+            _args: Option<&str>,
+            _overrides: &[(&'static OverrideSpec, f64)],
+        ) -> Box<dyn Runnable> {
+            unreachable!("the defaults test never instantiates")
+        }
+    }
+
+    #[test]
+    fn bare_name_families_default_their_grammar_and_args() {
+        assert_eq!(Bare.grammar(), "bare");
+        assert_eq!(Bare.parse_args(None), Ok(ParsedArgs::bare()));
+        assert_eq!(Bare.parse_args(Some("1")), Err("bare takes no arguments".to_string()));
+        assert!(Bare.overrides().is_empty());
+        assert_eq!(Bare.canonical_instances(), &[None]);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! broadcast / leader election), `rn_baselines` (BGI, truncated decay,
 //! binary-search leader election), `rn_decay` (raw multi-source decay),
 //! `rn_cluster` and `rn_schedule` (the sub-protocols) — and are registered
-//! by name in `rn_bench`'s scenario registry.
+//! through [`crate::ProtocolFamily`] values in `rn_bench`'s scenario
+//! registry. A `Runnable` has no name of its own: the registry spec that
+//! instantiated it labels its results.
 
 use crate::engine::{SimScratch, Simulator};
 use crate::faults::{FaultPlan, FaultSchedule};
@@ -164,7 +166,7 @@ impl TrialRecord {
     }
 }
 
-/// A named, repeatable scenario: one protocol family plus its setup policy,
+/// A repeatable scenario: one protocol family plus its setup policy,
 /// runnable on any graph under any collision model.
 ///
 /// Implementations must be cheap to construct and reusable across trials —
@@ -173,10 +175,6 @@ impl TrialRecord {
 /// All randomness must derive from the context's seed so a `(scenario,
 /// graph, model, seed, faults)` tuple pins the trial exactly.
 pub trait Runnable: Send + Sync {
-    /// The scenario's stable registry name (e.g. `"leader_election"`,
-    /// `"binsearch_le(bgi)"`). Used in tables, JSON results and CLI specs.
-    fn name(&self) -> String;
-
     /// The collision model a trial actually runs under when `requested` is
     /// asked for. Most scenarios honor the request (the default); scenarios
     /// whose probe dictates a fixed model (e.g. a beep wave needs collision
@@ -214,10 +212,6 @@ mod tests {
     struct FloodScenario;
 
     impl Runnable for FloodScenario {
-        fn name(&self) -> String {
-            "naive_flood".into()
-        }
-
         fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
             let (engine, _) = pool.parts(|| ());
             let mut p = NaiveFlood::new(ctx.graph().n(), 0);
@@ -248,7 +242,6 @@ mod tests {
             &FaultPlan::none(),
         );
         let scenario: Box<dyn Runnable> = Box::new(FloodScenario);
-        assert_eq!(scenario.name(), "naive_flood");
         // A path floods fine (each frontier node is alone); a record with
         // metrics comes back.
         let r = scenario.run(&ctx, &mut TrialPool::new());
