@@ -26,7 +26,7 @@ use crate::executor::{self, ExecOptions};
 use crate::harness::Table;
 use crate::json::Json;
 use crate::registry::{model_name, ProtocolSpec, ScenarioSpec};
-use crate::sink::MemorySink;
+use crate::sink::{CampaignSink, JsonStreamSink, MemorySink, RunHeader};
 pub use crate::stats::CellStats;
 use crate::stats::TrialAccumulator;
 use rn_graph::TopologySpec;
@@ -448,16 +448,23 @@ impl CampaignResult {
     }
 
     /// Renders the versioned JSON results document (compact, byte-stable
-    /// for a fixed campaign and master seed).
+    /// for a fixed campaign and master seed) through a [`JsonStreamSink`],
+    /// so in-memory and streamed documents have one writer.
     pub fn to_json(&self) -> String {
-        Json::obj(vec![
-            ("schema", Json::Str(RESULTS_SCHEMA.into())),
-            ("id", Json::Str(self.id.clone())),
-            ("master_seed", Json::UInt(self.master_seed)),
-            ("trials_per_cell", Json::UInt(self.trials_per_cell)),
-            ("cells", Json::Arr(self.cells.iter().map(CellResult::to_json).collect())),
-        ])
-        .render()
+        let header = RunHeader {
+            id: self.id.clone(),
+            master_seed: self.master_seed,
+            trials_per_cell: self.trials_per_cell,
+        };
+        let mut sink = JsonStreamSink::new(Vec::new());
+        let mut write = || -> std::io::Result<()> {
+            sink.begin(&header)?;
+            self.cells.iter().try_for_each(|c| sink.cell(c))?;
+            sink.finish()
+        };
+        write().expect("writing to memory cannot fail");
+        let bytes = sink.into_inner().expect("writing to memory cannot fail");
+        String::from_utf8(bytes).expect("the JSON writer emits UTF-8")
     }
 }
 

@@ -315,7 +315,7 @@ pub fn e5_bad_subpaths(seed: u64, threads: usize) -> Vec<Table> {
 /// E6 — Lemma 2.3 contract: schedule passes reach distance ℓ in
 /// `(ℓ+1)·W` rounds with period `W = O(log n)`. Runs on the calling thread.
 pub fn e6_schedule_contract(seed: u64, _threads: usize) -> Vec<Table> {
-    use rn_schedule::{Downcast, SlotPolicy, TreeSchedule};
+    use rn_schedule::{SchedulePass, SlotPolicy, TreeSchedule};
     let mut rng0 = rng::stream_rng(seed, 5);
     let graphs: Vec<(&str, Graph)> = vec![
         ("path-512", generators::path(512)),
@@ -334,7 +334,7 @@ pub fn e6_schedule_contract(seed: u64, _threads: usize) -> Vec<Table> {
         let cap = 4 * NetParams::new(g.n(), sched.max_depth()).log2_n();
         for l in [2u32, 4, 8, 16, 32] {
             let l = l.min(sched.max_depth());
-            let mut dc = Downcast::from_center_values(&sched, l, &[Some(1)]);
+            let mut dc = SchedulePass::downcast_from_centers(&sched, l, &[Some(1)]);
             let budget = dc.pass_len();
             let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
             // Stop as soon as every node within ℓ is served.

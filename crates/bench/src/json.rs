@@ -299,12 +299,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
             }
             _ => {
-                // Re-decode UTF-8 starting at the byte we consumed.
-                let s = std::str::from_utf8(&bytes[*pos - 1..])
-                    .map_err(|_| err("invalid UTF-8 in string", *pos - 1))?;
-                let c = s.chars().next().expect("nonempty by construction");
-                out.push(c);
-                *pos += c.len_utf8() - 1;
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so the run ends on a char boundary
+                // of the (valid UTF-8) input and decodes in linear time.
+                let start = *pos - 1;
+                let len = bytes[start..].iter().position(|&c| c == b'"' || c == b'\\');
+                *pos = len.map_or(bytes.len(), |len| start + len);
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err("invalid UTF-8 in string", start))?;
+                out.push_str(run);
             }
         }
     }
@@ -400,6 +403,23 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd\te\u{1}π".into());
         let s = v.render();
         assert_eq!(Json::parse(&s).expect("parses"), v);
+    }
+
+    #[test]
+    fn string_runs_escapes_and_multibyte_characters_round_trip() {
+        // Plain runs between every escape form, `\u` escapes (one a lone
+        // surrogate, which decodes to U+FFFD) and 2-, 3- and 4-byte UTF-8.
+        let doc = r#"{"plain é":"a\"b\\c\/d\ne\rf\tg\bh\fi\u0041\u00e9中\ud800 π中😀 end","":"","😀":"\u0001"}"#;
+        let v = Json::parse(doc).expect("parses");
+        let want = Json::obj(vec![
+            ("plain é", Json::Str("a\"b\\c/d\ne\rf\tg\u{8}h\u{c}iAé中\u{fffd} π中😀 end".into())),
+            ("", Json::Str(String::new())),
+            ("😀", Json::Str("\u{1}".into())),
+        ]);
+        assert_eq!(v, want);
+        let rendered = v.render();
+        assert_eq!(Json::parse(&rendered).expect("own output parses"), v);
+        assert!(Json::parse(r#""unterminated é"#).is_err());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!   classic in-memory path behind [`crate::Campaign::run`];
 //! * [`JsonStreamSink`] writes the versioned results document
 //!   incrementally to any [`io::Write`], keeping memory proportional to the
-//!   cells in flight rather than the whole sweep. Its output is
-//!   **byte-identical** to [`CampaignResult::to_json`] for the same
-//!   campaign and master seed — both render through the deterministic
-//!   [`crate::json`] writer.
+//!   cells in flight rather than the whole sweep. It is the one writer of
+//!   the document: [`CampaignResult::to_json`] renders through it, so the
+//!   streamed and in-memory documents are the same bytes for the same
+//!   campaign and master seed.
 
 use crate::campaign::{CampaignResult, CellResult, RESULTS_SCHEMA};
 use crate::json::Json;
@@ -100,8 +100,8 @@ impl CampaignSink for MemorySink {
 
 /// Streams the `rn-bench-results/v1` document to a writer, one cell at a
 /// time: header and opening `"cells":[` on `begin`, one rendered cell per
-/// `cell` call, closing `]}` on `finish`. Byte-identical to
-/// [`CampaignResult::to_json`] for the same run.
+/// `cell` call, closing `]}` on `finish`. [`CampaignResult::to_json`]
+/// renders through it.
 #[derive(Debug)]
 pub struct JsonStreamSink<W: io::Write + Send> {
     w: W,
@@ -132,8 +132,6 @@ impl<W: io::Write + Send> JsonStreamSink<W> {
 
 impl<W: io::Write + Send> CampaignSink for JsonStreamSink<W> {
     fn begin(&mut self, header: &RunHeader) -> io::Result<()> {
-        // Field order and rendering must match CampaignResult::to_json
-        // exactly; strings go through the same Json escaper.
         write!(
             self.w,
             "{{\"schema\":{},\"id\":{},\"master_seed\":{},\"trials_per_cell\":{},\"cells\":[",

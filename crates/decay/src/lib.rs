@@ -54,4 +54,4 @@ pub use broadcast::{CoinSampler, DecayBroadcast, DecaySchedule};
 pub use cd::{CdMsg, LayeredDecayCd};
 pub use family::{families, BroadcastCdFamily, CompeteCdFamily, DecayFamily, DECAY, DECAY_TRUNC};
 pub use primitive::{DecaySteps, SingleDecayRound};
-pub use scenario::{CdDecayScenario, DecayScenario};
+pub use scenario::{CdDecayScenario, CdSourceRule, DecayScenario};

@@ -74,11 +74,21 @@ impl Runnable for DecayScenario {
     }
 }
 
-/// CD-exploiting scenario over [`LayeredDecayCd`]: `broadcast_cd` (one
-/// source, node 0 — comparable to `broadcast`/`bgi` cells) or
-/// `compete_cd(K)` (`K` distinct uniform-random sources holding values
-/// `1..=K`, completion = everyone knows the maximum — the CD analogue of
-/// `compete(K)`).
+/// Which nodes start a [`CdDecayScenario`] with which values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CdSourceRule {
+    /// `broadcast_cd`: node 0 holds value 1, so its cells compare directly
+    /// with `broadcast`/`bgi` cells.
+    Origin,
+    /// `compete_cd(K)`: `K` distinct uniform-random nodes, drawn per trial,
+    /// hold values `1..=K` in draw order — the placement `compete(K)` uses.
+    /// `compete_cd(1)` keeps this random placement.
+    Uniform(usize),
+}
+
+/// CD-exploiting scenario over [`LayeredDecayCd`]: `broadcast_cd` or
+/// `compete_cd(K)` (see [`CdSourceRule`]); a trial completes when everyone
+/// knows the maximum value — the CD analogue of `compete(K)`.
 ///
 /// The beep wave only works when listeners can tell collisions from
 /// silence, so [`Runnable::effective_model`] pins the collision-detection
@@ -87,20 +97,14 @@ impl Runnable for DecayScenario {
 /// *uses* the extra bit rather than merely tolerating it.
 #[derive(Debug, Clone, Copy)]
 pub struct CdDecayScenario {
-    /// Number of sources (`compete_cd(K)` places them uniform-random and
-    /// distinct per trial; the `broadcast_cd` form has exactly one).
-    pub sources: usize,
-    /// `broadcast_cd`: pin the single source to node 0 (comparable with
-    /// `broadcast`/`bgi` cells) instead of drawing it per trial. The two
-    /// forms are distinct registry families even at one source —
-    /// `compete_cd(1)` keeps its random placement.
-    pub fixed_origin: bool,
+    /// Who starts, with which values.
+    pub sources: CdSourceRule,
 }
 
 impl CdDecayScenario {
     /// Single-source `broadcast_cd` from node 0.
     pub fn broadcast() -> CdDecayScenario {
-        CdDecayScenario { sources: 1, fixed_origin: true }
+        CdDecayScenario { sources: CdSourceRule::Origin }
     }
 
     /// Multi-source `compete_cd(K)`.
@@ -110,7 +114,7 @@ impl CdDecayScenario {
     /// Panics if `sources == 0`.
     pub fn compete(sources: usize) -> CdDecayScenario {
         assert!(sources >= 1, "compete_cd needs at least one source (got 0)");
-        CdDecayScenario { sources, fixed_origin: false }
+        CdDecayScenario { sources: CdSourceRule::Uniform(sources) }
     }
 }
 
@@ -121,28 +125,24 @@ impl Runnable for CdDecayScenario {
 
     fn run(&self, ctx: &TrialCtx<'_>, pool: &mut TrialPool) -> TrialRecord {
         let (n, net, seed) = (ctx.graph().n(), ctx.net(), ctx.seed());
-        assert!(
-            self.sources <= n,
-            "compete_cd({}) needs {} distinct sources but the graph has only {n} nodes",
-            self.sources,
-            self.sources,
-        );
-        // Placement mirrors compete(K): distinct uniform nodes from a
-        // dedicated stream of the trial seed, values 1..=K in draw order —
-        // except broadcast_cd, which pins node 0 so its cells compare
-        // directly with broadcast/bgi.
         let (engine, st) = pool.parts(CdDecayPool::default);
         st.sources.clear();
-        if self.fixed_origin {
-            st.sources.push((0, 1));
-        } else {
-            // Drawn into the pooled index buffer: steady-state placement
-            // stays off the heap.
-            let mut srng = rng::stream_rng(seed, 0x50C);
-            rng::sample_distinct_into(&mut srng, self.sources, n, &mut st.place_idx);
-            st.sources.extend(
-                st.place_idx.iter().enumerate().map(|(k, &v)| (v as NodeId, (k + 1) as u64)),
-            );
+        match self.sources {
+            CdSourceRule::Origin => st.sources.push((0, 1)),
+            CdSourceRule::Uniform(k) => {
+                assert!(
+                    k <= n,
+                    "compete_cd({k}) needs {k} distinct sources but the graph has only {n} nodes"
+                );
+                // Distinct uniform nodes from a dedicated stream of the
+                // trial seed, drawn into the pooled index buffer so
+                // steady-state placement stays off the heap.
+                let mut srng = rng::stream_rng(seed, 0x50C);
+                rng::sample_distinct_into(&mut srng, k, n, &mut st.place_idx);
+                st.sources.extend(
+                    st.place_idx.iter().enumerate().map(|(i, &v)| (v as NodeId, (i + 1) as u64)),
+                );
+            }
         }
         let target = st.sources.iter().map(|&(_, v)| v).max().expect("at least one source");
         match &mut st.protocol {
@@ -262,8 +262,12 @@ mod tests {
         // (mislabeling campaign cells and bench-diff keys) with its source
         // silently pinned to node 0. The two forms stay distinct.
         let one = CdDecayScenario::compete(1);
-        assert!(!one.fixed_origin, "compete_cd(1) draws its source per trial");
-        assert!(CdDecayScenario::broadcast().fixed_origin);
+        assert_eq!(
+            one.sources,
+            CdSourceRule::Uniform(1),
+            "compete_cd(1) draws its source per trial"
+        );
+        assert_eq!(CdDecayScenario::broadcast().sources, CdSourceRule::Origin);
         // And it is a genuinely different workload: on a path, the trial
         // stream differs from the node-0-pinned broadcast for some seed.
         let g = generators::path(40);

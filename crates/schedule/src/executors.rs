@@ -16,41 +16,59 @@ pub struct SchedMsg {
     pub value: u64,
 }
 
-/// One-to-all **downcast** pass: every cluster center's value flows down the
-/// BFS tree, one layer window at a time, out to `radius`. All clusters run
-/// simultaneously; intra-cluster collisions are prevented by the slot
-/// coloring, inter-cluster collisions are left to the caller's background
-/// process (paper Algorithm 4).
+/// Which way a [`SchedulePass`] moves values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScheduleOp {
+    /// One-to-all: every center's value flows down its cluster tree, one
+    /// layer window at a time, out to the radius.
+    Downcast,
+    /// All-to-one: max-convergecast of participating nodes' values to their
+    /// cluster centers, deepest layer first. Values are aggregated (max) at
+    /// every hop, so the center learns the maximum of all participants
+    /// within the radius whose path was not jammed by another cluster.
+    Upcast,
+}
+
+/// One **schedule pass** over a [`TreeSchedule`], in the direction of its
+/// [`ScheduleOp`]. All clusters run simultaneously; intra-cluster
+/// collisions are prevented by the slot coloring, inter-cluster collisions
+/// are left to the caller's background process (paper Algorithm 4). Every
+/// node within the radius keeps the maximum own-cluster value it holds or
+/// hears.
 #[derive(Debug)]
-pub struct Downcast<'s> {
+pub struct SchedulePass<'s> {
+    op: ScheduleOp,
     sched: &'s TreeSchedule,
     radius: u32,
     value: Vec<Option<u64>>,
 }
 
-impl<'s> Downcast<'s> {
-    /// Starts a downcast from per-node seed values (typically: centers hold
-    /// their cluster's current max, everyone else `None`).
+impl<'s> SchedulePass<'s> {
+    /// Starts an `op` pass to `radius` from per-node values: for a downcast
+    /// the seed values (typically centers hold their cluster's current max,
+    /// everyone else `None`), for an upcast `Some(value)` at exactly the
+    /// participating nodes.
     ///
     /// # Panics
     ///
-    /// Panics if `seed_values.len()` differs from the schedule's node count.
+    /// Panics if `values.len()` differs from the schedule's node count.
     pub fn new(
+        op: ScheduleOp,
         sched: &'s TreeSchedule,
         radius: u32,
-        seed_values: Vec<Option<u64>>,
-    ) -> Downcast<'s> {
-        assert_eq!(seed_values.len(), sched_len(sched), "one seed per node");
-        Downcast { sched, radius: radius.min(sched.max_depth()), value: seed_values }
+        values: Vec<Option<u64>>,
+    ) -> SchedulePass<'s> {
+        assert_eq!(values.len(), sched_len(sched), "one value per node");
+        SchedulePass { op, sched, radius: radius.min(sched.max_depth()), value: values }
     }
 
-    /// Convenience: seed each cluster center with `values_by_cluster[its
-    /// cluster index]`.
-    pub fn from_center_values(
+    /// Convenience: a downcast seeding each cluster center with
+    /// `values_by_cluster[its cluster index]`.
+    pub fn downcast_from_centers(
         sched: &'s TreeSchedule,
         radius: u32,
         values_by_cluster: &[Option<u64>],
-    ) -> Downcast<'s> {
+    ) -> SchedulePass<'s> {
         let n = sched_len(sched);
         let mut seed = vec![None; n];
         for v in 0..n {
@@ -59,7 +77,7 @@ impl<'s> Downcast<'s> {
                 seed[v as usize] = values_by_cluster[sched.cluster(v) as usize];
             }
         }
-        Downcast::new(sched, radius, seed)
+        SchedulePass::new(ScheduleOp::Downcast, sched, radius, seed)
     }
 
     /// Number of rounds a full pass takes.
@@ -67,7 +85,8 @@ impl<'s> Downcast<'s> {
         self.sched.pass_len(self.radius)
     }
 
-    /// Value held by `node` (its cluster's center value once received).
+    /// Value held by `node`: its cluster's center value once a downcast
+    /// reached it; for upcast centers, the convergecast result.
     pub fn value_of(&self, node: NodeId) -> Option<u64> {
         self.value[node as usize]
     }
@@ -78,7 +97,7 @@ impl<'s> Downcast<'s> {
     }
 }
 
-impl Protocol for Downcast<'_> {
+impl Protocol for SchedulePass<'_> {
     type Msg = SchedMsg;
 
     fn transmit(&mut self, round: Round, tx: &mut TxBuf<SchedMsg>) {
@@ -88,7 +107,17 @@ impl Protocol for Downcast<'_> {
         if window > self.radius {
             return;
         }
-        for &u in self.sched.down_senders(window, slot) {
+        let senders = match self.op {
+            ScheduleOp::Downcast => self.sched.down_senders(window, slot),
+            ScheduleOp::Upcast => {
+                let depth = self.radius - window; // deepest first
+                if depth == 0 {
+                    return; // centers never transmit upward
+                }
+                self.sched.up_senders(depth, slot)
+            }
+        };
+        for &u in senders {
             if let Some(v) = self.value[u as usize] {
                 tx.send(u, SchedMsg { cluster: self.sched.cluster(u), value: v });
             }
@@ -101,91 +130,6 @@ impl Protocol for Downcast<'_> {
         }
         if self.sched.depth(node) > self.radius {
             return; // curtailment: nodes beyond the radius do not participate
-        }
-        let slot = &mut self.value[node as usize];
-        match slot {
-            None => *slot = Some(msg.value),
-            Some(old) if msg.value > *old => *old = msg.value,
-            _ => {}
-        }
-    }
-
-    fn done(&self, round: Round) -> bool {
-        round >= self.pass_len()
-    }
-}
-
-/// All-to-one **upcast** pass: max-convergecast of participating nodes'
-/// values to their cluster centers, deepest layer first. Values are
-/// aggregated (max) at every hop, so the center learns the maximum of all
-/// participants within `radius` whose path was not jammed by another
-/// cluster.
-#[derive(Debug)]
-pub struct Upcast<'s> {
-    sched: &'s TreeSchedule,
-    radius: u32,
-    value: Vec<Option<u64>>,
-}
-
-impl<'s> Upcast<'s> {
-    /// Starts an upcast where node `v` participates iff
-    /// `participating[v] = Some(value)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `participating.len()` differs from the schedule's node count.
-    pub fn new(
-        sched: &'s TreeSchedule,
-        radius: u32,
-        participating: Vec<Option<u64>>,
-    ) -> Upcast<'s> {
-        assert_eq!(participating.len(), sched_len(sched), "one entry per node");
-        Upcast { sched, radius: radius.min(sched.max_depth()), value: participating }
-    }
-
-    /// Number of rounds a full pass takes.
-    pub fn pass_len(&self) -> u64 {
-        self.sched.pass_len(self.radius)
-    }
-
-    /// The aggregated value at `node` (for centers: the convergecast result).
-    pub fn value_of(&self, node: NodeId) -> Option<u64> {
-        self.value[node as usize]
-    }
-
-    /// Consumes the executor, returning per-node aggregated values.
-    pub fn into_values(self) -> Vec<Option<u64>> {
-        self.value
-    }
-}
-
-impl Protocol for Upcast<'_> {
-    type Msg = SchedMsg;
-
-    fn transmit(&mut self, round: Round, tx: &mut TxBuf<SchedMsg>) {
-        let w = self.sched.window() as u64;
-        let window = (round / w) as u32;
-        let slot = (round % w) as u32;
-        if window > self.radius {
-            return;
-        }
-        let depth = self.radius - window; // deepest first
-        if depth == 0 {
-            return; // centers never transmit upward
-        }
-        for &u in self.sched.up_senders(depth, slot) {
-            if let Some(v) = self.value[u as usize] {
-                tx.send(u, SchedMsg { cluster: self.sched.cluster(u), value: v });
-            }
-        }
-    }
-
-    fn deliver(&mut self, _round: Round, node: NodeId, _from: NodeId, msg: &SchedMsg) {
-        if msg.cluster != self.sched.cluster(node) {
-            return;
-        }
-        if self.sched.depth(node) > self.radius {
-            return;
         }
         let slot = &mut self.value[node as usize];
         match slot {
@@ -226,7 +170,7 @@ mod tests {
         let part = single_cluster(&g);
         let sched = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
         let radius = 6;
-        let mut dc = Downcast::from_center_values(&sched, radius, &[Some(77)]);
+        let mut dc = SchedulePass::downcast_from_centers(&sched, radius, &[Some(77)]);
         let budget = dc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
         sim.run(&mut dc, budget);
@@ -244,7 +188,7 @@ mod tests {
         let g = generators::path(20);
         let part = single_cluster(&g);
         let sched = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
-        let mut dc = Downcast::from_center_values(&sched, 0, &[Some(5)]);
+        let mut dc = SchedulePass::downcast_from_centers(&sched, 0, &[Some(5)]);
         let budget = dc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
         sim.run(&mut dc, budget);
@@ -264,7 +208,8 @@ mod tests {
         participating[deepest as usize] = Some(900);
         participating[10] = Some(5);
         participating[30] = Some(17);
-        let mut uc = Upcast::new(&sched, sched.max_depth(), participating);
+        let mut uc =
+            SchedulePass::new(ScheduleOp::Upcast, &sched, sched.max_depth(), participating);
         let budget = uc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 2);
         sim.run(&mut uc, budget);
@@ -277,7 +222,8 @@ mod tests {
         let part = single_cluster(&g);
         let center = part.centers()[0];
         let sched = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
-        let mut uc = Upcast::new(&sched, sched.max_depth(), vec![None; g.n()]);
+        let mut uc =
+            SchedulePass::new(ScheduleOp::Upcast, &sched, sched.max_depth(), vec![None; g.n()]);
         let budget = uc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 3);
         let stats = sim.run(&mut uc, budget);
@@ -297,7 +243,7 @@ mod tests {
         let mut participating = vec![None; g.n()];
         participating[deepest as usize] = Some(123);
         let radius = d - 2; // curtail below the participant
-        let mut uc = Upcast::new(&sched, radius, participating);
+        let mut uc = SchedulePass::new(ScheduleOp::Upcast, &sched, radius, participating);
         let budget = uc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 4);
         sim.run(&mut uc, budget);
@@ -312,7 +258,7 @@ mod tests {
         let sched = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
         let values: Vec<Option<u64>> =
             (0..part.num_clusters()).map(|i| Some(1000 + i as u64)).collect();
-        let mut dc = Downcast::from_center_values(&sched, sched.max_depth(), &values);
+        let mut dc = SchedulePass::downcast_from_centers(&sched, sched.max_depth(), &values);
         let budget = dc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 5);
         sim.run(&mut dc, budget);
@@ -346,7 +292,7 @@ mod tests {
         let sched = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
         let radius = sched.max_depth();
 
-        let mut dc = Downcast::from_center_values(&sched, radius, &[Some(10)]);
+        let mut dc = SchedulePass::downcast_from_centers(&sched, radius, &[Some(10)]);
         let b = dc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 6);
         sim.run(&mut dc, b);
@@ -359,7 +305,7 @@ mod tests {
                 participating[v as usize] = Some(99);
             }
         }
-        let mut uc = Upcast::new(&sched, radius, participating);
+        let mut uc = SchedulePass::new(ScheduleOp::Upcast, &sched, radius, participating);
         let b = uc.pass_len();
         sim.run(&mut uc, b);
         assert_eq!(uc.value_of(center), Some(99));

@@ -21,13 +21,14 @@
 //!   schedule walk (these executors and Compete's ICP) reads a step's
 //!   transmitters off them, so a step costs its slot's senders, not its
 //!   layer.
-//! * [`Downcast`] executes one-to-all broadcast of every cluster center's
-//!   value out to radius ℓ, as real radio transmissions in all clusters at
-//!   once (inter-cluster collisions are *not* prevented — exactly as in the
-//!   paper, where they are handled by the Intra-Cluster Propagation
-//!   background process, Algorithm 4).
-//! * [`Upcast`] executes the reverse max-convergecast: participating nodes'
-//!   values flow layer by layer to the center, aggregated at each hop.
+//! * [`SchedulePass`] executes one pass in either direction of a
+//!   [`ScheduleOp`]: a **downcast** is one-to-all broadcast of every cluster
+//!   center's value out to radius ℓ, as real radio transmissions in all
+//!   clusters at once (inter-cluster collisions are *not* prevented —
+//!   exactly as in the paper, where they are handled by the Intra-Cluster
+//!   Propagation background process, Algorithm 4); an **upcast** is the
+//!   reverse max-convergecast, participating nodes' values flowing layer by
+//!   layer to the center, aggregated at each hop.
 //!
 //! The construction itself is performed centrally (the oracle stand-in for
 //! \[11\]'s `O(D·polylog n)`-round distributed preprocessing) and its
@@ -41,7 +42,7 @@ mod pipeline;
 mod scenario;
 mod tree;
 
-pub use executors::{Downcast, SchedMsg, Upcast};
+pub use executors::{SchedMsg, ScheduleOp, SchedulePass};
 pub use pipeline::{PipelineMsg, PipelinedDowncast};
-pub use scenario::{families, ScheduleFamily, ScheduleOp, ScheduleScenario, DEFAULT_SCHEDULE_BETA};
+pub use scenario::{families, ScheduleFamily, ScheduleScenario, DEFAULT_SCHEDULE_BETA};
 pub use tree::{SlotPolicy, TreeSchedule, TreeScheduleScratch};

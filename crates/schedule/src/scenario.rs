@@ -1,6 +1,6 @@
 //! [`Runnable`] scenario + [`ProtocolFamily`] registration for the schedule
-//! executors: `schedule(downcast|upcast[,BETA])` measures one
-//! Downcast/Upcast pass over a **fresh Partition(β)** — the Lemma 2.3
+//! executor: `schedule(downcast|upcast[,BETA])` measures one
+//! [`SchedulePass`] over a **fresh Partition(β)** — the Lemma 2.3
 //! substrate the paper's pipeline is built on — as a real radio protocol on
 //! the campaign's footing (topologies × models × faults).
 //!
@@ -15,7 +15,7 @@
 //! absorb — so the completion rate of these cells quantifies how much work
 //! ICP has to do at a given β.
 
-use crate::executors::{Downcast, Upcast};
+use crate::executors::{ScheduleOp, SchedulePass};
 use crate::tree::{SlotPolicy, TreeSchedule, TreeScheduleScratch};
 use rn_cluster::{Partition, PartitionScratch};
 use rn_graph::Graph;
@@ -33,15 +33,6 @@ struct SchedulePool {
     pscratch: PartitionScratch,
     schedule: Option<TreeSchedule>,
     sscratch: TreeScheduleScratch,
-}
-
-/// Which executor a `schedule(...)` scenario measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleOp {
-    /// One-to-all: every center's value flows down its cluster tree.
-    Downcast,
-    /// All-to-one: max-convergecast of every member's value to its center.
-    Upcast,
 }
 
 impl ScheduleOp {
@@ -62,7 +53,7 @@ pub const DEFAULT_SCHEDULE_BETA: f64 = 0.25;
 /// every center aggregated its cluster's maximum.
 #[derive(Debug, Clone)]
 pub struct ScheduleScenario {
-    /// The executor under measurement.
+    /// The pass under measurement.
     pub op: ScheduleOp,
     /// Clustering parameter of the per-trial partition.
     pub beta: f64,
@@ -90,39 +81,34 @@ impl ScheduleScenario {
         sched: &TreeSchedule,
         sim: &mut Simulator<'_>,
     ) -> TrialRecord {
-        let radius = sched.max_depth();
-        match self.op {
+        let (radius, n) = (sched.max_depth(), g.n() as u64);
+        let mut pass = match self.op {
+            // Every center broadcasts a distinct per-cluster value.
             ScheduleOp::Downcast => {
-                // Every center broadcasts a distinct per-cluster value.
                 let values: Vec<Option<u64>> =
                     (0..part.num_clusters()).map(|i| Some(i as u64 + 1)).collect();
-                let mut dc = Downcast::from_center_values(sched, radius, &values);
-                let budget = dc.pass_len();
-                let stats = sim.run(&mut dc, budget);
-                let complete =
-                    g.nodes().all(|v| dc.value_of(v) == Some(part.cluster_index(v) as u64 + 1));
-                TrialRecord::new(complete, stats.rounds, stats.metrics)
+                SchedulePass::downcast_from_centers(sched, radius, &values)
             }
+            // Every node participates with a value decreasing in node id,
+            // so each center must learn the smallest member id's value — a
+            // max that genuinely has to travel.
             ScheduleOp::Upcast => {
-                // Every node participates with a value decreasing in node
-                // id, so each center must learn the smallest member id's
-                // value — a max that genuinely has to travel.
-                let n = g.n() as u64;
-                let participating: Vec<Option<u64>> =
-                    g.nodes().map(|v| Some(n - v as u64)).collect();
-                let expected = |cluster: u32| {
-                    part.members(cluster).iter().map(|&v| n - v as u64).max().expect("non-empty")
-                };
-                let mut uc = Upcast::new(sched, radius, participating);
-                let budget = uc.pass_len();
-                let stats = sim.run(&mut uc, budget);
-                let complete = part
-                    .centers()
-                    .iter()
-                    .all(|&c| uc.value_of(c) == Some(expected(part.cluster_index(c))));
-                TrialRecord::new(complete, stats.rounds, stats.metrics)
+                let participating = g.nodes().map(|v| Some(n - v as u64)).collect();
+                SchedulePass::new(ScheduleOp::Upcast, sched, radius, participating)
             }
-        }
+        };
+        let budget = pass.pass_len();
+        let stats = sim.run(&mut pass, budget);
+        let complete = match self.op {
+            ScheduleOp::Downcast => {
+                g.nodes().all(|v| pass.value_of(v) == Some(part.cluster_index(v) as u64 + 1))
+            }
+            ScheduleOp::Upcast => part.centers().iter().all(|&c| {
+                let members = part.members(part.cluster_index(c)).iter();
+                pass.value_of(c) == members.map(|&v| n - v as u64).max()
+            }),
+        };
+        TrialRecord::new(complete, stats.rounds, stats.metrics)
     }
 }
 

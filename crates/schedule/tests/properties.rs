@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rn_cluster::Partition;
 use rn_graph::{Graph, INVALID_NODE};
-use rn_schedule::{Downcast, PipelinedDowncast, SlotPolicy, TreeSchedule, Upcast};
+use rn_schedule::{PipelinedDowncast, ScheduleOp, SchedulePass, SlotPolicy, TreeSchedule};
 use rn_sim::{CollisionModel, Simulator};
 
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
@@ -76,7 +76,7 @@ proptest! {
         let part = Partition::compute(&g, 1e-9, &mut rng);
         prop_assume!(part.num_clusters() == 1);
         let sched = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
-        let mut dc = Downcast::from_center_values(&sched, radius, &[Some(7)]);
+        let mut dc = SchedulePass::downcast_from_centers(&sched, radius, &[Some(7)]);
         let budget = dc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 2);
         sim.run(&mut dc, budget);
@@ -105,7 +105,7 @@ proptest! {
                 participating[v as usize] = Some(1000 + v as u64);
             }
         }
-        let mut uc = Upcast::new(&sched, sched.max_depth(), participating.clone());
+        let mut uc = SchedulePass::new(ScheduleOp::Upcast, &sched, sched.max_depth(), participating.clone());
         let budget = uc.pass_len();
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 3);
         sim.run(&mut uc, budget);

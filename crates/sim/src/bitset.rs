@@ -1,8 +1,8 @@
 //! A plain `u64`-word bitset for struct-of-arrays hot paths.
 //!
-//! The engine's frontier mode and the protocol fast paths keep their node
-//! sets (transmitters, listeners touched this round, informed nodes, crashed
-//! nodes) as one bit per node instead of a stamp or `Option` per node: at
+//! The engine's frontier layout and the protocol fast paths keep their node
+//! sets (transmitters, listeners touched this round, informed nodes) as one
+//! bit per node instead of a stamp or `Option` per node: at
 //! `n = 10⁶` a membership table is 125 KB — resident in L2 — where the
 //! stamp-vector equivalent is 8 MB of random-access traffic. Membership
 //! flips are done sparsely (the caller clears exactly the bits it set, via

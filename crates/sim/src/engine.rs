@@ -16,35 +16,6 @@ pub enum CollisionModel {
     CollisionDetection,
 }
 
-/// Which hot-path implementation the engine steps with.
-///
-/// Both modes implement *identical* channel semantics — same protocol-call
-/// order, same metrics, same trace events, coin-for-coin identical fault
-/// handling — and differ only in the scratch-state layout the per-round
-/// loops touch:
-///
-/// * [`EngineMode::Reference`] keeps the original per-node stamp vectors
-///   (`8`–`24` bytes of scratch per node). It is the executable
-///   specification the frontier path is differentially tested against.
-/// * [`EngineMode::Frontier`] keeps the transmitter / heard / collided /
-///   crashed sets as `u64`-word bitsets (one *bit* per node, cleared
-///   sparsely through the round's touched list), so the listener-marking
-///   loop — the hot path at `10⁵`–`10⁶` nodes — stays in cache where the
-///   stamp vectors thrash it. Permanent crash-stop faults additionally
-///   resolve through an incrementally-advanced crashed bitset instead of a
-///   per-listener `crash_round` vector read.
-///
-/// The mode is a property of the [`SimScratch`] a simulator steps over:
-/// [`SimScratch::new`] (and every fresh simulator) is Frontier, and only
-/// [`SimScratch::reference`] builds the reference oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// Stamp-vector scratch: the executable specification.
-    Reference,
-    /// Struct-of-arrays bitset scratch: the production engine.
-    Frontier,
-}
-
 /// Cumulative channel statistics for a simulator instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
@@ -98,7 +69,9 @@ pub struct RunStats {
 /// carries 24 MB.
 #[derive(Debug)]
 enum Scratch {
-    /// Stamp-based per-node vectors (stamp = round + 1 avoids clearing).
+    /// Stamp-based per-node vectors (stamp = round + 1 avoids clearing):
+    /// the executable specification the frontier layout is differentially
+    /// tested against.
     Reference {
         hear_stamp: Vec<u64>,
         hear_count: Vec<u32>,
@@ -117,58 +90,7 @@ enum Scratch {
         /// Index into the active list of the unique transmitter heard; only
         /// meaningful where `heard` is set and `collided` is not.
         hear_from: Vec<u32>,
-        /// Nodes whose crash round has passed (permanent; grows only).
-        crashed: WordBitset,
-        /// `(crash_round, node)` pairs of the installed schedule, ascending
-        /// by round; `crash_cursor` marks how far `crashed` has absorbed.
-        crash_events: Vec<(u64, NodeId)>,
-        crash_cursor: usize,
     },
-}
-
-impl Scratch {
-    /// An empty scratch of `mode`; [`SimScratch::prepare`] sizes it.
-    fn empty(mode: EngineMode) -> Scratch {
-        match mode {
-            EngineMode::Reference => Scratch::Reference {
-                hear_stamp: Vec::new(),
-                hear_count: Vec::new(),
-                hear_from: Vec::new(),
-                tx_stamp: Vec::new(),
-            },
-            EngineMode::Frontier => Scratch::Frontier {
-                tx: WordBitset::new(0),
-                heard: WordBitset::new(0),
-                collided: WordBitset::new(0),
-                hear_from: Vec::new(),
-                crashed: WordBitset::new(0),
-                crash_events: Vec::new(),
-                crash_cursor: 0,
-            },
-        }
-    }
-
-    /// (Re)derives the frontier crash queue from `faults`. The crashed
-    /// bitset restarts empty; the step loop re-absorbs events up to the
-    /// current round on its next call, so installing a schedule mid-run
-    /// lands on exactly the same state lazy queries would give.
-    fn rebuild_crash_events(&mut self, faults: Option<&FaultSchedule>, n: usize) {
-        let Scratch::Frontier { crashed, crash_events, crash_cursor, .. } = self else {
-            return;
-        };
-        crashed.clear_all();
-        crash_events.clear();
-        *crash_cursor = 0;
-        if let Some(f) = faults {
-            for v in 0..n as NodeId {
-                let r = f.crash_round(v);
-                if r < u64::MAX {
-                    crash_events.push((r, v));
-                }
-            }
-            crash_events.sort_unstable();
-        }
-    }
 }
 
 /// Scratch for the degree-sum–triggered dense-round kernel of
@@ -196,9 +118,9 @@ struct DenseScratch {
 /// Reusable engine state: everything a [`Simulator`] would otherwise
 /// allocate per construction (channel bitsets or stamp vectors, the
 /// dense-kernel adjacency cache, the touched/active lists), hoisted into a
-/// value that survives across trials. The scratch also fixes the engine
-/// mode: [`SimScratch::new`] steps the Frontier engine,
-/// [`SimScratch::reference`] the stamp-vector oracle.
+/// value that survives across trials. The scratch also fixes the engine:
+/// [`SimScratch::new`] steps the Frontier engine, [`SimScratch::reference`]
+/// the stamp-vector oracle.
 ///
 /// [`Simulator::reuse`] adopts a pool's `SimScratch` for one trial and
 /// resets it sparsely — the frontier bitsets are already all-clear between
@@ -224,14 +146,24 @@ impl SimScratch {
     /// An empty Frontier-engine scratch; the first adopting
     /// [`Simulator::reuse`] sizes it for its graph.
     pub fn new() -> SimScratch {
-        SimScratch::with_scratch(Scratch::empty(EngineMode::Frontier))
+        SimScratch::with_scratch(Scratch::Frontier {
+            tx: WordBitset::new(0),
+            heard: WordBitset::new(0),
+            collided: WordBitset::new(0),
+            hear_from: Vec::new(),
+        })
     }
 
-    /// An empty scratch for the stamp-vector [`EngineMode::Reference`]
-    /// engine — the executable specification that differential tests and
-    /// engine A/B benchmarks compare the Frontier engine against.
+    /// An empty scratch for the stamp-vector reference engine — the
+    /// executable specification that differential tests and engine A/B
+    /// benchmarks compare the Frontier engine against.
     pub fn reference() -> SimScratch {
-        SimScratch::with_scratch(Scratch::empty(EngineMode::Reference))
+        SimScratch::with_scratch(Scratch::Reference {
+            hear_stamp: Vec::new(),
+            hear_count: Vec::new(),
+            hear_from: Vec::new(),
+            tx_stamp: Vec::new(),
+        })
     }
 
     fn with_scratch(scratch: Scratch) -> SimScratch {
@@ -241,14 +173,6 @@ impl SimScratch {
             dense_graph: 0,
             touched: Vec::new(),
             active_tx: Vec::new(),
-        }
-    }
-
-    /// The engine this scratch steps.
-    fn mode(&self) -> EngineMode {
-        match self.scratch {
-            Scratch::Reference { .. } => EngineMode::Reference,
-            Scratch::Frontier { .. } => EngineMode::Frontier,
         }
     }
 
@@ -276,15 +200,12 @@ impl SimScratch {
                 hear_count.resize(n, 0);
                 hear_from.resize(n, 0);
             }
-            Scratch::Frontier { tx, heard, collided, hear_from, crashed, .. } => {
+            Scratch::Frontier { tx, heard, collided, hear_from } => {
                 // tx/heard/collided are all-clear between rounds; only a
-                // capacity change forces a re-zero. The crash bitset/queue
-                // are rebuilt by `rebuild_crash_events` in every adopting
-                // constructor.
+                // capacity change forces a re-zero.
                 tx.reset_capacity(n);
                 heard.reset_capacity(n);
                 collided.reset_capacity(n);
-                crashed.reset_capacity(n);
                 debug_assert!(tx.words().iter().all(|&w| w == 0), "tx bits leak across trials");
                 debug_assert!(heard.words().iter().all(|&w| w == 0), "heard bits leak");
                 debug_assert!(collided.words().iter().all(|&w| w == 0), "collided bits leak");
@@ -335,9 +256,9 @@ impl Store<'_> {
 /// [`Protocol::round_end`].
 ///
 /// The view abstracts over the engine's two scratch layouts — queries
-/// answer from stamp vectors under [`EngineMode::Reference`] and from
-/// `u64`-word bitsets under [`EngineMode::Frontier`], with identical
-/// results (the differential tests compare them node for node).
+/// answer from stamp vectors on a [`SimScratch::reference`] scratch and from
+/// `u64`-word bitsets on the Frontier one, with identical results (the
+/// differential tests compare them node for node).
 ///
 /// [`RoundView::frontier`] is the round's *unordered* set of nodes that
 /// heard channel energy; protocols keeping struct-of-arrays state walk it
@@ -350,23 +271,13 @@ pub struct RoundView<'a> {
 }
 
 enum ViewInner<'a> {
-    Reference {
-        hear_stamp: &'a [u64],
-        hear_count: &'a [u32],
-        tx_stamp: &'a [u64],
-        stamp: u64,
-    },
-    Frontier {
-        heard: &'a WordBitset,
-        collided: &'a WordBitset,
-        tx: &'a WordBitset,
-        crashed: &'a WordBitset,
-    },
+    Reference { hear_stamp: &'a [u64], hear_count: &'a [u32], tx_stamp: &'a [u64], stamp: u64 },
+    Frontier { heard: &'a WordBitset, collided: &'a WordBitset, tx: &'a WordBitset },
 }
 
 impl RoundView<'_> {
     /// The nodes that heard channel energy this round, as an **unordered**
-    /// set (the traversal order differs between engine modes and kernels;
+    /// set (the traversal order differs between the engines and kernels;
     /// sort before relying on order).
     pub fn frontier(&self) -> &[NodeId] {
         self.frontier
@@ -406,13 +317,7 @@ impl RoundView<'_> {
     /// Whether `node` was down this round (crashed or dropped by the fault
     /// schedule) — down nodes heard nothing regardless of the bits above.
     pub fn down(&self, node: NodeId) -> bool {
-        match &self.inner {
-            ViewInner::Reference { .. } => self.faults.is_some_and(|f| f.is_down(self.round, node)),
-            ViewInner::Frontier { crashed, .. } => {
-                crashed.contains(node as usize)
-                    || self.faults.is_some_and(|f| f.is_dropped(self.round, node))
-            }
-        }
+        self.faults.is_some_and(|f| f.is_down(self.round, node))
     }
 }
 
@@ -422,19 +327,18 @@ impl RoundView<'_> {
 /// Per-round cost is proportional to the degree sum of the transmitting
 /// nodes, not to `n` — protocols with sparse activity (decay frontiers,
 /// schedule waves) simulate cheaply even on large networks. The scratch the
-/// per-round loops touch comes in two layouts (see [`EngineMode`]): the
-/// production [`EngineMode::Frontier`] keeps channel sets as
-/// one-bit-per-node bitsets so `10⁵`–`10⁶`-node campaigns stay
-/// cache-resident, and the [`EngineMode::Reference`] stamp path, reached
-/// only through a [`SimScratch::reference`] scratch, is retained as the
-/// executable specification the fast path is differentially tested
-/// against.
+/// per-round loops touch comes in two layouts (see [`SimScratch`]): the
+/// production Frontier layout keeps channel sets as one-bit-per-node
+/// bitsets so `10⁵`–`10⁶`-node campaigns stay cache-resident, and the
+/// stamp-vector reference path, reached only through a
+/// [`SimScratch::reference`] scratch, is retained as the executable
+/// specification the fast path is differentially tested against.
 ///
-/// The engine optionally runs under a [`FaultSchedule`] (jammers + per-round
-/// dropout, see [`crate::faults`]): a schedule passed explicitly at
-/// construction via [`Simulator::with_faults`] — or installed later with
-/// [`Simulator::set_faults`] — is applied at the channel level, so *any*
-/// protocol degrades under the same fault model without protocol-side code.
+/// The engine optionally runs under a [`FaultSchedule`] (jammers, per-round
+/// dropout and crash-stop, see [`crate::faults`]): a schedule passed
+/// explicitly at construction via [`Simulator::with_faults`] or
+/// [`Simulator::reuse`] is applied at the channel level, so *any* protocol
+/// degrades under the same fault model without protocol-side code.
 #[derive(Debug)]
 pub struct Simulator<'g> {
     graph: &'g Graph,
@@ -483,7 +387,7 @@ impl<'g> Simulator<'g> {
 
     /// As [`Simulator::with_faults`], adopting a pooled [`SimScratch`]
     /// instead of allocating fresh engine state — the steady-state trial
-    /// constructor, and the one way to step the engine mode the scratch was
+    /// constructor, and the one way to step the engine the scratch was
     /// built for (see [`SimScratch::reference`]). The scratch is reset
     /// sparsely (see [`SimScratch`]); on an unchanged topology the
     /// construction performs no heap allocation, and the dense-kernel
@@ -505,17 +409,16 @@ impl<'g> Simulator<'g> {
     }
 
     fn from_store(
-        mut store: Store<'g>,
+        store: Store<'g>,
         graph: &'g Graph,
         model: CollisionModel,
         seed: u64,
         faults: Option<FaultSchedule>,
     ) -> Simulator<'g> {
-        let n = graph.n();
         if let Some(f) = &faults {
+            let n = graph.n();
             assert!(f.n() == n, "fault schedule was resolved for {} nodes, graph has {n}", f.n());
         }
-        store.get_mut().scratch.rebuild_crash_events(faults.as_ref(), n);
         Simulator {
             graph,
             model,
@@ -526,51 +429,6 @@ impl<'g> Simulator<'g> {
             store,
             seed,
         }
-    }
-
-    /// Installs (or clears) the fault schedule the channel runs under,
-    /// replacing whatever [`Simulator::with_faults`] was given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule was resolved for a different node count.
-    pub fn set_faults(&mut self, faults: Option<FaultSchedule>) {
-        if let Some(f) = &faults {
-            assert!(
-                f.n() == self.graph.n(),
-                "fault schedule was resolved for {} nodes, graph has {}",
-                f.n(),
-                self.graph.n()
-            );
-        }
-        self.store.get_mut().scratch.rebuild_crash_events(faults.as_ref(), self.graph.n());
-        self.faults = faults;
-    }
-
-    /// The fault schedule in force, if any.
-    pub fn faults(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref()
-    }
-
-    /// The graph being simulated (measurement/observer use only; protocols
-    /// must not see this).
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Current round (total rounds executed since construction).
-    pub fn round(&self) -> Round {
-        self.round
-    }
-
-    /// The interference model in force.
-    pub fn model(&self) -> CollisionModel {
-        self.model
-    }
-
-    /// The hot-path implementation this simulator steps with.
-    pub fn mode(&self) -> EngineMode {
-        self.store.get().mode()
     }
 
     /// Master seed recorded at construction.
@@ -591,16 +449,6 @@ impl<'g> Simulator<'g> {
     /// The trace, if enabled.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
-    }
-
-    /// The nodes that heard channel energy in the most recent round — the
-    /// round's *frontier*, as an **unordered** set (sparse rounds list them
-    /// in discovery order, dense-kernel rounds in ascending id; sort before
-    /// relying on order). Protocol observers (not protocols themselves —
-    /// this is measurement state) can use it to track activity without
-    /// scanning all of `n`.
-    pub fn last_touched(&self) -> &[NodeId] {
-        &self.store.get().touched
     }
 
     /// Runs `protocol` for at most `max_rounds` rounds.
@@ -847,30 +695,9 @@ impl<'g> Simulator<'g> {
         let st = self.store.get_mut();
         let mut active = std::mem::take(&mut st.active_tx);
         let SimScratch { scratch, dense, touched, .. } = st;
-        let Scratch::Frontier {
-            tx: tx_bits,
-            heard,
-            collided,
-            hear_from,
-            crashed,
-            crash_events,
-            crash_cursor,
-        } = scratch
-        else {
+        let Scratch::Frontier { tx: tx_bits, heard, collided, hear_from } = scratch else {
             unreachable!("frontier step dispatched with reference scratch");
         };
-
-        // Absorb crash-stop events whose round has arrived: after this loop
-        // `crashed` holds exactly the nodes with `crash_round <= global`, so
-        // the deliver loop's down check is two bit reads plus the dropout
-        // coin instead of a `crash_round` vector read per listener.
-        while let Some(&(r, v)) = crash_events.get(*crash_cursor) {
-            if r > global {
-                break;
-            }
-            crashed.set(v as usize);
-            *crash_cursor += 1;
-        }
 
         // Validate and mark protocol transmitters (one bit per node; double
         // transmission is a protocol bug whether or not the fault model
@@ -1003,7 +830,7 @@ impl<'g> Simulator<'g> {
                         continue; // transmitters cannot listen
                     }
                     if let Some(f) = &faults {
-                        if crashed.contains(vi) || f.is_dropped(global, v) {
+                        if f.is_down(global, v) {
                             continue; // down nodes hear nothing
                         }
                     }
@@ -1079,7 +906,7 @@ impl<'g> Simulator<'g> {
                     continue; // transmitters cannot listen
                 }
                 if let Some(f) = &faults {
-                    if crashed.contains(vi) || f.is_dropped(global, v) {
+                    if f.is_down(global, v) {
                         continue; // down nodes hear nothing
                     }
                 }
@@ -1109,12 +936,7 @@ impl<'g> Simulator<'g> {
         protocol.round_end(
             local,
             &RoundView {
-                inner: ViewInner::Frontier {
-                    heard: &*heard,
-                    collided: &*collided,
-                    tx: &*tx_bits,
-                    crashed: &*crashed,
-                },
+                inner: ViewInner::Frontier { heard: &*heard, collided: &*collided, tx: &*tx_bits },
                 frontier: touched.as_slice(),
                 faults: faults.as_ref(),
                 round: global,
@@ -1284,7 +1106,6 @@ mod tests {
         assert_eq!(sim.metrics().rounds, 2);
         assert_eq!(sim.metrics().transmissions, 2);
         assert_eq!(sim.metrics().deliveries, 4);
-        assert_eq!(sim.round(), 2);
     }
 
     #[test]
@@ -1292,8 +1113,8 @@ mod tests {
         // Star: leaf 1 transmits every round, leaf 2 jams with probability 1
         // — the hub always hears a collision, never a delivery.
         let g = generators::star(3);
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.set_faults(Some(FaultSchedule::new(3, vec![2], 1.0, 0.0, 0.0, 7)));
+        let faults = Some(FaultSchedule::new(3, vec![2], 1.0, 0.0, 0.0, 7));
+        let mut sim = Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 1, faults);
         let mut p = crate::testing::EveryRound::new(1, 7u64);
         let stats = sim.run(&mut p, 8);
         assert_eq!(stats.metrics.deliveries, 0, "hub always hears a collision");
@@ -1306,8 +1127,8 @@ mod tests {
         // Only the jammer transmits: listeners hear garbage — no delivery,
         // no collision notification, but the transmission is real.
         let g = generators::star(3);
-        let mut sim = Simulator::new(&g, CollisionModel::CollisionDetection, 1);
-        sim.set_faults(Some(FaultSchedule::new(3, vec![0], 1.0, 0.0, 0.0, 7)));
+        let faults = Some(FaultSchedule::new(3, vec![0], 1.0, 0.0, 0.0, 7));
+        let mut sim = Simulator::with_faults(&g, CollisionModel::CollisionDetection, 1, faults);
         let mut p = OneShot::new(3, vec![]);
         let stats = sim.run(&mut p, 4);
         assert_eq!(stats.metrics.transmissions, 4);
@@ -1321,8 +1142,8 @@ mod tests {
         // The hub wants to broadcast every round, but the hub is a jammer
         // that never fires: total silence.
         let g = generators::star(3);
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.set_faults(Some(FaultSchedule::new(3, vec![0], 0.0, 0.0, 0.0, 7)));
+        let faults = Some(FaultSchedule::new(3, vec![0], 0.0, 0.0, 0.0, 7));
+        let mut sim = Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 1, faults);
         let mut p = crate::testing::EveryRound::new(0, 7u64);
         let stats = sim.run(&mut p, 4);
         assert_eq!(stats.metrics.transmissions, 0);
@@ -1341,8 +1162,8 @@ mod tests {
         let expect_del =
             (0..32).filter(|&r| !schedule.is_down(r, 0) && !schedule.is_down(r, 1)).count() as u64;
         assert!(expect_del < expect_tx && expect_tx < 32, "seed exercises both fault kinds");
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.set_faults(Some(schedule));
+        let mut sim =
+            Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 1, Some(schedule));
         let mut p = crate::testing::EveryRound::new(0, 7u64);
         let stats = sim.run(&mut p, 32);
         assert_eq!(stats.metrics.transmissions, expect_tx);
@@ -1360,8 +1181,8 @@ mod tests {
         let tx_end = schedule.crash_round(0).min(64);
         let del_end = tx_end.min(schedule.crash_round(1));
         assert!(del_end < 64, "seed crashes an endpoint inside the horizon");
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.set_faults(Some(schedule));
+        let mut sim =
+            Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 1, Some(schedule));
         let mut p = crate::testing::EveryRound::new(0, 7u64);
         let stats = sim.run(&mut p, 64);
         assert_eq!(stats.metrics.transmissions, tx_end, "transmissions stop at 0's crash");
@@ -1412,28 +1233,26 @@ mod tests {
     }
 
     #[test]
-    fn with_faults_constructor_matches_set_faults() {
+    fn with_faults_constructor_installs_the_schedule() {
         let g = generators::star(3);
         let schedule = FaultSchedule::new(3, vec![2], 1.0, 0.0, 0.0, 7);
         let mut sim =
             Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 1, Some(schedule));
-        assert!(sim.faults().is_some(), "constructor installs the schedule");
         let mut p = crate::testing::EveryRound::new(1, 7u64);
         let jammed = sim.run(&mut p, 8).metrics;
-        assert_eq!(jammed.deliveries, 0);
+        assert_eq!(jammed.deliveries, 0, "the constructor's jammer blocks every delivery");
         // `new` is exactly `with_faults(.., None)`.
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        assert!(sim.faults().is_none(), "no schedule unless one is passed");
         let mut p = crate::testing::EveryRound::new(1, 7u64);
-        assert!(sim.run(&mut p, 8).metrics.deliveries > 0);
+        assert!(sim.run(&mut p, 8).metrics.deliveries > 0, "no schedule unless one is passed");
     }
 
     #[test]
     #[should_panic(expected = "resolved for 5 nodes")]
     fn engine_rejects_mismatched_fault_schedule() {
         let g = generators::star(3);
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.set_faults(Some(FaultSchedule::new(5, vec![0], 0.5, 0.0, 0.0, 7)));
+        let faults = Some(FaultSchedule::new(5, vec![0], 0.5, 0.0, 0.0, 7));
+        Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 1, faults);
     }
 
     #[test]
@@ -1453,23 +1272,25 @@ mod tests {
     fn scratch_constructors_pick_the_engine_mode() {
         let g = generators::path(2);
         let model = CollisionModel::NoCollisionDetection;
+        let is_reference = |s: &SimScratch| matches!(s.scratch, Scratch::Reference { .. });
         let sim = Simulator::new(&g, model, 1);
-        assert_eq!(sim.mode(), EngineMode::Frontier, "fresh simulators step the Frontier engine");
-        for (mut scratch, mode) in [
-            (SimScratch::new(), EngineMode::Frontier),
-            (SimScratch::default(), EngineMode::Frontier),
-            (SimScratch::reference(), EngineMode::Reference),
+        assert!(!is_reference(sim.store.get()), "fresh simulators step the Frontier engine");
+        for (mut scratch, reference) in [
+            (SimScratch::new(), false),
+            (SimScratch::default(), false),
+            (SimScratch::reference(), true),
         ] {
             // The scratch keeps its engine across trials.
             for seed in 1..3 {
-                assert_eq!(Simulator::reuse(&mut scratch, &g, model, seed, None).mode(), mode);
+                Simulator::reuse(&mut scratch, &g, model, seed, None).run(&mut Silence, 2);
             }
+            assert_eq!(is_reference(&scratch), reference);
         }
     }
 
     /// Wraps a protocol and logs every engine callback in order — the
     /// differential tests compare these logs, which pins not just the
-    /// totals but the exact sequence of protocol calls both modes make.
+    /// totals but the exact sequence of protocol calls both engines make.
     struct Recorder<P> {
         inner: P,
         log: Vec<(Round, &'static str, NodeId, NodeId)>,
@@ -1710,36 +1531,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn frontier_crash_bitset_tracks_schedule_after_set_faults_midrun() {
-        // Install a crash schedule after some rounds have already run: the
-        // crash queue must catch up to the current global round, matching
-        // the reference path exactly from the installation point on.
-        let g = generators::path(6);
-        let run = |make: fn() -> SimScratch| {
-            let mut scratch = make();
-            let mut sim =
-                Simulator::reuse(&mut scratch, &g, CollisionModel::NoCollisionDetection, 3, None);
-            let mut p = crate::testing::NaiveFlood::new(g.n(), 0);
-            sim.run(&mut p, 10);
-            sim.set_faults(Some(FaultSchedule::new(6, vec![], 0.0, 0.0, 0.25, 9)));
-            let mut p2 = crate::testing::NaiveFlood::new(g.n(), 0);
-            let stats = sim.run(&mut p2, 30);
-            (stats, sim.metrics())
-        };
-        assert_eq!(run(REFERENCE), run(FRONTIER));
-    }
-
-    #[test]
-    fn last_touched_exposes_the_round_frontier() {
-        let g = generators::star(5);
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        let mut p = OneShot::new(5, vec![(0, 1u64)]);
-        sim.run(&mut p, 1);
-        let mut touched = sim.last_touched().to_vec();
-        touched.sort_unstable();
-        assert_eq!(touched, vec![1, 2, 3, 4], "the hub's neighbors heard energy");
     }
 }

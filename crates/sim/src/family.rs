@@ -11,7 +11,7 @@
 //! Families live next to their algorithms — `rn_core` registers the paper's
 //! protocols, `rn_baselines` the comparators, `rn_decay` the decay family
 //! and the CD-exploiting variants, `rn_cluster` the `Partition(β)`
-//! sub-protocol and `rn_schedule` the Downcast/Upcast executors — and
+//! sub-protocol and `rn_schedule` the schedule-pass executor — and
 //! `rn_bench` merely *assembles* the lists. Adding an algorithm anywhere in
 //! the workspace is one `ProtocolFamily` value plus one line in that
 //! crate's `families()`; no registry code changes.

@@ -20,10 +20,10 @@
 //! probability (noise collides with real traffic; a *uniquely* heard noise
 //! burst is garbage and delivers nothing).
 //!
-//! The engine receives its schedule **explicitly**: either at construction
-//! via [`crate::Simulator::with_faults`] / [`crate::Simulator::reuse`] or
-//! afterwards via [`crate::Simulator::set_faults`]. Trials resolve their
-//! plan once, in [`crate::TrialCtx::new`], and scenario implementations
+//! The engine receives its schedule **explicitly**, at construction via
+//! [`crate::Simulator::with_faults`] / [`crate::Simulator::reuse`], and keeps
+//! it fixed for the simulator's life. Trials resolve their plan once, in
+//! [`crate::TrialCtx::new`], and scenario implementations
 //! build every simulator through [`crate::TrialCtx::simulator`], so the
 //! campaign executor can run trials from any worker thread without ambient
 //! (thread-local) state. `FaultSchedule` is plain data — `Send + Sync` —
@@ -451,15 +451,10 @@ impl FaultSchedule {
         self.is_dropped(round, node) || round >= self.crash_round(node)
     }
 
-    /// The transient-dropout component of [`FaultSchedule::is_down`] alone:
+    /// The transient-dropout component of [`FaultSchedule::is_down`]:
     /// whether `node`'s dropout coin fires in `round` (always `false` for
-    /// jammers). The engine's frontier mode evaluates the permanent
-    /// crash-stop component through an incrementally maintained crashed-node
-    /// bitset instead of the per-query `crash_round` vector read, so for
-    /// every non-jammer `is_down(r, v) == is_dropped(r, v) || r >=
-    /// crash_round(v)` is the invariant both paths share (jammers never
-    /// crash — their crash round is `u64::MAX`).
-    pub fn is_dropped(&self, round: u64, node: NodeId) -> bool {
+    /// jammers).
+    fn is_dropped(&self, round: u64, node: NodeId) -> bool {
         if self.is_jammer[node as usize] {
             return false;
         }
@@ -667,8 +662,8 @@ mod tests {
 
     #[test]
     fn is_down_decomposes_into_dropout_plus_crash() {
-        // The invariant the engine's frontier mode relies on: for every
-        // (round, node), is_down == is_dropped || round >= crash_round.
+        // For every (round, node), is_down == is_dropped || round >=
+        // crash_round: dropout is transient, a crash permanent.
         let s = FaultSchedule::new(24, vec![5, 11], 0.5, 0.3, 0.02, 21);
         for round in 0..200u64 {
             for v in 0..24u32 {

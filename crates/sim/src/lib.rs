@@ -62,9 +62,7 @@ mod trace;
 mod values;
 
 pub use bitset::WordBitset;
-pub use engine::{
-    CollisionModel, EngineMode, Metrics, RoundView, RunOutcome, RunStats, SimScratch, Simulator,
-};
+pub use engine::{CollisionModel, Metrics, RoundView, RunOutcome, RunStats, SimScratch, Simulator};
 pub use family::{OverrideClass, OverrideSpec, ParsedArgs, ProtocolFamily};
 pub use faults::{FaultError, FaultPlan, FaultSchedule};
 pub use params::NetParams;

@@ -99,7 +99,7 @@ pub trait Protocol {
     /// [`Protocol::deliver`] / [`Protocol::collision`] of that round, with a
     /// read-only [`RoundView`] of the channel outcome — per-node
     /// heard/collided/transmitted/down bits plus the round's frontier (the
-    /// nodes that heard energy). Both engine modes call it identically.
+    /// nodes that heard energy). Both engines call it identically.
     ///
     /// This is the seam for *frontier-native* protocol state: a protocol
     /// keeping its per-node state as struct-of-arrays vectors + bitsets can

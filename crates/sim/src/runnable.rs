@@ -79,7 +79,7 @@ impl<'g> TrialCtx<'g> {
     }
 
     /// A simulator for this trial over `scratch`, running under the trial's
-    /// fault schedule (cloned per call) in the engine mode `scratch` was
+    /// fault schedule (cloned per call) on the engine `scratch` was
     /// built for.
     pub fn simulator<'a>(&'a self, scratch: &'a mut SimScratch) -> Simulator<'a> {
         Simulator::reuse(scratch, self.graph, self.model, self.seed, self.faults.clone())

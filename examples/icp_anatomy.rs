@@ -8,7 +8,7 @@
 
 use radio_networks::cluster::Partition;
 use radio_networks::prelude::*;
-use radio_networks::schedule::{Downcast, SlotPolicy, TreeSchedule, Upcast};
+use radio_networks::schedule::{ScheduleOp, SchedulePass, SlotPolicy, TreeSchedule};
 
 fn main() {
     // One cluster spanning a small grid (β → 0 keeps everything together).
@@ -26,7 +26,7 @@ fn main() {
 
     // --- Step 1 (down): the center's value reaches everyone within ℓ.
     let radius = sched.max_depth();
-    let mut down = Downcast::from_center_values(&sched, radius, &[Some(41)]);
+    let mut down = SchedulePass::downcast_from_centers(&sched, radius, &[Some(41)]);
     let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 7);
     let mut served_trace = Vec::new();
     let budget = down.pass_len();
@@ -53,14 +53,14 @@ fn main() {
         sched.depth(deep),
         sched.depth(40)
     );
-    let mut up = Upcast::new(&sched, radius, participating);
+    let mut up = SchedulePass::new(ScheduleOp::Upcast, &sched, radius, participating);
     let budget = up.pass_len();
     sim.run(&mut up, budget);
     println!("          center now knows {:?} (the maximum wins)", up.value_of(center));
 
     // --- Step 3 (down again): the upgraded value floods back out.
     let center_value = up.value_of(center).max(after_down[center as usize]);
-    let mut down2 = Downcast::from_center_values(&sched, radius, &[center_value]);
+    let mut down2 = SchedulePass::downcast_from_centers(&sched, radius, &[center_value]);
     let budget = down2.pass_len();
     sim.run(&mut down2, budget);
     let knowing_77 = g.nodes().filter(|&v| down2.value_of(v) == Some(77)).count();
