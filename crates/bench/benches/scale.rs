@@ -1,6 +1,6 @@
 //! Scale suite: the engine hot path at `10⁵`–`10⁶` nodes.
 //!
-//! Seven groups, on the random-geometric topologies the scale-smoke CI lane
+//! Eight groups, on the random-geometric topologies the scale-smoke CI lane
 //! exercises and on the benchmark's precompute topologies:
 //!
 //! * `scale_engine_mode` — the same `10⁵`-node broadcast workload on a
@@ -28,6 +28,11 @@
 //!   background Partition(β) races, one tree schedule each), with a pooled
 //!   [`PrecomputeScratch`] on the two benchmark topologies: `rgg(5000,0.03)`
 //!   (precompute-bound broadcast) and the `grid(500x10)` strip.
+//! * `scale_topology` — [`TopologySpec::build`] of `rgg(5000,0.03)` at the
+//!   topology seed the benchmark's `bcast_rgg` plan gives it (two stray
+//!   components to join) and of `rgg(100000,0.006)`: the pair scan,
+//!   union-find and joins of the random-geometric generator, and the one
+//!   CSR build.
 //! * `scale_million` — one `10⁶`-node end-to-end trial, **gated** behind
 //!   `RN_BENCH_SCALE_MILLION=1` so a default `cargo bench` stays minutes,
 //!   not tens of minutes.
@@ -45,6 +50,10 @@ const SCALE_SCENARIO: &str = "bgi@rgg(100000,0.006)";
 
 /// Graph-build seed: benches pin one topology instance across all runs.
 const TOPOLOGY_SEED: u64 = 0x5CA1E;
+
+/// The topology seed of `bcast_rgg`'s `rgg(5000,0.03)`: its sample leaves
+/// two components to join.
+const BCAST_RGG_TOPOLOGY_SEED: u64 = 0x25f7_806d_620a_d6fc;
 
 /// A pool constructor; it fixes the engine a trial steps.
 type NewPool = fn() -> TrialPool;
@@ -207,6 +216,18 @@ fn bench_precompute(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_topology(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scale_topology");
+    group.sample_size(10);
+    for (name, seed) in
+        [("rgg(5000,0.03)", BCAST_RGG_TOPOLOGY_SEED), ("rgg(100000,0.006)", TOPOLOGY_SEED)]
+    {
+        let spec: TopologySpec = name.parse().expect("spec parses");
+        group.bench_function(name, |b| b.iter(|| spec.build(seed).m()));
+    }
+    group.finish();
+}
+
 fn bench_million(c: &mut Criterion) {
     if std::env::var("RN_BENCH_SCALE_MILLION").is_err() {
         println!("bench scale_million skipped (set RN_BENCH_SCALE_MILLION=1 to run)");
@@ -235,6 +256,7 @@ criterion_group!(
     bench_pooled_vs_fresh,
     bench_dense_cd,
     bench_precompute,
+    bench_topology,
     bench_million
 );
 criterion_main!(benches);

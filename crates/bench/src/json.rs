@@ -234,20 +234,43 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
+/// Parses a number of JSON's grammar, `-? (0 | [1-9][0-9]*) (.[0-9]+)?
+/// ([eE][+-]?[0-9]+)?`: no leading zeros, and digits on both sides of a
+/// decimal point and after an exponent mark.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
+    let invalid = |why: &str| err(format!("invalid number: {why}"), start);
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
+    match digits(pos) {
+        0 => return Err(invalid("no integer digits")),
+        len if len > 1 && bytes[*pos - len] == b'0' => return Err(invalid("leading zero")),
+        _ => {}
+    }
     let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        is_float = true;
+        if digits(pos) == 0 {
+            return Err(invalid("no digits after the decimal point"));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        is_float = true;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(invalid("no exponent digits"));
         }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII slice");
@@ -286,10 +309,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     b'u' => {
                         let hex = bytes
                             .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or_else(|| err("truncated \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(format!("bad \\u escape {hex:?}"), *pos))?;
+                        // Exactly four hex digits, digit by digit:
+                        // `u32::from_str_radix` would also take a sign.
+                        let code = hex
+                            .iter()
+                            .try_fold(0, |code, &h| Some(code * 16 + char::from(h).to_digit(16)?))
+                            .ok_or_else(|| {
+                                let hex = String::from_utf8_lossy(hex);
+                                err(format!("bad \\u escape {hex:?}"), *pos)
+                            })?;
                         *pos += 4;
                         // Surrogates are not paired here; results files only
                         // ever contain BMP scalar values.
@@ -298,12 +327,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     other => return Err(err(format!("bad escape \\{}", other as char), *pos - 1)),
                 }
             }
+            0x00..=0x1f => {
+                return Err(err(format!("raw control character {b:#04x} in string"), *pos - 1));
+            }
             _ => {
-                // Copy the whole run up to the next quote or backslash at
-                // once. Both are ASCII, so the run ends on a char boundary
-                // of the (valid UTF-8) input and decodes in linear time.
+                // Copy the whole run up to the next quote, backslash or
+                // control character at once. All are ASCII, so the run ends
+                // on a char boundary of the (valid UTF-8) input and decodes
+                // in linear time.
                 let start = *pos - 1;
-                let len = bytes[start..].iter().position(|&c| c == b'"' || c == b'\\');
+                let len = bytes[start..].iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
                 *pos = len.map_or(bytes.len(), |len| start + len);
                 let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| err("invalid UTF-8 in string", start))?;
@@ -437,6 +470,51 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", "tru", "1 2", r#"{"a"}"#, "nan", "01x"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn rejects_a_u_escape_without_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004""#, r#""\u00G1""#] {
+            let e = Json::parse(bad).expect_err(bad);
+            assert!(e.msg.contains("\\u escape"), "{bad}: {}", e.msg);
+        }
+        assert_eq!(Json::parse(r#""\u00aF""#).unwrap(), Json::Str("\u{af}".into()));
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        for c in ['\u{0}', '\t', '\n', '\r', '\u{1f}'] {
+            for doc in [format!("\"{c}\""), format!("\"ab{c}cd\""), format!("{{\"k{c}\":1}}")] {
+                let e = Json::parse(&doc).expect_err(&doc);
+                assert!(e.msg.contains("control character"), "{doc:?}: {}", e.msg);
+            }
+        }
+        assert_eq!(Json::parse("\"a\u{7f}b\"").unwrap(), Json::Str("a\u{7f}b".into()));
+    }
+
+    #[test]
+    fn rejects_numbers_outside_the_json_grammar() {
+        for bad in ["01", "-01", "00.5", "1.", "-.5", "1.e5", "-", "1e", "1e+", "[1.]", "[01]"] {
+            let e = Json::parse(bad).expect_err(bad);
+            assert!(e.msg.contains("invalid number"), "{bad}: {}", e.msg);
+        }
+    }
+
+    #[test]
+    fn accepts_every_form_of_the_json_number_grammar() {
+        for (doc, want) in [
+            ("0", Json::UInt(0)),
+            ("10", Json::UInt(10)),
+            ("-0", Json::Num(-0.0)),
+            ("0.5", Json::Num(0.5)),
+            ("-10.25", Json::Num(-10.25)),
+            ("1e5", Json::Num(1e5)),
+            ("1E+5", Json::Num(1e5)),
+            ("-1.5e-3", Json::Num(-1.5e-3)),
+            ("0e0", Json::Num(0.0)),
+        ] {
+            assert_eq!(Json::parse(doc).expect(doc), want, "{doc}");
         }
     }
 

@@ -53,3 +53,39 @@ fn a_fine_clustering_fraction_outside_the_unit_interval_is_a_usage_error() {
         assert!(out.stdout.is_empty(), "{scenario}: nothing runs");
     }
 }
+
+#[test]
+fn check_rejects_a_results_file_outside_the_json_grammar() {
+    // Regression: a signed `\u` escape, a raw tab inside a string and a
+    // leading zero all passed `--check`, which read the id as "A<TAB>x".
+    let smoke = include_str!("../../../benchmarks/baseline_smoke.json");
+    let id = r#""id":"smoke""#;
+    let seed = r#""master_seed":20170725"#;
+    let cases = [
+        ("unedited", smoke.to_string()),
+        ("signed_escape", smoke.replacen(id, r#""id":"\u+041""#, 1)),
+        ("raw_tab", smoke.replacen(id, "\"id\":\"a\tx\"", 1)),
+        ("leading_zero", smoke.replacen(seed, r#""master_seed":020170725"#, 1)),
+        (
+            "all_three",
+            smoke.replacen(id, "\"id\":\"\\u+041\tx\"", 1).replacen(
+                seed,
+                r#""master_seed":020170725"#,
+                1,
+            ),
+        ),
+    ];
+    for (name, text) in cases {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.json"));
+        std::fs::write(&path, &text).expect("results file written");
+        let out = experiments(&["--check", path.to_str().expect("UTF-8 path")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if name == "unedited" {
+            assert_eq!(out.status.code(), Some(0), "{name}: stderr: {stderr}");
+        } else {
+            assert_ne!(text, smoke, "{name}: the edit applies");
+            assert_eq!(out.status.code(), Some(1), "{name}: stderr: {stderr}");
+            assert!(stderr.contains("JSON parse error"), "{name}: stderr: {stderr}");
+        }
+    }
+}

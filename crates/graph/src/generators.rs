@@ -12,7 +12,7 @@
 //! All randomized generators take an explicit `&mut impl Rng` so experiments
 //! are exactly reproducible from a master seed.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, INVALID_NODE};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -279,12 +279,37 @@ pub fn lollipop(k: usize, tail: usize) -> Graph {
     Graph::from_edges(n, &edges).expect("lollipop construction")
 }
 
-/// Random geometric graph (unit-disk model): `n` points uniform in the unit
-/// square, edges between pairs at Euclidean distance `≤ radius`. If the
-/// sample is disconnected, nearest-component augmentation edges are added so
-/// the result is always connected (the standard "connected RGG" used in
-/// radio-network simulation; the augmentation count is tiny for radii near
-/// the connectivity threshold `~sqrt(ln n / (π n))`).
+/// Random geometric graph (unit-disk model), made connected: `n` points
+/// uniform in the unit square, an edge between two points at Euclidean
+/// distance `≤ radius` that lie in adjacent cells of the grid below, and
+/// nearest-pair edges that join every other component to node 0's (the
+/// standard "connected RGG" used in radio-network simulation; the join
+/// count is tiny for radii near the connectivity threshold
+/// `~sqrt(ln n / (π n))`).
+///
+/// The points take `2n` draws from `rng` (`x` then `y` per point) and
+/// nothing else does. The graph is built in three passes:
+///
+/// 1. **Pair scan.** The points are counting-sorted into a grid of
+///    `c = min(⌈1/radius⌉, ⌈√n⌉)` cells per side and stored cell by cell.
+///    Each unordered pair of Chebyshev-adjacent cells (a cell with itself,
+///    then with its four forward neighbours) is visited once, and two of
+///    its points become an edge when `(Δx)² + (Δy)² ≤ radius²`. Points in
+///    cells further apart are not tested.
+/// 2. **Components.** One union-find pass over the edges labels each node
+///    with the smallest node of its component.
+/// 3. **Joins.** While a node lies outside node 0's component, the pair of
+///    a node `v` outside and a node `u` inside with the smallest
+///    `(d², v, u)` (`d²` their squared distance) becomes the edge `(u, v)`,
+///    and `v`'s whole component moves inside. This is Prim's algorithm over
+///    components: each outside node keeps its nearest inside node (the
+///    smallest id on a distance tie), refreshed only against the nodes that
+///    just moved inside.
+///
+/// [`Graph::from_edges`] then runs once. Time `O(n + m + n·k₀)` for `m`
+/// scanned pairs (`O(n + edges)` in expectation, since the cells are about
+/// `radius` wide or hold `O(1)` points), where `k₀` is the number of nodes
+/// outside node 0's component after the scan.
 ///
 /// # Panics
 ///
@@ -292,112 +317,171 @@ pub fn lollipop(k: usize, tail: usize) -> Graph {
 pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Graph {
     assert!(n > 0 && radius > 0.0, "invalid RGG parameters");
     let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
-    let r2 = radius * radius;
+    let mut edges = rgg_pairs(&pts, radius);
+    let roots = component_roots(n, &edges);
+    join_to_node_zero(&pts, &roots, &mut edges);
+    Graph::from_edges(n, &edges).expect("RGG construction")
+}
 
-    // Grid-bucket neighbor search: cells of side at least `radius`, so every
-    // neighbor sits in the 3×3 block around a point's cell. At most ⌈√n⌉
-    // cells per side: a tiny radius would otherwise ask for ⌈1/radius⌉²
-    // buckets (the product wraps past usize for radius ≲ 2⁻³²). Wider cells
-    // only enlarge the candidate set, and `from_edges` sorts adjacency, so
-    // the graph does not depend on the cell count.
+/// Squared Euclidean distance: the one expression of both the edge test and
+/// the joins (exactly symmetric in its arguments).
+fn dist2(p: (f64, f64), q: (f64, f64)) -> f64 {
+    (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2)
+}
+
+/// The pair scan of [`random_geometric`]: every pair `(u, v)`, `u < v`, of
+/// points in Chebyshev-adjacent cells at squared distance `≤ radius²`.
+fn rgg_pairs(pts: &[(f64, f64)], radius: f64) -> Vec<(NodeId, NodeId)> {
+    let n = pts.len();
+    let r2 = radius * radius;
+    // At most ⌈√n⌉ cells per side: a tiny radius would otherwise ask for
+    // ⌈1/radius⌉² cells (the product wraps past usize for radius ≲ 2⁻³²).
+    // Wider cells only enlarge the candidate set, and `from_edges` sorts
+    // adjacency, so the graph does not depend on the cell count.
     let cells = ((1.0 / radius).ceil() as usize).clamp(1, (n as f64).sqrt().ceil() as usize);
     let cell_of = |p: (f64, f64)| {
         let cx = ((p.0 * cells as f64) as usize).min(cells - 1);
         let cy = ((p.1 * cells as f64) as usize).min(cells - 1);
-        (cx, cy)
+        cy * cells + cx
     };
-    // Counting-sorted CSR buckets (`bucket_start` offsets into a flat
-    // `bucket_nodes`) instead of a Vec-per-cell: two exact-size allocations
-    // for the whole grid, where per-cell Vecs would allocate (and
-    // repeatedly regrow) each occupied cell.
+    // Counting sort: count each cell, take inclusive prefix sums (the end
+    // of each cell), then place the points from the last id down, which
+    // leaves `start[c]` at the first slot of cell `c` and every cell in
+    // ascending id order.
     let num_cells = cells * cells;
-    let mut bucket_start = vec![0u32; num_cells + 1];
-    for &p in &pts {
-        let (cx, cy) = cell_of(p);
-        bucket_start[cy * cells + cx + 1] += 1;
+    let mut start = vec![0u32; num_cells + 1];
+    for &p in pts {
+        start[cell_of(p)] += 1;
     }
-    for c in 0..num_cells {
-        bucket_start[c + 1] += bucket_start[c];
+    let mut end = 0;
+    for s in &mut start {
+        end += *s;
+        *s = end;
     }
-    let mut bucket_nodes = vec![0u32; n];
-    let mut head = bucket_start.clone();
-    for (i, &p) in pts.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        let at = &mut head[cy * cells + cx];
-        bucket_nodes[*at as usize] = i as u32;
-        *at += 1;
+    let mut sorted = vec![((0.0, 0.0), 0 as NodeId); n];
+    for (i, &p) in pts.iter().enumerate().rev() {
+        let at = &mut start[cell_of(p)];
+        *at -= 1;
+        sorted[*at as usize] = (p, i as NodeId);
     }
+    let cell = |cx: usize, cy: usize| {
+        let c = cy * cells + cx;
+        &sorted[start[c] as usize..start[c + 1] as usize]
+    };
+
     // Expected edge count n(n-1)/2 · πr² (pairs within radius, ignoring
     // boundary loss); reserving it up front keeps the hot collection loop
     // from regrowing the edge list log(m) times.
     let expected_edges =
         (0.5 * n as f64 * (n as f64 - 1.0) * std::f64::consts::PI * r2).ceil() as usize;
     let mut edges = Vec::with_capacity(expected_edges.min(n.saturating_mul(n) / 2));
-    for (i, &p) in pts.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= cells as i64 || ny >= cells as i64 {
-                    continue;
+    let mut test = |&(p, u): &((f64, f64), NodeId), &(q, v): &((f64, f64), NodeId)| {
+        if dist2(p, q) <= r2 {
+            edges.push((u.min(v), u.max(v)));
+        }
+    };
+    for cy in 0..cells {
+        for cx in 0..cells {
+            let here = cell(cx, cy);
+            for (k, a) in here.iter().enumerate() {
+                for b in &here[k + 1..] {
+                    test(a, b);
                 }
-                let c = ny as usize * cells + nx as usize;
-                for &j in &bucket_nodes[bucket_start[c] as usize..bucket_start[c + 1] as usize] {
-                    if (j as usize) > i {
-                        let q = pts[j as usize];
-                        let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2);
-                        if d2 <= r2 {
-                            edges.push((i as NodeId, j));
+            }
+            for (nx, ny) in
+                [(cx + 1, cy), (cx.wrapping_sub(1), cy + 1), (cx, cy + 1), (cx + 1, cy + 1)]
+            {
+                if nx < cells && ny < cells {
+                    let there = cell(nx, ny);
+                    for a in here {
+                        for b in there {
+                            test(a, b);
                         }
                     }
                 }
             }
         }
     }
+    edges
+}
 
-    let g = Graph::from_edges(n, &edges).expect("RGG construction");
-    if g.is_connected() {
-        return g;
+/// Each node's component root, the smallest node of its connected
+/// component in the graph `edges` spans on `0..n`. One union-find pass with
+/// path halving; the smaller of two roots absorbs the larger, so links only
+/// ever point to a smaller node.
+fn component_roots(n: usize, edges: &[(NodeId, NodeId)]) -> Vec<NodeId> {
+    fn find(root: &mut [NodeId], mut v: NodeId) -> NodeId {
+        while root[v as usize] != v {
+            let up = root[root[v as usize] as usize];
+            root[v as usize] = up;
+            v = up;
+        }
+        v
     }
-    // Augment: connect each non-root component to its geometrically nearest
-    // node in the growing connected region.
-    let mut comp = component_labels(&g);
-    let mut extra = edges;
-    loop {
-        let root_comp = comp[0];
-        let mut best: Option<(f64, NodeId, NodeId)> = None;
-        for v in 0..n {
-            if comp[v] == root_comp {
-                continue;
+    let mut root: Vec<NodeId> = (0..n as NodeId).collect();
+    for &(u, v) in edges {
+        let (a, b) = (find(&mut root, u), find(&mut root, v));
+        root[a.max(b) as usize] = a.min(b);
+    }
+    // Ascending ids see each link's target already resolved.
+    for v in 0..n {
+        root[v] = root[root[v] as usize];
+    }
+    root
+}
+
+/// The joins of [`random_geometric`]: appends to `edges` the `(u, v)` of
+/// smallest `(d², v, u)` between a node `v` outside node 0's component and a
+/// node `u` inside, moves `v`'s component inside, and repeats until no node
+/// is outside. `roots` comes from [`component_roots`] over `edges`.
+fn join_to_node_zero(pts: &[(f64, f64)], roots: &[NodeId], edges: &mut Vec<(NodeId, NodeId)>) {
+    // Each outside node `v` as `(d², v, u)`: its nearest inside node `u`,
+    // the smallest id on a distance tie. Kept in ascending `v`.
+    let mut outside: Vec<(f64, NodeId, NodeId)> = (0..pts.len())
+        .filter(|&v| roots[v] != 0)
+        .map(|v| (f64::INFINITY, v as NodeId, INVALID_NODE))
+        .collect();
+    for (u, &p) in pts.iter().enumerate().filter(|&(u, _)| roots[u] == 0) {
+        for o in &mut outside {
+            let d2 = dist2(pts[o.1 as usize], p);
+            if d2 < o.0 {
+                (o.0, o.2) = (d2, u as NodeId);
             }
-            for u in 0..n {
-                if comp[u] != root_comp {
-                    continue;
-                }
-                let d2 = (pts[v].0 - pts[u].0).powi(2) + (pts[v].1 - pts[u].1).powi(2);
-                if best.is_none_or(|(bd, _, _)| d2 < bd) {
-                    best = Some((d2, u as NodeId, v as NodeId));
+        }
+    }
+    let mut moved = Vec::new();
+    // The first of equal distances in ascending `v` is the smallest `(d², v, u)`.
+    let nearest =
+        |a: (f64, NodeId, NodeId), b: (f64, NodeId, NodeId)| if b.0 < a.0 { b } else { a };
+    while let Some((_, v, u)) = outside.iter().copied().reduce(nearest) {
+        edges.push((u, v));
+        let comp = roots[v as usize];
+        moved.clear();
+        outside.retain(|o| {
+            let stays = roots[o.1 as usize] != comp;
+            if !stays {
+                moved.push(o.1);
+            }
+            stays
+        });
+        for o in &mut outside {
+            for &x in &moved {
+                let d2 = dist2(pts[o.1 as usize], pts[x as usize]);
+                if d2 < o.0 || (d2 == o.0 && x < o.2) {
+                    (o.0, o.2) = (d2, x);
                 }
             }
         }
-        match best {
-            None => break,
-            Some((_, u, v)) => {
-                extra.push((u, v));
-                let g2 = Graph::from_edges(n, &extra).expect("RGG augmentation");
-                if g2.is_connected() {
-                    return g2;
-                }
-                comp = component_labels(&g2);
-            }
-        }
     }
-    Graph::from_edges(n, &extra).expect("RGG construction")
 }
 
 /// Erdős–Rényi `G(n, p)`, augmented with a uniformly random spanning tree's
 /// missing edges when disconnected, so the result is always connected.
+///
+/// The pairs `u < v` are walked in row-major order with geometric gaps (one
+/// draw per gap). The smallest nodes of the components, in ascending order,
+/// are then shuffled (no draw when the sample is connected) and chained by
+/// edges. Time `O(n + m)`, one [`Graph::from_edges`].
 ///
 /// # Panics
 ///
@@ -417,8 +501,11 @@ pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
                 }
             }
         } else {
-            // Iterate over pair index with geometric gaps.
+            // Iterate over pair index with geometric gaps. Row `u` holds the
+            // `row_len = n - 1 - u` pairs `(u, u+1..n)` from index
+            // `row_start` on; the index only grows, so the row only advances.
             let total = n * (n - 1) / 2;
+            let (mut u, mut row_start, mut row_len) = (0usize, 0usize, n - 1);
             let mut idx = 0usize;
             while idx < total {
                 let r: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
@@ -427,31 +514,22 @@ pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
                 if idx >= total {
                     break;
                 }
-                let (u, v) = pair_from_index(idx, n);
-                edges.push((u, v));
+                while idx - row_start >= row_len {
+                    row_start += row_len;
+                    u += 1;
+                    row_len -= 1;
+                }
+                edges.push((u as NodeId, (u + 1 + idx - row_start) as NodeId));
                 idx += 1;
             }
         }
     }
-    let g = Graph::from_edges(n, &edges).expect("G(n,p) construction");
-    if g.is_connected() {
-        return g;
-    }
     // Connect components along a random permutation.
-    let labels = component_labels(&g);
-    let ncomp = *labels.iter().max().unwrap() as usize + 1;
-    let mut reps: Vec<NodeId> = vec![u32::MAX; ncomp];
-    for (v, &label) in labels.iter().enumerate() {
-        let c = label as usize;
-        if reps[c] == u32::MAX {
-            reps[c] = v as NodeId;
-        }
-    }
+    let roots = component_roots(n, &edges);
+    let mut reps: Vec<NodeId> = (0..n as NodeId).filter(|&v| roots[v as usize] == v).collect();
     reps.shuffle(rng);
-    for w in reps.windows(2) {
-        edges.push((w[0], w[1]));
-    }
-    Graph::from_edges(n, &edges).expect("G(n,p) augmentation")
+    edges.extend(reps.windows(2).map(|w| (w[0], w[1])));
+    Graph::from_edges(n, &edges).expect("G(n,p) construction")
 }
 
 /// A "cluster chain": `k` dense blobs (G(b, p_in) subgraphs) connected in a
@@ -504,41 +582,188 @@ pub fn grid_with_chords(w: usize, h: usize, extra: usize, rng: &mut impl Rng) ->
     Graph::from_edges(n, &edges).expect("grid with chords construction")
 }
 
-fn pair_from_index(idx: usize, n: usize) -> (NodeId, NodeId) {
-    // Row-major enumeration of pairs (u, v), u < v.
-    let mut u = 0usize;
-    let mut remaining = idx;
-    let mut row = n - 1;
-    while remaining >= row {
-        remaining -= row;
-        u += 1;
-        row -= 1;
-    }
-    let v = u + 1 + remaining;
-    (u as NodeId, v as NodeId)
-}
+/// The constructions [`random_geometric`] and [`gnp_connected`] replaced,
+/// kept as the oracle they must match graph for graph and draw for draw: a
+/// 9-cell scan per node, then per RGG join a nearest-pair scan over all
+/// node pairs, a full graph build and a BFS labelling of every component;
+/// and a `G(n, p)` pair walk that restarts from row 0 for every edge.
+#[cfg(test)]
+mod oracle {
+    use crate::graph::{Graph, NodeId};
+    use rand::seq::SliceRandom;
+    use rand::Rng;
 
-fn component_labels(g: &Graph) -> Vec<u32> {
-    let mut labels = vec![u32::MAX; g.n()];
-    let mut next = 0u32;
-    for v in 0..g.n() {
-        if labels[v] != u32::MAX {
-            continue;
+    pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Graph {
+        assert!(n > 0 && radius > 0.0, "invalid RGG parameters");
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
+        let r2 = radius * radius;
+        let cells = ((1.0 / radius).ceil() as usize).clamp(1, (n as f64).sqrt().ceil() as usize);
+        let cell_of = |p: (f64, f64)| {
+            let cx = ((p.0 * cells as f64) as usize).min(cells - 1);
+            let cy = ((p.1 * cells as f64) as usize).min(cells - 1);
+            (cx, cy)
+        };
+        let num_cells = cells * cells;
+        let mut bucket_start = vec![0u32; num_cells + 1];
+        for &p in &pts {
+            let (cx, cy) = cell_of(p);
+            bucket_start[cy * cells + cx + 1] += 1;
         }
-        let dist = crate::traversal::bfs(g, v as NodeId);
-        for (u, &d) in dist.iter().enumerate() {
-            if d != u32::MAX && labels[u] == u32::MAX {
-                labels[u] = next;
+        for c in 0..num_cells {
+            bucket_start[c + 1] += bucket_start[c];
+        }
+        let mut bucket_nodes = vec![0u32; n];
+        let mut head = bucket_start.clone();
+        for (i, &p) in pts.iter().enumerate() {
+            let (cx, cy) = cell_of(p);
+            let at = &mut head[cy * cells + cx];
+            bucket_nodes[*at as usize] = i as u32;
+            *at += 1;
+        }
+        let mut edges = Vec::new();
+        for (i, &p) in pts.iter().enumerate() {
+            let (cx, cy) = cell_of(p);
+            for dy in -1i64..=1 {
+                for dx in -1i64..=1 {
+                    let nx = cx as i64 + dx;
+                    let ny = cy as i64 + dy;
+                    if nx < 0 || ny < 0 || nx >= cells as i64 || ny >= cells as i64 {
+                        continue;
+                    }
+                    let c = ny as usize * cells + nx as usize;
+                    for &j in &bucket_nodes[bucket_start[c] as usize..bucket_start[c + 1] as usize]
+                    {
+                        if (j as usize) > i {
+                            let q = pts[j as usize];
+                            let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2);
+                            if d2 <= r2 {
+                                edges.push((i as NodeId, j));
+                            }
+                        }
+                    }
+                }
             }
         }
-        next += 1;
+
+        let g = Graph::from_edges(n, &edges).expect("RGG construction");
+        if g.is_connected() {
+            return g;
+        }
+        let mut comp = component_labels(&g);
+        let mut extra = edges;
+        loop {
+            let root_comp = comp[0];
+            let mut best: Option<(f64, NodeId, NodeId)> = None;
+            for v in 0..n {
+                if comp[v] == root_comp {
+                    continue;
+                }
+                for u in 0..n {
+                    if comp[u] != root_comp {
+                        continue;
+                    }
+                    let d2 = (pts[v].0 - pts[u].0).powi(2) + (pts[v].1 - pts[u].1).powi(2);
+                    if best.is_none_or(|(bd, _, _)| d2 < bd) {
+                        best = Some((d2, u as NodeId, v as NodeId));
+                    }
+                }
+            }
+            let (_, u, v) = best.expect("a node outside node 0's component");
+            extra.push((u, v));
+            let g2 = Graph::from_edges(n, &extra).expect("RGG augmentation");
+            if g2.is_connected() {
+                return g2;
+            }
+            comp = component_labels(&g2);
+        }
     }
-    labels
+
+    pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
+        assert!(n > 0 && (0.0..=1.0).contains(&p), "invalid G(n,p) parameters");
+        let mut edges = Vec::new();
+        if p > 0.0 {
+            let ln_q = (1.0 - p).ln();
+            if ln_q == 0.0 {
+            } else if p >= 1.0 {
+                for u in 0..n {
+                    for v in (u + 1)..n {
+                        edges.push((u as NodeId, v as NodeId));
+                    }
+                }
+            } else {
+                let total = n * (n - 1) / 2;
+                let mut idx = 0usize;
+                while idx < total {
+                    let r: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                    let skip = (r.ln() / ln_q).floor() as usize;
+                    idx = idx.saturating_add(skip);
+                    if idx >= total {
+                        break;
+                    }
+                    edges.push(pair_from_index(idx, n));
+                    idx += 1;
+                }
+            }
+        }
+        let g = Graph::from_edges(n, &edges).expect("G(n,p) construction");
+        if g.is_connected() {
+            return g;
+        }
+        let labels = component_labels(&g);
+        let ncomp = *labels.iter().max().unwrap() as usize + 1;
+        let mut reps: Vec<NodeId> = vec![u32::MAX; ncomp];
+        for (v, &label) in labels.iter().enumerate() {
+            let c = label as usize;
+            if reps[c] == u32::MAX {
+                reps[c] = v as NodeId;
+            }
+        }
+        reps.shuffle(rng);
+        for w in reps.windows(2) {
+            edges.push((w[0], w[1]));
+        }
+        Graph::from_edges(n, &edges).expect("G(n,p) augmentation")
+    }
+
+    /// Row-major enumeration of pairs `(u, v)`, `u < v`.
+    pub fn pair_from_index(idx: usize, n: usize) -> (NodeId, NodeId) {
+        let mut u = 0usize;
+        let mut remaining = idx;
+        let mut row = n - 1;
+        while remaining >= row {
+            remaining -= row;
+            u += 1;
+            row -= 1;
+        }
+        let v = u + 1 + remaining;
+        (u as NodeId, v as NodeId)
+    }
+
+    /// Component labels `0, 1, …` in order of each component's smallest
+    /// node, one full-graph BFS per component.
+    fn component_labels(g: &Graph) -> Vec<u32> {
+        let mut labels = vec![u32::MAX; g.n()];
+        let mut next = 0u32;
+        for v in 0..g.n() {
+            if labels[v] != u32::MAX {
+                continue;
+            }
+            let dist = crate::traversal::bfs(g, v as NodeId);
+            for (u, &d) in dist.iter().enumerate() {
+                if d != u32::MAX && labels[u] == u32::MAX {
+                    labels[u] = next;
+                }
+            }
+            next += 1;
+        }
+        labels
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -722,7 +947,7 @@ mod tests {
         let mut seen = vec![false; n * n];
         let mut count = 0usize;
         for idx in 0..(n * (n - 1) / 2) {
-            let (u, v) = pair_from_index(idx, n);
+            let (u, v) = oracle::pair_from_index(idx, n);
             assert!(u < v && (v as usize) < n);
             let slot = u as usize * n + v as usize;
             assert!(!seen[slot], "pair ({u},{v}) enumerated twice");
@@ -737,6 +962,97 @@ mod tests {
         let g = cluster_chain(8, 20, 0.3, &mut rng());
         assert_eq!(g.n(), 160);
         assert!(g.is_connected());
+    }
+
+    /// Builds with `build` and `oracle`, each from a fresh `rng()`; asserts
+    /// the same graph and the same next draw.
+    fn assert_matches_oracle<R: Rng>(
+        rng: impl Fn() -> R,
+        build: impl FnOnce(&mut R) -> Graph,
+        oracle: impl FnOnce(&mut R) -> Graph,
+    ) -> Result<(), TestCaseError> {
+        let (mut a, mut b) = (rng(), rng());
+        prop_assert_eq!(build(&mut a), oracle(&mut b));
+        prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "the generator left the RNG elsewhere");
+        Ok(())
+    }
+
+    /// Draws only multiples of 1/16: points on a 16×16 lattice, where
+    /// squared distances tie exactly (or are 0) and the joins' tie-breaks
+    /// decide which edge is added.
+    struct Lattice(SmallRng);
+
+    impl rand::RngCore for Lattice {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64() >> 60 << 60
+        }
+    }
+
+    #[test]
+    fn rgg_matches_the_oracle_at_the_edges_of_its_range() {
+        // One node, a radius below every gap, one cell, and samples with
+        // hundreds of joins.
+        for (n, radius, seed) in
+            [(1, 0.5, 0), (40, 1e-9, 1), (40, 5.0, 2), (200, 0.001, 0), (300, 0.01, 0)]
+        {
+            assert_matches_oracle(
+                || SmallRng::seed_from_u64(seed),
+                |r| random_geometric(n, radius, r),
+                |r| oracle::random_geometric(n, radius, r),
+            )
+            .unwrap_or_else(|e| panic!("rgg({n},{radius}) @ {seed}: {e:?}"));
+        }
+    }
+
+    #[test]
+    fn rgg_breaks_distance_ties_as_the_oracle_does() {
+        // Below, at and above the lattice spacing 1/16.
+        for seed in 0..10 {
+            for (n, radius) in [(60, 0.01), (150, 0.0625), (200, 0.07), (100, 0.13)] {
+                assert_matches_oracle(
+                    || Lattice(SmallRng::seed_from_u64(seed)),
+                    |r| random_geometric(n, radius, r),
+                    |r| oracle::random_geometric(n, radius, r),
+                )
+                .unwrap_or_else(|e| panic!("lattice rgg({n},{radius}) @ {seed}: {e:?}"));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn rgg_matches_the_oracle(
+            n in 1usize..=300,
+            ln_radius in 1e-3f64.ln()..1.5f64.ln(),
+            seed in any::<u64>(),
+        ) {
+            let radius = ln_radius.exp();
+            assert_matches_oracle(
+                || SmallRng::seed_from_u64(seed),
+                |r| random_geometric(n, radius, r),
+                |r| oracle::random_geometric(n, radius, r),
+            )?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn gnp_matches_the_oracle(
+            n in 1usize..=300,
+            ln_p in -12.0f64..0.0,
+            seed in any::<u64>(),
+        ) {
+            let p = ln_p.exp();
+            assert_matches_oracle(
+                || SmallRng::seed_from_u64(seed),
+                |r| gnp_connected(n, p, r),
+                |r| oracle::gnp_connected(n, p, r),
+            )?;
+        }
     }
 
     #[test]
