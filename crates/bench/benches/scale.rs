@@ -27,7 +27,11 @@
 //!   precompute of broadcast and leader election (coarse, fine and
 //!   background Partition(β) races, one tree schedule each), with a pooled
 //!   [`PrecomputeScratch`] on the two benchmark topologies: `rgg(5000,0.03)`
-//!   (precompute-bound broadcast) and the `grid(500x10)` strip.
+//!   (precompute-bound broadcast) and the `grid(500x10)` strip. Two more
+//!   benches split one fine clustering of `bcast_rgg`'s topology into its
+//!   layers: a pooled [`Partition::recompute_within`] at `β = 0.5` inside
+//!   the coarse clustering (`partition_within`), and a pooled
+//!   [`TreeSchedule::rebuild`] on such a partition (`tree_schedule`).
 //! * `scale_topology` — [`TopologySpec::build`] of `rgg(5000,0.03)` at the
 //!   topology seed the benchmark's `bcast_rgg` plan gives it (two stray
 //!   components to join) and of `rgg(100000,0.006)`: the pair scan,
@@ -39,10 +43,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rn_bench::BenchWorkload;
+use rn_cluster::{Partition, PartitionScratch};
 use rn_core::{CompeteParams, PrecomputeScratch, Precomputed};
 use rn_decay::{CoinSampler, DecayBroadcast};
 use rn_graph::TopologySpec;
-use rn_sim::{CollisionModel, NetParams, Simulator, TrialPool};
+use rn_schedule::{SlotPolicy, TreeSchedule, TreeScheduleScratch};
+use rn_sim::{rng, CollisionModel, NetParams, Simulator, TrialPool};
 
 /// The 10⁵-node workload both A/B groups share (same shape as the CI
 /// scale-smoke cell, cheaper protocol so ten samples stay under a minute).
@@ -213,6 +219,33 @@ fn bench_precompute(c: &mut Criterion) {
             });
         });
     }
+    // One fine clustering of `bcast_rgg`'s topology, layer by layer: the
+    // race inside the coarse clustering, then the tree schedule on it.
+    let g = "rgg(5000,0.03)"
+        .parse::<TopologySpec>()
+        .expect("spec parses")
+        .build(BCAST_RGG_TOPOLOGY_SEED);
+    let net = NetParams::new(g.n(), g.diameter_double_sweep());
+    let region = Precomputed::build(&g, net, &CompeteParams::default(), 0).coarse_idx;
+    let fine = Partition::compute_within(&g, 0.5, &region, &mut rng::rng_from_seed(0));
+    group.bench_function("rgg(5000,0.03)/partition_within", |b| {
+        let mut part = fine.clone();
+        let mut scratch = PartitionScratch::default();
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            part.recompute_within(&g, 0.5, &region, &mut rng::rng_from_seed(seed), &mut scratch);
+            part.num_clusters()
+        });
+    });
+    group.bench_function("rgg(5000,0.03)/tree_schedule", |b| {
+        let mut sched = TreeSchedule::build(&g, &fine, SlotPolicy::Auto);
+        let mut scratch = TreeScheduleScratch::default();
+        b.iter(|| {
+            sched.rebuild(&g, &fine, SlotPolicy::Auto, &mut scratch);
+            sched.window()
+        });
+    });
     group.finish();
 }
 

@@ -668,7 +668,7 @@ pub fn e12_model(seed: u64, threads: usize) -> Vec<Table> {
             let budget = proto.total_rounds();
             let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, seed);
             let stats = sim.run(&mut proto, budget);
-            let (p, _) = proto.into_partition();
+            let (p, _) = proto.into_partition(&g);
             let mut r = rng::stream_rng(seed, 22);
             let oracle = Partition::compute(&g, beta, &mut r);
             tb.row(&[

@@ -20,7 +20,7 @@
 use crate::partition::Partition;
 use crate::shifts::ExponentialShifts;
 use rand::rngs::SmallRng;
-use rn_graph::NodeId;
+use rn_graph::{Graph, NodeId};
 use rn_sim::{rng, rng::bernoulli_indices, NetParams, Protocol, Round, TxBuf};
 
 /// Tuning for the distributed construction.
@@ -227,14 +227,20 @@ impl DistributedPartition {
         }
     }
 
-    /// Extracts the clustering. Nodes that never adopted a claim (possible
-    /// only if the budget was cut short) become singleton centers; centers
-    /// that themselves adopted another cluster are *repaired* to be their own
-    /// center, preserving the paper's §2.1 invariant. Returns the partition
-    /// and the number of repairs performed.
-    pub fn into_partition(self) -> (Partition, usize) {
+    /// Extracts the clustering of `g`, the graph the protocol ran on. Nodes
+    /// that never adopted a claim (possible only if the budget was cut
+    /// short) become singleton centers; centers that themselves adopted
+    /// another cluster are *repaired* to be their own center, preserving the
+    /// paper's §2.1 invariant. The partition's BFS forest is a per-cluster
+    /// BFS from these centers. Returns the partition and the number of
+    /// repairs performed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` does not have the protocol's node count.
+    pub fn into_partition(self, g: &Graph) -> (Partition, usize) {
         let mut out = Partition::shell(self.beta);
-        let repairs = self.extract_partition(&mut out, &mut Vec::new(), &mut Vec::new());
+        let repairs = self.extract_partition(g, &mut out, &mut Vec::new(), &mut Vec::new());
         (out, repairs)
     }
 
@@ -242,8 +248,13 @@ impl DistributedPartition {
     /// clustering into `out` (reusing its buffers) and returns the repair
     /// count. `used` and `idx_scratch` are caller-pooled scratch, both
     /// bounded by `n` — steady-state extraction performs no heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` does not have the protocol's node count.
     pub fn extract_partition(
         &self,
+        g: &Graph,
         out: &mut Partition,
         used: &mut Vec<NodeId>,
         idx_scratch: &mut Vec<u32>,
@@ -264,7 +275,7 @@ impl DistributedPartition {
                 repairs += 1;
             }
         }
-        out.finish_rebuild(self.beta, idx_scratch);
+        out.finish_rebuild(g, self.beta, idx_scratch);
         repairs
     }
 }
@@ -329,7 +340,7 @@ mod tests {
         let budget = proto.total_rounds();
         let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
         sim.run(&mut proto, budget);
-        proto.into_partition()
+        proto.into_partition(g)
     }
 
     #[test]
@@ -402,7 +413,7 @@ mod tests {
         let proto =
             DistributedPartition::new(params, 0.3, DistributedPartitionConfig::default(), 5);
         // Never run: every node is its own singleton center.
-        let (p, repairs) = proto.into_partition();
+        let (p, repairs) = proto.into_partition(&g);
         assert_eq!(p.num_clusters(), 10);
         assert_eq!(repairs, 0);
         p.validate(&g).expect("singletons are valid");

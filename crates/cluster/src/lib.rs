@@ -17,7 +17,9 @@
 //!   multi-source BFS in which center `u` starts at time `−δ_u`, resolved
 //!   by merging two sorted streams (the seeds sorted once by shift, and a
 //!   FIFO of settled nodes) in `O(n log n + m)` time and `2n` scratch
-//!   entries, with ties going to the smaller center id. The paper notes
+//!   entries, with ties going to the smaller center id. It also records
+//!   each cluster's BFS tree ([`Partition::parent`],
+//!   [`Partition::depth`]), on which tree schedules are built. The paper notes
 //!   its clustering results "apply … in any setting, not just radio
 //!   networks"; clustering-property experiments use this form, and the
 //!   Compete algorithm uses it in its `Charged` precomputation mode.

@@ -33,6 +33,25 @@ impl Ord for Key {
 /// * the subgraph of each cluster is connected, and moreover each node has a
 ///   shortest path to its center that stays inside the cluster (so *strong*
 ///   distance to the center equals graph distance).
+///
+/// Every partition also carries a BFS forest of its clusters:
+/// [`Partition::parent`] and [`Partition::depth`] give each node's parent
+/// on a shortest in-cluster path to its center and the length of that path.
+/// It is the forest a BFS of each cluster from its center yields, scanning
+/// adjacency in order, so a node's parent is its first dequeued in-cluster
+/// neighbour. Tree schedules are built on it. It has two producers:
+///
+/// * the race ([`Partition::compute`] and its in-place and region-bound
+///   twins) records it as it settles nodes. Within one cluster the race's
+///   FIFO of settled nodes *is* that BFS queue: it starts at the center,
+///   scans adjacency in the same order, and a node is claimed by the first
+///   dequeued neighbour that reaches it;
+/// * the distributed construction's extraction, whose centers come from
+///   outside any race, runs that per-cluster BFS after it writes the
+///   centers. A cluster the protocol left internally disconnected keeps
+///   `INVALID_NODE` parents and `u32::MAX` depths on its unreached nodes.
+///
+/// The forest costs `2n` `u32`s, reused by pooled recomputes.
 #[derive(Debug, Clone)]
 pub struct Partition {
     beta: f64,
@@ -48,6 +67,10 @@ pub struct Partition {
     /// reuse two `n`-bounded buffers even when the cluster count changes.
     member_start: Vec<u32>,
     member_data: Vec<NodeId>,
+    /// The BFS forest (see the type docs): parent per node, `INVALID_NODE`
+    /// for centers, and depth per node, 0 for centers.
+    parent: Vec<NodeId>,
+    depth: Vec<u32>,
 }
 
 /// Reusable workspace for [`Partition::recompute`] /
@@ -173,12 +196,15 @@ impl Partition {
             centers: Vec::new(),
             member_start: Vec::new(),
             member_data: Vec::new(),
+            parent: Vec::new(),
+            depth: Vec::new(),
         }
     }
 
     /// Resolves the shifted race exactly: node `v` joins the center `u`
     /// minimizing `(dist(u, v) − δ_u, u)`, with distances inside `v`'s
-    /// region when one is given.
+    /// region when one is given. Settling `w` from `v` also records the
+    /// forest edge: `parent(w) = v`, `depth(w) = depth(v) + 1`.
     ///
     /// Edges have unit weight, so the shifted Dijkstra race is a multi-source
     /// BFS in which center `u` starts at time `−δ_u` (Miller–Peng–Xu). Two
@@ -217,7 +243,11 @@ impl Partition {
         self.beta = shifts.beta();
         self.center.clear();
         self.center.resize(n, INVALID_NODE);
-        let center = &mut self.center;
+        self.parent.clear();
+        self.parent.resize(n, INVALID_NODE);
+        self.depth.clear();
+        self.depth.resize(n, 0);
+        let Partition { center, parent, depth, .. } = self;
         let mut head = 0;
         for &(seed_key, u) in seeds.iter() {
             // Drain every settled node whose offer beats this seed.
@@ -228,11 +258,14 @@ impl Partition {
                 }
                 head += 1;
                 let next = offer + 1.0;
+                let below = depth[v as usize] + 1;
                 for &w in g.neighbors(v) {
                     if center[w as usize] == INVALID_NODE
                         && region.is_none_or(|r| r[w as usize] == r[v as usize])
                     {
                         center[w as usize] = c;
+                        parent[w as usize] = v;
+                        depth[w as usize] = below;
                         settled.push((next, w));
                     }
                 }
@@ -253,10 +286,45 @@ impl Partition {
     }
 
     /// Rebuilds every derived table from `self.center` (reusing existing
-    /// buffer capacity) after a caller wrote a new center assignment.
-    pub(crate) fn finish_rebuild(&mut self, beta: f64, index_of_center: &mut Vec<u32>) {
+    /// buffer capacity) after a caller wrote a new center assignment, the
+    /// forest included: a BFS of each cluster from its center, restricted
+    /// to the cluster. `index_of_center` is `n`-bounded scratch, reused as
+    /// the BFS queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g.n()` differs from the length of the center assignment.
+    pub(crate) fn finish_rebuild(&mut self, g: &Graph, beta: f64, index_of_center: &mut Vec<u32>) {
+        assert_eq!(self.center.len(), g.n(), "one center per node");
         self.beta = beta;
         self.rebuild_bookkeeping(index_of_center);
+        let n = g.n();
+        let queue = index_of_center;
+        queue.clear();
+        queue.reserve(n);
+        self.parent.clear();
+        self.parent.resize(n, INVALID_NODE);
+        self.depth.clear();
+        self.depth.resize(n, u32::MAX);
+        let Partition { cluster_of, centers, parent, depth, .. } = self;
+        // Each node is enqueued at most once over all clusters, so one
+        // queue serves them all.
+        let mut head = 0;
+        for (idx, &c) in centers.iter().enumerate() {
+            depth[c as usize] = 0;
+            queue.push(c);
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                let below = depth[u as usize] + 1;
+                for &w in g.neighbors(u) {
+                    if cluster_of[w as usize] == idx as u32 && depth[w as usize] == u32::MAX {
+                        depth[w as usize] = below;
+                        parent[w as usize] = u;
+                        queue.push(w);
+                    }
+                }
+            }
+        }
     }
 
     /// Recomputes `cluster_of` / `centers` / the member CSR from
@@ -319,6 +387,22 @@ impl Partition {
     #[inline]
     pub fn center_of(&self, v: NodeId) -> NodeId {
         self.center[v as usize]
+    }
+
+    /// `v`'s parent in its cluster's BFS forest (see the type docs):
+    /// `INVALID_NODE` for centers and for nodes a distributed extraction
+    /// left cut off from their center.
+    #[inline]
+    pub fn parent(&self, v: NodeId) -> NodeId {
+        self.parent[v as usize]
+    }
+
+    /// `v`'s depth in its cluster's BFS forest: its strong distance to its
+    /// center, 0 for centers, `u32::MAX` for nodes a distributed extraction
+    /// left cut off from their center.
+    #[inline]
+    pub fn depth(&self, v: NodeId) -> u32 {
+        self.depth[v as usize]
     }
 
     /// Dense index (in `0..num_clusters()`) of `v`'s cluster.
@@ -482,6 +566,44 @@ mod tests {
         }
     }
 
+    /// One race input: a family graph, region labels and shifts. β is
+    /// log-uniform in [1e-9, 1]. Regions: none; random labels from 1–3
+    /// values (regions need not be connected); or the clusters of a coarser
+    /// partition, as the precompute's fine races use. Shifts: raw, capped at
+    /// their median (half of them tie exactly, so the smaller-center
+    /// tie-break decides), or capped at 1/β.
+    fn race_case(
+        family: u8,
+        size: f64,
+        seed: u64,
+        log_beta: f64,
+        regions: u32,
+        cap: u8,
+    ) -> (Graph, Option<Vec<u32>>, ExponentialShifts) {
+        let g = family_graph(family, size, seed);
+        let beta = 10f64.powf(log_beta);
+        let mut r = rng(seed ^ 0x5EED);
+        let labels: Vec<u32> = if regions == 4 {
+            let coarse = Partition::compute(&g, beta.sqrt(), &mut r);
+            g.nodes().map(|v| coarse.cluster_index(v)).collect()
+        } else {
+            g.nodes().map(|_| r.gen_range(0..regions.max(1))).collect()
+        };
+        let mut shifts = ExponentialShifts::sample(g.n(), beta, &mut r);
+        match cap {
+            1 => {
+                let mut sorted: Vec<f64> = g.nodes().map(|v| shifts.delta(v)).collect();
+                sorted.sort_by(f64::total_cmp);
+                shifts.clamp_max(sorted[sorted.len() / 2]);
+            }
+            2 => {
+                shifts.clamp_max(1.0 / beta);
+            }
+            _ => {}
+        }
+        (g, (regions > 0).then_some(labels), shifts)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -494,37 +616,34 @@ mod tests {
             regions in 0u32..5,
             cap in 0u8..3,
         ) {
-            // β log-uniform in [1e-9, 1]. Regions: none; random labels from
-            // 1–3 values (regions need not be connected); or the clusters of
-            // a coarser partition, as the precompute's fine races use.
-            // Shifts: raw, capped at their median (half of them tie
-            // exactly, so the smaller-center tie-break decides), or capped
-            // at 1/β.
-            let g = family_graph(family, size, seed);
-            let beta = 10f64.powf(log_beta);
-            let mut r = rng(seed ^ 0x5EED);
-            let labels: Vec<u32> = if regions == 4 {
-                let coarse = Partition::compute(&g, beta.sqrt(), &mut r);
-                g.nodes().map(|v| coarse.cluster_index(v)).collect()
-            } else {
-                g.nodes().map(|_| r.gen_range(0..regions.max(1))).collect()
-            };
-            let region = (regions > 0).then_some(labels.as_slice());
-            let mut shifts = ExponentialShifts::sample(g.n(), beta, &mut r);
-            match cap {
-                1 => {
-                    let mut sorted: Vec<f64> = g.nodes().map(|v| shifts.delta(v)).collect();
-                    sorted.sort_by(f64::total_cmp);
-                    shifts.clamp_max(sorted[sorted.len() / 2]);
-                }
-                2 => {
-                    shifts.clamp_max(1.0 / beta);
-                }
-                _ => {}
-            }
+            let (g, labels, shifts) = race_case(family, size, seed, log_beta, regions, cap);
+            let region = labels.as_deref();
             let merged = Partition::race(&g, &shifts, region);
             prop_assert_eq!(&merged.center, &heap_race(&g, &shifts, region));
             prop_assert!(merged.validate(&g).is_ok());
+        }
+
+        #[test]
+        fn race_forest_equals_per_cluster_bfs(
+            family in 0u8..5,
+            size in 0.0f64..1.0,
+            seed in any::<u64>(),
+            log_beta in -9.0f64..0.0,
+            regions in 0u32..5,
+            cap in 0u8..3,
+        ) {
+            // The forest the race records equals the one `finish_rebuild`
+            // computes by a BFS of each cluster from the same centers, and
+            // its depths are the strong distances to the centers.
+            let (g, labels, shifts) = race_case(family, size, seed, log_beta, regions, cap);
+            let region = labels.as_deref();
+            let raced = Partition::race(&g, &shifts, region);
+            let mut bfs = raced.clone();
+            bfs.finish_rebuild(&g, raced.beta(), &mut Vec::new());
+            prop_assert_eq!(&raced.center, &bfs.center);
+            prop_assert_eq!(&raced.parent, &bfs.parent);
+            prop_assert_eq!(&raced.depth, &bfs.depth);
+            prop_assert_eq!(&raced.depth, &raced.strong_dist_to_center(&g));
         }
     }
 
@@ -667,11 +786,15 @@ mod tests {
                 assert_eq!(pooled.centers, fresh.centers);
                 assert_eq!(pooled.member_start, fresh.member_start);
                 assert_eq!(pooled.member_data, fresh.member_data);
+                assert_eq!(pooled.parent, fresh.parent);
+                assert_eq!(pooled.depth, fresh.depth);
 
                 pooled.recompute_within(&g, beta, &region, &mut rng(seed), &mut scratch);
                 let fresh = Partition::compute_within(&g, beta, &region, &mut rng(seed));
                 assert_eq!(pooled.center, fresh.center, "within: seed {seed} beta {beta}");
                 assert_eq!(pooled.member_data, fresh.member_data);
+                assert_eq!(pooled.parent, fresh.parent);
+                assert_eq!(pooled.depth, fresh.depth);
             }
         }
     }

@@ -61,7 +61,7 @@ impl Runnable for PartitionScenario {
         st.tx.reserve(g.n());
         let stats = ctx.simulator(engine).run_with_buf(p, &mut st.tx, budget);
         let partition = st.partition.get_or_insert_with(|| Partition::shell(self.beta));
-        let repairs = p.extract_partition(partition, &mut st.used, &mut st.idx);
+        let repairs = p.extract_partition(g, partition, &mut st.used, &mut st.idx);
         let valid = repairs == 0 && partition.validate_pooled(g, &mut st.validate).is_ok();
         TrialRecord::new(valid, stats.rounds, stats.metrics)
     }

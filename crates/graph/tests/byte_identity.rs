@@ -51,10 +51,13 @@ fn baseline_covered_topologies_are_byte_identical() {
         ("rgg(1024,0.06)", 7, 0x5d75_2548_296f_e9fa),
         // Rows whose sample is disconnected, so the generator's join path
         // runs: bcast_rgg's topology (2 joins), two sparse RGGs (254 and 86
-        // joins) and a G(n,p) with many components.
+        // joins), one whose node 0's component holds 1,201 of 20,000 nodes
+        // (1,052 joins move the other 18,799) and a G(n,p) with many
+        // components.
         ("rgg(5000,0.03)", 0x25f7_806d_620a_d6fc, 0xd78d_1ae9_19e0_50d4),
         ("rgg(300,0.02)", 0, 0xe378_1310_b22d_92d2),
         ("rgg(300,0.05)", 0, 0x1938_8402_2f65_83a9),
+        ("rgg(20000,0.008)", 0, 0x06e4_258f_1a1e_d192),
         ("gnp(2000,0.0005)", 0, 0xb5a3_3de4_fbba_4938),
     ];
     for &(spec, seed, want) in pinned {

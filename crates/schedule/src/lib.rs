@@ -6,11 +6,16 @@
 //! distance ℓ in `O(ℓ + polylog n)` rounds, with period `O(log n)`. This
 //! crate realizes that contract concretely:
 //!
-//! * [`TreeSchedule::build`] computes, for every cluster of a
-//!   [`rn_cluster::Partition`] simultaneously, a BFS tree rooted at the
-//!   cluster center plus a **conflict-free slot coloring** of each tree
-//!   layer: within a cluster, a node's reception from its tree parent is
-//!   never collided by another same-layer transmitter of the same cluster.
+//! * [`TreeSchedule::build`] takes, for every cluster of a
+//!   [`rn_cluster::Partition`] simultaneously, the BFS tree rooted at the
+//!   cluster center that the partition carries, and computes a
+//!   **conflict-free slot coloring** of each tree layer: within a cluster,
+//!   a node's reception from its tree parent is never collided by another
+//!   same-layer transmitter of the same cluster. One pass over the
+//!   adjacency lists each node's same-cluster neighbours one layer down and
+//!   one layer up, and one greedy pass colors the layers, reading each
+//!   conflict set off 64-bit per-receiver color masks (an exact enumeration
+//!   takes over for a node whose 64 low colors are all taken).
 //!   Layers are served in consecutive *windows* of a fixed width `W`
 //!   (the schedule's period), so a downcast pass to radius ℓ costs exactly
 //!   `(ℓ + 1) · W` rounds — the `O(ℓ + polylog n)` of Lemma 2.3 with the

@@ -15,7 +15,9 @@ pub enum SlotPolicy {
 }
 
 /// Per-cluster BFS trees plus a conflict-free layer/slot schedule, for all
-/// clusters of one [`Partition`] at once.
+/// clusters of one [`Partition`] at once. The trees are the partition's BFS
+/// forest ([`Partition::parent`], [`Partition::depth`]), copied;
+/// [`TreeScheduleScratch`] describes how the slots are colored.
 ///
 /// Besides the per-node slots, it keeps each depth layer twice more, once
 /// ordered by downcast slot and once by upcast slot (ascending node id
@@ -71,26 +73,48 @@ pub struct TreeSchedule {
     overflow: usize,
 }
 
-/// Reusable workspace for [`TreeSchedule::rebuild`]: the BFS queue, the
-/// layer-adjacency lists the colorings walk, the greedy coloring's
-/// used-color stamps, and the counting-sort cursors. Every buffer is
-/// bounded by the graph (`n` or `m + 1` entries; the layer lists hold at
-/// most one entry per edge each), so after the first rebuild on a given
-/// graph subsequent rebuilds perform no heap allocation.
+/// Reusable workspace for [`TreeSchedule::rebuild`]: the layer lists the
+/// colorings read, the per-receiver color masks, the fallback's used-color
+/// stamps, and the counting-sort cursors.
+///
+/// * **Layer lists.** One branch-free pass over the adjacency gives every
+///   node `v` its *down list*, its same-cluster neighbours one layer deeper
+///   (children included), and its *up list*, its same-cluster neighbours
+///   one layer up (parent included), both in adjacency order. A packed
+///   `(cluster, depth)` key makes each test one comparison. Each edge lands
+///   in at most one down list and one up list, so `m + 1` slots cover each
+///   branch-free append (a slot is overwritten unless its node qualifies).
+/// * **Masks.** The greedy colorings keep one 64-bit mask per receiver and
+///   role, updated as nodes get colored. Bit `c` of `up_mask[x]` is set once
+///   a downcast transmitter in `x`'s up list holds color `c`; `dl_mask[r]`
+///   does the same for upcast colors over `r`'s down list, and
+///   `kid_mask[r]` over `r`'s children. A node ORs the masks of its
+///   receivers (and, in the downcast, the colors of its down list's
+///   parents) into the exact set of colors below 64 that its conflicting
+///   nodes hold, so its color is the lowest zero bit.
+/// * **Fallback.** When all 64 low colors are taken, the conflicting colors
+///   are enumerated instead, stamping `mark` (slot `n` absorbs `u32::MAX`,
+///   the color of a node not yet colored): the upcast then walks two hops,
+///   to the children of its up list.
+///
+/// Every buffer is bounded by the graph (`n + 2` or `m + 1` entries), so
+/// after the first rebuild on a given graph subsequent rebuilds perform no
+/// heap allocation.
 #[derive(Debug, Default)]
 pub struct TreeScheduleScratch {
-    queue: Vec<NodeId>,
-    /// Node `v`'s down list is `down_data[down_span[v].0..down_span[v].1]`:
-    /// its same-cluster neighbours one layer deeper, children included.
-    down_span: Vec<(u32, u32)>,
+    /// `(cluster << 32) | depth` per node.
+    key: Vec<u64>,
+    /// CSR of down lists: node `v` owns
+    /// `down_data[down_start[v]..down_start[v + 1]]`.
+    down_start: Vec<u32>,
     down_data: Vec<NodeId>,
-    /// CSR of up lists, the transpose of the down lists: node `v` owns
-    /// `up_data[up_start[v]..up_start[v + 1]]`, its same-cluster neighbours
-    /// one layer up (its parent among them), in ascending id order.
+    /// CSR of up lists, laid out as the down lists.
     up_start: Vec<u32>,
     up_data: Vec<NodeId>,
-    /// `mark[c] == stamp` iff color `c` is taken by a conflicting node;
-    /// slot `n` absorbs `u32::MAX` (not yet colored).
+    up_mask: Vec<u64>,
+    dl_mask: Vec<u64>,
+    kid_mask: Vec<u64>,
+    /// `mark[c] == stamp` iff color `c` is taken by a conflicting node.
     mark: Vec<u32>,
     cursor: Vec<u32>,
 }
@@ -130,14 +154,24 @@ impl TreeSchedule {
         scratch: &mut TreeScheduleScratch,
     ) {
         let n = g.n();
-        let TreeScheduleScratch { queue, down_span, down_data, up_start, up_data, mark, cursor } =
-            scratch;
+        let TreeScheduleScratch {
+            key,
+            down_start,
+            down_data,
+            up_start,
+            up_data,
+            up_mask,
+            dl_mask,
+            kid_mask,
+            mark,
+            cursor,
+        } = scratch;
         self.parent.clear();
-        self.parent.resize(n, INVALID_NODE);
+        self.parent.extend(g.nodes().map(|v| partition.parent(v)));
         self.depth.clear();
-        self.depth.resize(n, u32::MAX);
+        self.depth.extend(g.nodes().map(|v| partition.depth(v)));
         self.cluster.clear();
-        self.cluster.extend((0..n).map(|v| partition.cluster_index(v as NodeId)));
+        self.cluster.extend(g.nodes().map(|v| partition.cluster_index(v)));
         let TreeSchedule {
             parent,
             depth,
@@ -152,47 +186,6 @@ impl TreeSchedule {
             child_data,
             ..
         } = self;
-
-        // Per-cluster BFS with parents, restricted to the cluster. Each node
-        // is enqueued once over all clusters, so one queue serves them all.
-        // A popped node `u` also records its down list: once its scan has
-        // discovered every undiscovered neighbour, the same-cluster
-        // neighbours at depth `depth(u) + 1` are exactly those one layer
-        // down. Each edge lands in at most one down list, so `m + 1` slots
-        // cover the branch-free append (a slot is overwritten unless its
-        // node qualifies).
-        queue.clear();
-        queue.reserve(n);
-        down_span.clear();
-        down_span.resize(n, (0, 0));
-        if down_data.len() != g.m() + 1 {
-            down_data.clear();
-            down_data.resize(g.m() + 1, 0);
-        }
-        let mut down_len = 0;
-        let mut head = 0;
-        for (idx, &c) in partition.centers().iter().enumerate() {
-            let idx = idx as u32;
-            depth[c as usize] = 0;
-            queue.push(c);
-            while let Some(&u) = queue.get(head) {
-                head += 1;
-                let du = depth[u as usize];
-                let start = down_len as u32;
-                for &w in g.neighbors(u) {
-                    if cluster[w as usize] == idx {
-                        if depth[w as usize] == u32::MAX {
-                            depth[w as usize] = du + 1;
-                            parent[w as usize] = u;
-                            queue.push(w);
-                        }
-                        down_data[down_len] = w;
-                        down_len += usize::from(depth[w as usize] == du + 1);
-                    }
-                }
-                down_span[u as usize] = (start, down_len as u32);
-            }
-        }
         debug_assert!(depth.iter().all(|&d| d != u32::MAX), "clusters are connected");
 
         let max_depth = depth.iter().copied().max().unwrap_or(0);
@@ -250,40 +243,52 @@ impl TreeSchedule {
             }
         }
 
-        // Up lists: the down lists transposed by counting sort.
-        up_start.clear();
-        up_start.resize(n + 1, 0);
-        for &w in &down_data[..down_len] {
-            up_start[w as usize + 1] += 1;
-        }
-        for v in 0..n {
-            up_start[v + 1] += up_start[v];
-        }
-        up_data.clear();
-        up_data.reserve(g.m());
-        up_data.resize(down_len, 0);
-        cursor.clear();
-        cursor.extend_from_slice(&up_start[..n]);
-        for (u, &(start, end)) in down_span.iter().enumerate() {
-            for &w in &down_data[start as usize..end as usize] {
-                let at = &mut cursor[w as usize];
-                up_data[*at as usize] = u as NodeId;
-                *at += 1;
+        // Down and up lists in one adjacency pass. With the packed key, `w`
+        // is one layer below `u` in `u`'s cluster iff `key[w] == key[u] + 1`,
+        // and one layer above iff `key[w] + 1 == key[u]`; depths stay below
+        // `u32::MAX`, so neither sum carries into the cluster bits.
+        key.clear();
+        key.extend((0..n).map(|v| (cluster[v] as u64) << 32 | depth[v] as u64));
+        for (start, data) in [(&mut *down_start, &mut *down_data), (&mut *up_start, &mut *up_data)]
+        {
+            start.clear();
+            start.resize(n + 1, 0);
+            if data.len() != g.m() + 1 {
+                data.clear();
+                data.resize(g.m() + 1, 0);
             }
         }
+        let (mut down_len, mut up_len) = (0, 0);
+        for u in 0..n {
+            let ku = key[u];
+            for &w in g.neighbors(u as NodeId) {
+                let kw = key[w as usize];
+                down_data[down_len] = w;
+                down_len += usize::from(kw == ku + 1);
+                up_data[up_len] = w;
+                up_len += usize::from(kw + 1 == ku);
+            }
+            down_start[u + 1] = down_len as u32;
+            up_start[u + 1] = up_len as u32;
+        }
 
-        // Greedy conflict colorings, one layer at a time, written directly
-        // into the slot arrays (folded modulo the window afterwards). The
-        // conflicting nodes are read off the layer lists, so no adjacency
-        // is walked here. A node not yet colored — or never, like a peer
-        // without children in the downcast, or the node being colored,
-        // which the lists also reach — holds `u32::MAX`, whose stamp lands
-        // in the spare slot `n`; a color is below `n`, since fewer than `n`
-        // nodes conflict with any one node.
+        // Greedy conflict colorings, one layer at a time in ascending id,
+        // written directly into the slot arrays (folded modulo the window
+        // afterwards). Each color is the lowest free bit of the masks (see
+        // `TreeScheduleScratch`); only a node whose 64 low colors are all
+        // taken enumerates its conflict set. A node not yet colored — or
+        // never, like a peer without children in the downcast, or the node
+        // being colored, which the lists also reach — holds `u32::MAX`,
+        // which sets no mask bit and stamps the spare slot `n`; a color is
+        // below `n`, since fewer than `n` nodes conflict with any one node.
         down_slot.clear();
         down_slot.resize(n, u32::MAX);
         up_slot.clear();
         up_slot.resize(n, u32::MAX);
+        for mask in [&mut *up_mask, &mut *dl_mask, &mut *kid_mask] {
+            mask.clear();
+            mask.resize(n, 0);
+        }
         mark.clear();
         mark.resize(n + 1, 0);
         let spare = n as u32;
@@ -294,8 +299,7 @@ impl TreeSchedule {
             &child_data[child_start[v as usize] as usize..child_start[v as usize + 1] as usize]
         };
         let down_list = |v: NodeId| {
-            let (start, end) = down_span[v as usize];
-            &down_data[start as usize..end as usize]
+            &down_data[down_start[v as usize] as usize..down_start[v as usize + 1] as usize]
         };
         let up_list =
             |v: NodeId| &up_data[up_start[v as usize] as usize..up_start[v as usize + 1] as usize];
@@ -308,22 +312,36 @@ impl TreeSchedule {
                 if kids.is_empty() {
                     continue;
                 }
-                stamp += 1;
                 // Conflicts: same cluster+depth transmitters p' adjacent to
-                // one of p's children (its up list) ...
-                for &u in kids {
-                    for &w in up_list(u) {
-                        mark[down_color[w as usize].min(spare) as usize] = stamp;
-                    }
-                }
+                // one of p's children (its up list, gathered in `up_mask`)
                 // ... or whose children are adjacent to p (p's down list).
-                for &w in down_list(p) {
-                    let pw = parent[w as usize];
-                    mark[down_color[pw as usize].min(spare) as usize] = stamp;
+                let mut taken = 0;
+                for &u in kids {
+                    taken |= up_mask[u as usize];
                 }
-                let c = smallest_unmarked(mark, stamp);
+                for &w in down_list(p) {
+                    taken |= bit(down_color[parent[w as usize] as usize]);
+                }
+                let c = if taken != u64::MAX {
+                    taken.trailing_ones()
+                } else {
+                    stamp += 1;
+                    for &u in kids {
+                        for &w in up_list(u) {
+                            mark[down_color[w as usize].min(spare) as usize] = stamp;
+                        }
+                    }
+                    for &w in down_list(p) {
+                        let pw = parent[w as usize];
+                        mark[down_color[pw as usize].min(spare) as usize] = stamp;
+                    }
+                    smallest_unmarked(mark, stamp)
+                };
                 down_color[p as usize] = c;
                 max_color = max_color.max(c);
+                for &w in down_list(p) {
+                    up_mask[w as usize] |= bit(c);
+                }
             }
 
             // --- Upcast: transmitters are all non-center nodes of the layer;
@@ -333,22 +351,34 @@ impl TreeSchedule {
                 if pu == INVALID_NODE {
                     continue;
                 }
-                stamp += 1;
                 // u' adjacent to u's parent (same cluster+depth) collides at
-                // p(u): p(u)'s down list.
-                for &w in down_list(pu) {
-                    mark[up_color[w as usize].min(spare) as usize] = stamp;
+                // p(u): p(u)'s down list, gathered in `dl_mask`. u adjacent
+                // to p(u') collides at p(u'): the children of u's up list,
+                // gathered in `kid_mask`.
+                let mut taken = dl_mask[pu as usize];
+                for &r in up_list(u) {
+                    taken |= kid_mask[r as usize];
                 }
-                // u adjacent to p(u') collides at p(u'): the children of u's
-                // up list.
-                for &w in up_list(u) {
-                    for &ch in children(w) {
-                        mark[up_color[ch as usize].min(spare) as usize] = stamp;
+                let c = if taken != u64::MAX {
+                    taken.trailing_ones()
+                } else {
+                    stamp += 1;
+                    for &w in down_list(pu) {
+                        mark[up_color[w as usize].min(spare) as usize] = stamp;
                     }
-                }
-                let c = smallest_unmarked(mark, stamp);
+                    for &r in up_list(u) {
+                        for &ch in children(r) {
+                            mark[up_color[ch as usize].min(spare) as usize] = stamp;
+                        }
+                    }
+                    smallest_unmarked(mark, stamp)
+                };
                 up_color[u as usize] = c;
                 max_color = max_color.max(c);
+                kid_mask[pu as usize] |= bit(c);
+                for &r in up_list(u) {
+                    dl_mask[r as usize] |= bit(c);
+                }
             }
         }
 
@@ -567,6 +597,12 @@ fn smallest_unmarked(mark: &[u32], stamp: u32) -> u32 {
     mark.iter().position(|&m| m != stamp).expect("fewer than n nodes conflict") as u32
 }
 
+/// Color `c`'s mask bit: none for colors from 64 up, `u32::MAX` included.
+#[inline]
+fn bit(c: u32) -> u64 {
+    1u64.checked_shl(c).unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,16 +699,18 @@ mod tests {
         (down, up, window, overflow)
     }
 
-    /// One of the five schedule-test families (path, grid, rgg, random
-    /// tree, barbell), sized by `size` in `0..1`.
+    /// One of the six schedule-test families (path, grid, rgg, random
+    /// tree, barbell, and a clique whose layers can need more than 64
+    /// colors), sized by `size` in `0..1`.
     fn family_graph(family: u8, size: f64, rng: &mut SmallRng) -> Graph {
         let k = |lo: usize, hi: usize| lo + ((hi - lo) as f64 * size) as usize;
-        match family % 5 {
+        match family % 6 {
             0 => generators::path(k(1, 300)),
             1 => generators::grid(k(1, 30), k(1, 12)),
             2 => generators::random_geometric(k(2, 400), 0.05 + 0.2 * size, rng),
             3 => generators::random_tree(k(2, 300), rng),
-            _ => generators::barbell(k(3, 20), k(1, 30)),
+            4 => generators::barbell(k(3, 20), k(1, 30)),
+            _ => generators::complete(k(2, 150)),
         }
     }
 
@@ -681,7 +719,7 @@ mod tests {
 
         #[test]
         fn layer_list_coloring_equals_reference(
-            family in 0u8..5,
+            family in 0u8..6,
             size in 0.0f64..1.0,
             seed in any::<u64>(),
             log_beta in -9.0f64..0.0,
@@ -784,6 +822,49 @@ mod tests {
                     assert_eq!(sched.conflict_violations(&g), 0, "graph n={} beta={beta}", g.n());
                 }
             }
+        }
+    }
+
+    /// A graph whose downcast needs `k` colors in one layer: a hub, `k`
+    /// nodes `p_1 < … < p_k` around it and `k` nodes `c_i`, each adjacent to
+    /// `p_i, …, p_k`. The BFS from the hub makes `c_i` the child of `p_i`,
+    /// so `p_i`'s down list reaches the children of every earlier `p_j`.
+    /// Shifts depend only on `n`, so the hub takes the id that
+    /// `single_cluster` makes the center; the other ids keep their order.
+    fn half_graph(k: usize) -> Graph {
+        let n = 2 * k + 1;
+        let hub = single_cluster(&generators::path(n)).centers()[0] as usize;
+        let id = |x: usize| match x {
+            0 => hub,
+            _ if x - 1 < hub => x - 1,
+            _ => x,
+        } as NodeId;
+        let mut edges = Vec::new();
+        for i in 1..=k {
+            edges.push((id(0), id(i)));
+            edges.extend((i..=k).map(|j| (id(k + i), id(j))));
+        }
+        Graph::from_edges(n, &edges).expect("half graph")
+    }
+
+    #[test]
+    fn colors_past_64_fall_back_to_enumeration() {
+        // One cluster each, under a 1000-slot window that leaves the raw
+        // colors unfolded. In a 100-clique the 99 nodes of layer 1 all
+        // conflict at the center, so the upcast needs 99 colors; in the half
+        // graph the downcast and the upcast both need 70.
+        let policy = SlotPolicy::Fixed(1000);
+        let top = |slots: &[u32]| slots.iter().copied().filter(|&c| c != u32::MAX).max();
+        for (g, down_top, up_top) in [(generators::complete(100), 0, 98), (half_graph(70), 69, 69)]
+        {
+            let part = single_cluster(&g);
+            let sched = TreeSchedule::build(&g, &part, policy);
+            assert_eq!(top(&sched.down_slot), Some(down_top), "n = {}", g.n());
+            assert_eq!(top(&sched.up_slot), Some(up_top), "n = {}", g.n());
+            let (down, up, window, overflow) = reference_slots(&g, &sched, policy);
+            assert_eq!(sched.down_slot, down);
+            assert_eq!(sched.up_slot, up);
+            assert_eq!((sched.window, sched.overflow), (window, overflow));
         }
     }
 

@@ -19,7 +19,7 @@ fn main() {
     let budget = proto.total_rounds();
     let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 11);
     let stats = sim.run(&mut proto, budget);
-    let (partition, repairs) = proto.into_partition();
+    let (partition, repairs) = proto.into_partition(&g);
     println!(
         "distributed Partition(1/4) on grid-24x24: {} clusters in {} rounds \
          ({} spontaneous transmissions, {} repairs)",
