@@ -1,7 +1,7 @@
 //! Scale suite: the engine hot path at `10⁵`–`10⁶` nodes.
 //!
-//! Eight groups, on the random-geometric topologies the scale-smoke CI lane
-//! exercises and on the benchmark's precompute topologies:
+//! Nine groups, on the random-geometric topologies the scale-smoke CI lane
+//! exercises and on the benchmark's precompute and propagation topologies:
 //!
 //! * `scale_engine_mode` — the same `10⁵`-node broadcast workload on a
 //!   [`TrialPool::new`] (Frontier SoA/bitset scratch, the production
@@ -32,6 +32,9 @@
 //!   layers: a pooled [`Partition::recompute_within`] at `β = 0.5` inside
 //!   the coarse clustering (`partition_within`), and a pooled
 //!   [`TreeSchedule::rebuild`] on such a partition (`tree_schedule`).
+//! * `scale_propagation` — pooled end-to-end trials of the shapes whose
+//!   trials are mostly Compete's propagation: leader election on the
+//!   `grid(500x10)` strip (D ≈ 508) and broadcast on `path(1024)`.
 //! * `scale_topology` — [`TopologySpec::build`] of `rgg(5000,0.03)` at the
 //!   topology seed the benchmark's `bcast_rgg` plan gives it (two stray
 //!   components to join) and of `rgg(100000,0.006)`: the pair scan,
@@ -249,6 +252,28 @@ fn bench_precompute(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_propagation(c: &mut Criterion) {
+    // One long-lived pool per scenario, as the executor runs a cell, so the
+    // steady state is measured: the precompute is rebuilt every trial, but
+    // most of a trial is the schedule walk, Algorithm 4 and the deliveries.
+    let mut group = c.benchmark_group("scale_propagation");
+    group.sample_size(10);
+    for scenario in ["leader_election@grid(500x10)", "broadcast@path(1024)"] {
+        let w = BenchWorkload::resolve(scenario, TOPOLOGY_SEED);
+        group.bench_function(scenario, |b| {
+            let mut pool = TrialPool::new();
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                let r = w.run_trial_in(seed, &mut pool);
+                assert!(r.completed, "{scenario} must complete");
+                r.rounds
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_topology(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_topology");
     group.sample_size(10);
@@ -289,6 +314,7 @@ criterion_group!(
     bench_pooled_vs_fresh,
     bench_dense_cd,
     bench_precompute,
+    bench_propagation,
     bench_topology,
     bench_million
 );

@@ -1,7 +1,6 @@
 use crate::shifts::ExponentialShifts;
 use rand::Rng;
-use rn_graph::{traversal, Graph, NodeId, INVALID_NODE};
-use std::collections::VecDeque;
+use rn_graph::{Graph, NodeId, INVALID_NODE};
 
 /// Total-order wrapper for `f64` race keys (shifts are continuous, so ties
 /// are measure-zero — except where `ExponentialShifts::clamp_max` caps many
@@ -456,22 +455,32 @@ impl Partition {
     }
 
     /// [`Partition::strong_dist_to_center`] into pooled buffers: the result
-    /// lands in `scratch.dist`, and per-cluster BFS state reuses
-    /// `scratch.bfs_dist` / `scratch.queue`.
+    /// lands in `scratch.dist`, and `scratch.queue` holds the BFS FIFO.
+    ///
+    /// One BFS from all centers at once, stepping from `u` to `w` only
+    /// inside one cluster: no step crosses clusters, so each cluster's
+    /// distances are those of a BFS of that cluster alone from its center
+    /// (every center is in its own cluster), in `O(n + m)` for all clusters.
     fn strong_dist_into(&self, g: &Graph, scratch: &mut ValidateScratch) {
-        scratch.dist.clear();
-        scratch.dist.resize(g.n(), u32::MAX);
-        for (idx, &c) in self.centers.iter().enumerate() {
-            let idx = idx as u32;
-            traversal::bfs_filtered_into(
-                g,
-                &[c],
-                |v| self.cluster_of[v as usize] == idx,
-                &mut scratch.bfs_dist,
-                &mut scratch.queue,
-            );
-            for &m in self.members(idx) {
-                scratch.dist[m as usize] = scratch.bfs_dist[m as usize];
+        let ValidateScratch { dist, queue } = scratch;
+        let cluster_of = &self.cluster_of;
+        dist.clear();
+        dist.resize(g.n(), u32::MAX);
+        queue.clear();
+        queue.reserve(g.n());
+        for &c in &self.centers {
+            dist[c as usize] = 0;
+            queue.push(c);
+        }
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let (below, cu) = (dist[u as usize] + 1, cluster_of[u as usize]);
+            for &w in g.neighbors(u) {
+                if dist[w as usize] == u32::MAX && cluster_of[w as usize] == cu {
+                    dist[w as usize] = below;
+                    queue.push(w);
+                }
             }
         }
     }
@@ -506,13 +515,12 @@ impl Partition {
 }
 
 /// Reusable traversal buffers for [`Partition::validate_pooled`]: the
-/// strong-distance result, one BFS distance array, and the BFS queue — all
-/// bounded by `n`, so steady-state validation stays off the heap.
+/// strong-distance result and the BFS queue, both bounded by `n`, so
+/// steady-state validation stays off the heap.
 #[derive(Debug, Default)]
 pub struct ValidateScratch {
     dist: Vec<u32>,
-    bfs_dist: Vec<u32>,
-    queue: VecDeque<NodeId>,
+    queue: Vec<NodeId>,
 }
 
 #[cfg(test)]
@@ -521,7 +529,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use rn_graph::generators;
+    use rn_graph::{generators, traversal};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -624,6 +632,40 @@ mod tests {
         }
 
         #[test]
+        fn strong_dist_equals_per_cluster_bfs(
+            family in 0u8..5,
+            size in 0.0f64..1.0,
+            seed in any::<u64>(),
+            log_beta in -9.0f64..0.0,
+            regions in 0u32..5,
+            cap in 0u8..3,
+            scattered in 0usize..4,
+        ) {
+            // The multi-source BFS against one BFS per cluster, on raced
+            // partitions and (`scattered > 0`) on centers assigned at
+            // random, whose clusters are mostly disconnected: the same
+            // distances, and the same verdict.
+            let (g, labels, shifts) = race_case(family, size, seed, log_beta, regions, cap);
+            let mut p = Partition::race(&g, &shifts, labels.as_deref());
+            if scattered > 0 {
+                let mut r = rng(seed ^ 0xD15C);
+                let centers: Vec<NodeId> =
+                    (0..scattered.min(g.n())).map(|_| r.gen_range(0..g.n() as NodeId)).collect();
+                let center = p.center_vec_mut();
+                for v in 0..center.len() {
+                    center[v] = centers[r.gen_range(0..centers.len())];
+                }
+                for &c in &centers {
+                    center[c as usize] = c;
+                }
+                p.finish_rebuild(&g, p.beta(), &mut Vec::new());
+            }
+            let oracle = per_cluster_strong_dist(&p, &g);
+            prop_assert_eq!(&p.strong_dist_to_center(&g), &oracle);
+            prop_assert_eq!(p.validate(&g).is_ok(), !oracle.contains(&u32::MAX));
+        }
+
+        #[test]
         fn race_forest_equals_per_cluster_bfs(
             family in 0u8..5,
             size in 0.0f64..1.0,
@@ -645,6 +687,20 @@ mod tests {
             prop_assert_eq!(&raced.depth, &bfs.depth);
             prop_assert_eq!(&raced.depth, &raced.strong_dist_to_center(&g));
         }
+    }
+
+    /// Strong distances as first computed: one BFS per cluster from its
+    /// center, restricted to the cluster, each over an `n`-entry array.
+    fn per_cluster_strong_dist(p: &Partition, g: &Graph) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; g.n()];
+        for (idx, &c) in p.centers().iter().enumerate() {
+            let idx = idx as u32;
+            let bfs = traversal::bfs_filtered(g, &[c], |v| p.cluster_index(v) == idx);
+            for &m in p.members(idx) {
+                dist[m as usize] = bfs[m as usize];
+            }
+        }
+        dist
     }
 
     #[test]

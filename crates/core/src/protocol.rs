@@ -159,11 +159,21 @@ struct Process {
     cur_slot: Option<u64>,
     chosen: Vec<u32>,
     active: Vec<u32>,
+    /// The clustering each node's coarse cluster chose for the slot,
+    /// `chosen[coarse_idx[v]]`, refreshed at every roll: one load for the
+    /// sender and receiver filters.
+    node_ci: Vec<u32>,
 
     /// Per-clustering count of knowing members per cluster, plus the list of
     /// clusters that have any knowledge (grow-only).
     knowing: Vec<Vec<u32>>,
     live: Vec<Vec<u32>>,
+    /// Per clustering, the coarse cluster of each cluster's center, and
+    /// Algorithm 4's candidates: the live clusters whose coarse cluster
+    /// chose that clustering for the slot, in `live` order. Rebuilt at every
+    /// roll; a cluster joins when it goes live.
+    center_cc: Vec<Vec<u32>>,
+    eligible: Vec<Vec<u32>>,
 
     /// Scratch of the three ICP passes: downcast, upcast, second downcast.
     down: Scratch,
@@ -178,28 +188,38 @@ struct Process {
 }
 
 impl Process {
-    /// Back to the start-of-trial state over `clusterings` and `coarse`
-    /// coarse clusters. Per-clustering tables are re-sized to the current
-    /// cluster counts with worst-case (`n`) reservations, so cluster-count
-    /// changes between trials never reallocate.
-    fn reset(&mut self, clusterings: &[FineClustering], coarse: usize, n: usize) {
+    /// Back to the start-of-trial state over `clusterings` within the
+    /// coarse clustering `pre`. Per-clustering tables are re-sized to the
+    /// current cluster counts with worst-case (`n`) reservations, so
+    /// cluster-count changes between trials never reallocate.
+    fn reset(&mut self, clusterings: &[FineClustering], pre: &Precomputed) {
+        let n = pre.net.n();
         self.cur_slot = None;
         self.chosen.clear();
         self.chosen.reserve(n);
-        self.chosen.resize(coarse, 0);
+        self.chosen.resize(pre.coarse.num_clusters(), 0);
         self.active.clear();
         self.active.reserve(clusterings.len());
+        self.node_ci.clear();
+        self.node_ci.resize(n, 0);
 
-        self.knowing.truncate(clusterings.len());
-        self.knowing.resize_with(clusterings.len(), Vec::new);
-        self.live.truncate(clusterings.len());
-        self.live.resize_with(clusterings.len(), Vec::new);
+        let k = clusterings.len();
+        for table in [&mut self.knowing, &mut self.live, &mut self.center_cc, &mut self.eligible] {
+            table.truncate(k);
+            table.resize_with(k, Vec::new);
+        }
         for (i, f) in clusterings.iter().enumerate() {
             self.knowing[i].clear();
             self.knowing[i].reserve(n);
             self.knowing[i].resize(f.partition.num_clusters(), 0);
             self.live[i].clear();
             self.live[i].reserve(n);
+            self.center_cc[i].clear();
+            self.center_cc[i].reserve(n);
+            self.center_cc[i]
+                .extend(f.partition.centers().iter().map(|&c| pre.coarse_idx[c as usize]));
+            self.eligible[i].clear();
+            self.eligible[i].reserve(n);
         }
 
         self.down.reset(n);
@@ -234,9 +254,11 @@ pub struct CompeteState {
     procs: [Process; 2],
 
     /// Algorithm 4's member coins, shared by both processes and drawn in
-    /// round order.
+    /// round order, and `ln(1 − 2^-(s+1))` for each sub-block `s`: the
+    /// coins' transmit probabilities as the geometric skip reads them.
     rng: SmallRng,
     scratch_idx: Vec<usize>,
+    ln_q_tx: Vec<f64>,
 }
 
 impl Default for CompeteState {
@@ -251,6 +273,7 @@ impl Default for CompeteState {
             procs: Default::default(),
             rng: rng::rng_from_seed(0),
             scratch_idx: Vec::new(),
+            ln_q_tx: Vec::new(),
         }
     }
 }
@@ -277,12 +300,14 @@ impl CompeteState {
             (0..n as NodeId).filter(|&v| self.know.get(v).is_some_and(|x| x >= target)).count();
 
         for (p, proc) in self.procs.iter_mut().enumerate() {
-            proc.reset(family(pre, p).0, pre.coarse.num_clusters(), n);
+            proc.reset(family(pre, p).0, pre);
         }
 
         self.rng = rng::stream_rng(seed, 0xC0);
         self.scratch_idx.clear();
         self.scratch_idx.reserve(n);
+        self.ln_q_tx.clear();
+        self.ln_q_tx.extend((0..pre.net.log2_n() as i32).map(|s| (1.0 - 2f64.powi(-(s + 1))).ln()));
 
         // Register initial knowledge in the per-cluster counters.
         for v in 0..n as u32 {
@@ -298,6 +323,9 @@ impl CompeteState {
                 let c = clustering.partition.cluster_index(v) as usize;
                 if proc.knowing[ci][c] == 0 {
                     proc.live[ci].push(c as u32);
+                    if proc.chosen[proc.center_cc[ci][c] as usize] == ci as u32 {
+                        proc.eligible[ci].push(c as u32);
+                    }
                 }
                 proc.knowing[ci][c] += 1;
             }
@@ -306,6 +334,9 @@ impl CompeteState {
 
     fn learn(&mut self, pre: &Precomputed, v: NodeId, value: u64) {
         let old = self.know.get(v);
+        if old.is_some_and(|o| o >= value) {
+            return; // nothing to merge, register or count
+        }
         if self.know.merge_max(v, value) {
             self.register_knowing(pre, v);
         }
@@ -350,34 +381,45 @@ impl CompeteState {
                 proc.active.push(f);
             }
         }
+        for (ci, &cc) in proc.node_ci.iter_mut().zip(&pre.coarse_idx) {
+            *ci = proc.chosen[cc as usize];
+        }
+        for list in &mut proc.eligible {
+            list.clear();
+        }
+        for &ci in &proc.active {
+            let (chosen, center_cc) = (&proc.chosen, &proc.center_cc[ci as usize]);
+            let live = proc.live[ci as usize].iter().copied();
+            proc.eligible[ci as usize]
+                .extend(live.filter(|&c| chosen[center_cc[c as usize] as usize] == ci));
+        }
     }
 
-    /// Executes one schedule step of process `p`: the current ICP pass of
+    /// Executes the schedule step `r` routes to: the current ICP pass of
     /// every clustering some coarse cluster chose for the slot.
     fn sched_transmit(
         &mut self,
         pre: &Precomputed,
         params: &CompeteParams,
         seed: u64,
-        p: usize,
-        step: u64,
+        r: Route,
         tx: &mut TxBuf<CompeteMsg>,
     ) {
-        let (clusterings, slot_len, slots) = family(pre, p);
-        let slot = step / slot_len;
+        let Route { p, slot, pos, .. } = r;
+        let (clusterings, _, slots) = family(pre, p);
         if slot >= slots {
             return; // sequence exhausted (Algorithm 1's fixed budget)
         }
         if self.procs[p].cur_slot != Some(slot) {
             self.roll_slot(pre, params, seed, p, slot);
         }
-        let (pos, stamp) = (step % slot_len, slot + 1);
+        let stamp = slot + 1;
         for &ci in &self.procs[p].active {
             let fine = &clusterings[ci as usize];
             match icp_phase(pos, fine.pass_len) {
-                Phase::Down1(q) => self.down_transmit(pre, p, ci, fine, q, stamp, false, tx),
-                Phase::Up(q) => self.up_transmit(pre, p, ci, fine, q, stamp, tx),
-                Phase::Down2(q) => self.down_transmit(pre, p, ci, fine, q, stamp, true, tx),
+                Phase::Down1(q) => self.down_transmit(p, ci, fine, q, stamp, false, tx),
+                Phase::Up(q) => self.up_transmit(p, ci, fine, q, stamp, tx),
+                Phase::Down2(q) => self.down_transmit(p, ci, fine, q, stamp, true, tx),
                 Phase::Idle => {}
             }
         }
@@ -387,7 +429,6 @@ impl CompeteState {
     #[allow(clippy::too_many_arguments)]
     fn down_transmit(
         &self,
-        pre: &Precomputed,
         p: usize,
         ci: u32,
         fine: &FineClustering,
@@ -402,7 +443,7 @@ impl CompeteState {
         let slot_in = (ppos % w) as u32;
         let pass = if second_pass { &proc.down2 } else { &proc.down };
         for &u in fine.schedule.down_senders(window, slot_in) {
-            if proc.chosen[pre.coarse_idx[u as usize] as usize] != ci {
+            if proc.node_ci[u as usize] != ci {
                 continue;
             }
             let value = if window == 0 { self.know.get(u) } else { pass.get(u, stamp) };
@@ -414,10 +455,8 @@ impl CompeteState {
     }
 
     /// An upcast step: deepest layers first, values aggregated via scratch.
-    #[allow(clippy::too_many_arguments)]
     fn up_transmit(
         &self,
-        pre: &Precomputed,
         p: usize,
         ci: u32,
         fine: &FineClustering,
@@ -438,7 +477,7 @@ impl CompeteState {
             return; // centers do not transmit upward
         }
         for &u in fine.schedule.up_senders(depth, slot_in) {
-            if proc.chosen[pre.coarse_idx[u as usize] as usize] != ci {
+            if proc.node_ci[u as usize] != ci {
                 continue;
             }
             // Aggregated value from children plus own participation:
@@ -486,17 +525,19 @@ impl CompeteState {
             let p_participate = (2.0f64).powi(-i);
             proc.alg4.clear();
             for &ci in &proc.active {
-                for &c in &proc.live[ci as usize] {
-                    // Only clusters whose coarse cluster chose this
-                    // clustering take part.
-                    let center = clusterings[ci as usize].partition.centers()[c as usize];
-                    if proc.chosen[pre.coarse_idx[center as usize] as usize] != ci {
-                        continue;
-                    }
-                    let coin = rng::derive(
-                        rng::derive(rng::derive(seed, ALG4_SALT[p] ^ ci as u64), c as u64),
-                        block,
-                    );
+                // Only clusters whose coarse cluster chose this clustering
+                // take part: the eligible list, kept in `live` order.
+                let eligible = &proc.eligible[ci as usize];
+                debug_assert!(
+                    eligible.iter().eq(proc.live[ci as usize].iter().filter(|&&c| {
+                        let center = clusterings[ci as usize].partition.centers()[c as usize];
+                        proc.chosen[pre.coarse_idx[center as usize] as usize] == ci
+                    })),
+                    "eligible clusters of clustering {ci} drifted from the live ones chosen"
+                );
+                let base = rng::derive(seed, ALG4_SALT[p] ^ ci as u64);
+                for &c in eligible {
+                    let coin = rng::derive(rng::derive(base, c as u64), block);
                     if (coin as f64 / u64::MAX as f64) < p_participate {
                         proc.alg4.push((ci, c));
                     }
@@ -505,11 +546,11 @@ impl CompeteState {
             proc.alg4_key = key;
         }
 
-        let p_tx = (2.0f64).powi(-(sblock as i32 + 1));
+        let ln_q = self.ln_q_tx[sblock as usize];
         for &(ci, c) in &proc.alg4 {
             let members = clusterings[ci as usize].partition.members(c);
             self.scratch_idx.clear();
-            rng::bernoulli_indices(&mut self.rng, members.len(), p_tx, &mut self.scratch_idx);
+            rng::bernoulli_indices_ln_q(&mut self.rng, members.len(), ln_q, &mut self.scratch_idx);
             for &mi in &self.scratch_idx {
                 let u = members[mi];
                 if let Some(v) = self.know.get(u) {
@@ -519,26 +560,23 @@ impl CompeteState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// A schedule message delivered in the schedule step `r` routes to.
     fn deliver_sched(
         &mut self,
         pre: &Precomputed,
-        p: usize,
-        step: u64,
+        r: Route,
         node: NodeId,
         ci: u32,
         cluster: u32,
         value: u64,
     ) {
-        let (clusterings, slot_len, _) = family(pre, p);
-        let slot = step / slot_len;
+        let Route { p, slot, pos, .. } = r;
         let proc = &mut self.procs[p];
         // The receiver must currently be using the same clustering.
-        let cc = pre.coarse_idx[node as usize] as usize;
-        if proc.cur_slot != Some(slot) || proc.chosen[cc] != ci {
+        if proc.cur_slot != Some(slot) || proc.node_ci[node as usize] != ci {
             return;
         }
-        let fine = &clusterings[ci as usize];
+        let fine = &family(pre, p).0[ci as usize];
         if fine.schedule.cluster(node) != cluster {
             return;
         }
@@ -546,7 +584,7 @@ impl CompeteState {
             return; // curtailment
         }
         let stamp = slot + 1;
-        match icp_phase(step % slot_len, fine.pass_len) {
+        match icp_phase(pos, fine.pass_len) {
             Phase::Down1(_) => proc.down.merge_max(node, stamp, value),
             Phase::Up(_) => proc.up.merge_max(node, stamp, value),
             Phase::Down2(_) => proc.down2.merge_max(node, stamp, value),
@@ -585,6 +623,23 @@ pub struct CompeteProtocol<'p> {
     seed: u64,
     log_n: u64,
     st: &'p mut CompeteState,
+    /// The last round routed: `transmit` routes each round once, and its
+    /// deliveries read the result.
+    route: Route,
+}
+
+/// Where a protocol-local round falls: its process (0 = main, 1 =
+/// background), whether it is an Algorithm 4 decay step or a schedule step,
+/// the step index within that kind, and for a schedule step its slot and
+/// position in the slot.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    round: Round,
+    p: usize,
+    alg4: bool,
+    step: u64,
+    slot: u64,
+    pos: u64,
 }
 
 impl<'p> CompeteProtocol<'p> {
@@ -603,7 +658,8 @@ impl<'p> CompeteProtocol<'p> {
         state: &'p mut CompeteState,
     ) -> CompeteProtocol<'p> {
         state.reset(pre, sources, seed);
-        CompeteProtocol { pre, params, seed, log_n: pre.net.log2_n() as u64, st: state }
+        let route = Route::of(pre, &params, 0);
+        CompeteProtocol { pre, params, seed, log_n: pre.net.log2_n() as u64, st: state, route }
     }
 
     /// Highest message known by `node`.
@@ -626,15 +682,30 @@ impl<'p> CompeteProtocol<'p> {
         self.st.target
     }
 
-    /// Routes a protocol-local round to (process, Alg-4?, step).
-    /// process: 0 = main, 1 = background; Alg-4?: false = schedule, true =
-    /// Algorithm 4 decay.
-    fn route(&self, m: Round) -> (usize, bool, u64) {
+    /// The route of `round`, computed once per round: deliveries of the
+    /// round `transmit` routed read it back.
+    fn routed(&mut self, round: Round) -> Route {
+        if self.route.round != round {
+            self.route = Route::of(self.pre, &self.params, round);
+        }
+        self.route
+    }
+}
+
+impl Route {
+    /// Routes protocol-local round `m`.
+    fn of(pre: &Precomputed, params: &CompeteParams, m: Round) -> Route {
         let (p, sub) =
-            if self.params.background_process { ((m % 2) as usize, m / 2) } else { (MAIN, m) };
+            if params.background_process { ((m % 2) as usize, m / 2) } else { (MAIN, m) };
         let (alg4, step) =
-            if self.params.icp_background { (sub % 2 == 1, sub / 2) } else { (false, sub) };
-        (p, alg4, step)
+            if params.icp_background { (sub % 2 == 1, sub / 2) } else { (false, sub) };
+        let (slot, pos) = if alg4 {
+            (0, 0)
+        } else {
+            let slot_len = family(pre, p).1;
+            (step / slot_len, step % slot_len)
+        };
+        Route { round: m, p, alg4, step, slot, pos }
     }
 }
 
@@ -642,31 +713,31 @@ impl Protocol for CompeteProtocol<'_> {
     type Msg = CompeteMsg;
 
     fn transmit(&mut self, round: Round, tx: &mut TxBuf<CompeteMsg>) {
-        let (p, alg4, step) = self.route(round);
+        let r = self.routed(round);
         let (pre, seed) = (self.pre, self.seed);
-        if alg4 {
-            self.st.alg4_transmit(pre, seed, self.log_n, p, step, tx);
+        if r.alg4 {
+            self.st.alg4_transmit(pre, seed, self.log_n, r.p, r.step, tx);
         } else {
-            self.st.sched_transmit(pre, &self.params, seed, p, step, tx);
+            self.st.sched_transmit(pre, &self.params, seed, r, tx);
         }
     }
 
     fn deliver(&mut self, round: Round, node: NodeId, _from: NodeId, msg: &CompeteMsg) {
-        let (p, alg4, step) = self.route(round);
+        let r = self.routed(round);
         let pre = self.pre;
-        match (*msg, alg4) {
+        match (*msg, r.alg4) {
             (CompeteMsg::Sched { clustering, cluster, value }, false) => {
-                self.st.deliver_sched(pre, p, step, node, clustering, cluster, value)
+                self.st.deliver_sched(pre, r, node, clustering, cluster, value)
             }
             (CompeteMsg::Alg4 { clustering, cluster, value }, true) => {
                 // Accept if the node's coarse cluster currently uses this
                 // clustering and the cluster matches — or unconditionally
                 // when foreign values are merged (they are true source
                 // messages; see `CompeteParams::alg4_accept_foreign`).
-                let cc = pre.coarse_idx[node as usize] as usize;
+                let clusterings = family(pre, r.p).0;
                 if self.params.alg4_accept_foreign
-                    || (self.st.procs[p].chosen[cc] == clustering
-                        && family(pre, p).0[clustering as usize].partition.cluster_index(node)
+                    || (self.st.procs[r.p].node_ci[node as usize] == clustering
+                        && clusterings[clustering as usize].partition.cluster_index(node)
                             == cluster)
                 {
                     self.st.learn(pre, node, value);

@@ -33,25 +33,8 @@ pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
 /// Used for *strong* (intra-cluster) distances: pass a membership predicate
 /// to confine the traversal to one cluster.
 pub fn bfs_filtered(g: &Graph, sources: &[NodeId], keep: impl Fn(NodeId) -> bool) -> Vec<u32> {
-    let mut dist = Vec::new();
+    let mut dist = vec![u32::MAX; g.n()];
     let mut queue = VecDeque::with_capacity(sources.len().max(16));
-    bfs_filtered_into(g, sources, keep, &mut dist, &mut queue);
-    dist
-}
-
-/// [`bfs_filtered`] into caller-provided buffers: `dist` is cleared and
-/// resized to `g.n()`, `queue` is cleared. Pooled trial loops reuse both
-/// across many traversals so only the first pays a heap allocation.
-pub fn bfs_filtered_into(
-    g: &Graph,
-    sources: &[NodeId],
-    keep: impl Fn(NodeId) -> bool,
-    dist: &mut Vec<u32>,
-    queue: &mut VecDeque<NodeId>,
-) {
-    dist.clear();
-    dist.resize(g.n(), u32::MAX);
-    queue.clear();
     for &s in sources {
         if dist[s as usize] == u32::MAX {
             dist[s as usize] = 0;
@@ -67,6 +50,7 @@ pub fn bfs_filtered_into(
             }
         }
     }
+    dist
 }
 
 /// BFS that also records a parent pointer per node (`INVALID_NODE` for the

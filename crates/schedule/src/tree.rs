@@ -22,9 +22,13 @@ pub enum SlotPolicy {
 /// Besides the per-node slots, it keeps each depth layer twice more, once
 /// ordered by downcast slot and once by upcast slot (ascending node id
 /// within a slot, slotless nodes last): two `n`-entry `u32` arrays, the
-/// *sender lists*. [`TreeSchedule::down_senders`] and
-/// [`TreeSchedule::up_senders`] return a step's transmitters as one slice
-/// of them, so schedule walks visit only the nodes of their slot.
+/// *sender lists*. With each list goes a table of *runs*: for every layer,
+/// where each slot's nodes start in the list, `min(W, |layer|) + 1` entries
+/// (the last one where the slotless nodes start), `n + max_depth + 1` in
+/// all. [`TreeSchedule::down_senders`] and [`TreeSchedule::up_senders`]
+/// return a step's transmitters as one slice of a sender list, bounded by
+/// two entries of its table, so schedule walks visit only the nodes of
+/// their slot.
 ///
 /// # Example
 ///
@@ -65,6 +69,11 @@ pub struct TreeSchedule {
     /// bounds as `depth_nodes`.
     down_order: Vec<NodeId>,
     up_order: Vec<NodeId>,
+    /// Their runs: layer `d`'s slot `s` owns
+    /// `down_order[down_runs[i]..down_runs[i + 1]]` with
+    /// `i = depth_start[d] + d + s`, for `s < min(W, |layer d|)`.
+    down_runs: Vec<u32>,
+    up_runs: Vec<u32>,
     /// CSR of tree children: node `v` owns
     /// `child_data[child_start[v]..child_start[v+1]]`.
     child_start: Vec<u32>,
@@ -134,6 +143,8 @@ impl TreeSchedule {
             depth_nodes: Vec::new(),
             down_order: Vec::new(),
             up_order: Vec::new(),
+            down_runs: Vec::new(),
+            up_runs: Vec::new(),
             child_start: Vec::new(),
             child_data: Vec::new(),
             overflow: 0,
@@ -182,6 +193,8 @@ impl TreeSchedule {
             depth_nodes,
             down_order,
             up_order,
+            down_runs,
+            up_runs,
             child_start,
             child_data,
             ..
@@ -407,8 +420,11 @@ impl TreeSchedule {
         }
         self.overflow = overflow;
 
-        order_layers_by_slot(depth_start, depth_nodes, down_color, window, cursor, down_order);
-        order_layers_by_slot(depth_start, depth_nodes, up_color, window, cursor, up_order);
+        for (slot, order, runs) in
+            [(down_color, down_order, down_runs), (up_color, up_order, up_runs)]
+        {
+            order_layers_by_slot(depth_start, depth_nodes, slot, window, cursor, order, runs);
+        }
     }
 
     /// The window width `W` (slots per layer; the schedule's period).
@@ -472,7 +488,7 @@ impl TreeSchedule {
     /// [`TreeSchedule::down_slot`], in the same ascending-id order; empty
     /// for `d > max_depth`.
     pub fn down_senders(&self, d: u32, slot: u32) -> &[NodeId] {
-        self.senders(&self.down_order, &self.down_slot, d, slot)
+        self.senders(&self.down_order, &self.down_runs, d, slot)
     }
 
     /// The nodes at depth `d` that transmit in upcast slot `slot`: exactly
@@ -480,20 +496,23 @@ impl TreeSchedule {
     /// [`TreeSchedule::up_slot`], in the same ascending-id order; empty for
     /// `d > max_depth`.
     pub fn up_senders(&self, d: u32, slot: u32) -> &[NodeId] {
-        self.senders(&self.up_order, &self.up_slot, d, slot)
+        self.senders(&self.up_order, &self.up_runs, d, slot)
     }
 
-    /// The run of layer `d` of `order` (sorted by `slots`) holding `slot`,
-    /// found by two binary searches.
-    fn senders<'a>(&self, order: &'a [NodeId], slots: &[u32], d: u32, slot: u32) -> &'a [NodeId] {
+    /// The run of layer `d` of `order` holding `slot`, read off `runs` (see
+    /// the type docs). A layer's slots are below `min(W, |layer|)`, so any
+    /// other slot has no senders.
+    fn senders<'a>(&self, order: &'a [NodeId], runs: &[u32], d: u32, slot: u32) -> &'a [NodeId] {
         if d > self.max_depth {
             return &[];
         }
         let d = d as usize;
-        let layer = &order[self.depth_start[d] as usize..self.depth_start[d + 1] as usize];
-        let lo = layer.partition_point(|&v| slots[v as usize] < slot);
-        let len = layer[lo..].partition_point(|&v| slots[v as usize] == slot);
-        &layer[lo..lo + len]
+        let (lo, hi) = (self.depth_start[d], self.depth_start[d + 1]);
+        if slot >= self.window.min(hi - lo) {
+            return &[];
+        }
+        let at = lo as usize + d + slot as usize;
+        &order[runs[at] as usize..runs[at + 1] as usize]
     }
 
     /// How many node colors wrapped past the window (0 = fully conflict-free
@@ -556,6 +575,8 @@ impl TreeSchedule {
 /// slotless nodes (`u32::MAX`) come last. A layer's slots are below both the
 /// window and its size (greedy colors count same-layer conflicts), so its
 /// `min(window, size) + 2` counters stay within `count`'s `n + 2` reservation.
+/// The bucket starts go to `runs` (layer `d`'s from `depth_start[d] + d`),
+/// whose `n + max_depth + 1 ≤ 2n` entries stay within its reservation.
 fn order_layers_by_slot(
     depth_start: &[u32],
     depth_nodes: &[NodeId],
@@ -563,12 +584,17 @@ fn order_layers_by_slot(
     window: u32,
     count: &mut Vec<u32>,
     out: &mut Vec<NodeId>,
+    runs: &mut Vec<u32>,
 ) {
-    if out.len() != depth_nodes.len() {
+    let n = depth_nodes.len();
+    if out.len() != n {
         out.clear();
-        out.resize(depth_nodes.len(), 0);
+        out.resize(n, 0);
     }
-    for span in depth_start.windows(2) {
+    runs.clear();
+    runs.reserve(2 * n);
+    runs.resize(n + depth_start.len() - 1, 0);
+    for (d, span) in depth_start.windows(2).enumerate() {
         let (lo, hi) = (span[0] as usize, span[1] as usize);
         let layer = &depth_nodes[lo..hi];
         // Bucket `s` holds slot `s`; bucket `top` the slotless nodes.
@@ -582,6 +608,9 @@ fn order_layers_by_slot(
         }
         for b in 0..=top as usize {
             count[b + 1] += count[b];
+        }
+        for (run, &start) in runs[lo + d..].iter_mut().zip(&count[..=top as usize]) {
+            *run = (lo + start as usize) as u32;
         }
         for &v in layer {
             let at = &mut count[bucket(v)];
@@ -945,6 +974,8 @@ mod tests {
                 assert_eq!(pooled.depth_nodes, fresh.depth_nodes);
                 assert_eq!(pooled.down_order, fresh.down_order);
                 assert_eq!(pooled.up_order, fresh.up_order);
+                assert_eq!(pooled.down_runs, fresh.down_runs);
+                assert_eq!(pooled.up_runs, fresh.up_runs);
                 assert_eq!(pooled.child_start, fresh.child_start);
                 assert_eq!(pooled.child_data, fresh.child_data);
                 assert_eq!(pooled.overflow, fresh.overflow);

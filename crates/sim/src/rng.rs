@@ -139,7 +139,17 @@ pub fn bernoulli_indices(rng: &mut impl rand::Rng, k: usize, p: f64, out: &mut V
         out.extend(0..k);
         return;
     }
-    let ln_q = (1.0 - p).ln();
+    bernoulli_indices_ln_q(rng, k, (1.0 - p).ln(), out);
+}
+
+/// The core of [`bernoulli_indices`] for `0 < p < 1`, given
+/// `ln_q = (1 − p).ln()`: draw for draw the same indices and generator
+/// state, for callers that reuse a few fixed probabilities and keep their
+/// logarithms instead of recomputing one per call.
+pub fn bernoulli_indices_ln_q(rng: &mut impl rand::Rng, k: usize, ln_q: f64, out: &mut Vec<usize>) {
+    if k == 0 {
+        return;
+    }
     let mut i = 0usize;
     loop {
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
@@ -198,7 +208,30 @@ pub fn sample_distinct_into(rng: &mut impl rand::Rng, k: usize, n: usize, out: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::Rng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn ln_q_core_replays_bernoulli_indices(
+            j in 1i32..=24,
+            k in 0usize..=10_000,
+            seed in any::<u64>(),
+        ) {
+            // p = 2^-j, as decay-style callers draw it: the core fed the
+            // cached logarithm returns the same indices and leaves the
+            // generator where the wrapper does.
+            let p = 2f64.powi(-j);
+            let (mut a, mut b) = (stream_rng(seed, 0), stream_rng(seed, 0));
+            let (mut wrapped, mut core) = (Vec::new(), Vec::new());
+            bernoulli_indices(&mut a, k, p, &mut wrapped);
+            bernoulli_indices_ln_q(&mut b, k, (1.0 - p).ln(), &mut core);
+            prop_assert_eq!(&wrapped, &core);
+            prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
 
     #[test]
     fn derive_is_deterministic_and_stream_sensitive() {
