@@ -1,45 +1,23 @@
-use rn_decay::{CoinSampler, DecayBroadcast, DecaySchedule};
-use rn_graph::{Graph, NodeId};
-use rn_sim::{CollisionModel, NetParams, Simulator};
-use serde::{Deserialize, Serialize};
+use rn_decay::{DecayScenario, DecaySchedule};
+use rn_graph::Graph;
+use rn_sim::{CollisionModel, FaultPlan, NetParams, Runnable, TrialCtx, TrialPool, TrialRecord};
 
-/// Outcome of a baseline broadcast run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BroadcastOutcome {
-    /// Whether every node was informed within the budget.
-    pub completed: bool,
-    /// Rounds until completion (or the budget, if not completed).
-    pub rounds: u64,
+/// Runs BGI'92 decay broadcasting from node 0 and reports rounds until all
+/// nodes are informed: one fault-free trial of the registered `bgi`
+/// scenario.
+pub fn bgi_broadcast(g: &Graph, net: NetParams, seed: u64) -> TrialRecord {
+    decay_trial(g, net, seed, DecaySchedule::Full)
 }
 
-/// Runs BGI'92 decay broadcasting from `source` and reports rounds until all
-/// nodes are informed.
-pub fn bgi_broadcast(g: &Graph, net: NetParams, source: NodeId, seed: u64) -> BroadcastOutcome {
-    decay_broadcast(g, net, source, seed, DecaySchedule::Full)
+/// Runs the truncated-decay (CR/KP-style) broadcast from node 0: one
+/// fault-free trial of the registered `truncated` scenario.
+pub fn truncated_broadcast(g: &Graph, net: NetParams, seed: u64) -> TrialRecord {
+    decay_trial(g, net, seed, DecaySchedule::Truncated)
 }
 
-/// Runs the truncated-decay (CR/KP-style) broadcast from `source`.
-pub fn truncated_broadcast(
-    g: &Graph,
-    net: NetParams,
-    source: NodeId,
-    seed: u64,
-) -> BroadcastOutcome {
-    decay_broadcast(g, net, source, seed, DecaySchedule::Truncated)
-}
-
-fn decay_broadcast(
-    g: &Graph,
-    net: NetParams,
-    source: NodeId,
-    seed: u64,
-    schedule: DecaySchedule,
-) -> BroadcastOutcome {
-    let coins = CoinSampler::default();
-    let mut p = DecayBroadcast::with_schedule(net, &[(source, 1)], seed, coins, schedule);
-    let mut sim = Simulator::new(g, CollisionModel::NoCollisionDetection, seed);
-    let stats = sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-    BroadcastOutcome { completed: p.all_informed(), rounds: stats.rounds }
+fn decay_trial(g: &Graph, net: NetParams, seed: u64, schedule: DecaySchedule) -> TrialRecord {
+    let ctx = TrialCtx::new(g, net, CollisionModel::NoCollisionDetection, seed, &FaultPlan::none());
+    DecayScenario::new(1, schedule).run(&ctx, &mut TrialPool::new())
 }
 
 #[cfg(test)]
@@ -51,7 +29,7 @@ mod tests {
     fn bgi_completes_on_grid() {
         let g = generators::grid(12, 12);
         let net = NetParams::of_graph(&g);
-        let out = bgi_broadcast(&g, net, 0, 3);
+        let out = bgi_broadcast(&g, net, 3);
         assert!(out.completed);
         assert!(out.rounds > 0);
     }
@@ -60,7 +38,7 @@ mod tests {
     fn truncated_completes_on_grid() {
         let g = generators::grid(12, 12);
         let net = NetParams::of_graph(&g);
-        let out = truncated_broadcast(&g, net, 0, 3);
+        let out = truncated_broadcast(&g, net, 3);
         assert!(out.completed);
     }
 }

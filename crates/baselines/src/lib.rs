@@ -16,7 +16,8 @@
 //!
 //! The `bgi` and `truncated` registry families run the first two as
 //! campaign cells: they are `rn_decay`'s `decay(1)` and `decay_trunc(1)`
-//! scenarios, whose one source is node 0.
+//! scenarios, whose one source is node 0. [`bgi_broadcast`] and
+//! [`truncated_broadcast`] run one fault-free trial of the same scenarios.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,6 @@ mod scenario;
 
 pub use beep::BeepWave;
 pub use binary_search::{binary_search_leader_election, BinarySearchLeReport, BroadcastKind};
-pub use broadcasts::{bgi_broadcast, truncated_broadcast, BroadcastOutcome};
+pub use broadcasts::{bgi_broadcast, truncated_broadcast};
 pub use family::{families, BinsearchLeFamily, DecayBaselineFamily, BGI, TRUNCATED};
 pub use scenario::BinarySearchLeScenario;

@@ -30,22 +30,27 @@ use crate::sink::{CampaignSink, JsonStreamSink, MemorySink, RunHeader};
 pub use crate::stats::CellStats;
 use crate::stats::TrialAccumulator;
 use rn_graph::TopologySpec;
-use rn_sim::{rng, CollisionModel, FaultPlan, NetParams, TrialRecord};
+use rn_sim::{rng, CollisionModel, FaultPlan, NetParams};
 
 /// Schema tag written into every results file; bump on breaking changes.
 pub const RESULTS_SCHEMA: &str = "rn-bench-results/v1";
 
-/// How many trials each cell runs (the "trial plan" axis of a campaign).
+/// How many trials each cell runs (the "trial plan" axis of a campaign);
+/// always at least 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialPlan {
-    /// Trials per cell (each trial gets an independent derived seed).
-    pub trials: u64,
+    trials: u64,
 }
 
 impl TrialPlan {
     /// A plan with `trials` trials per cell (at least 1).
     pub fn new(trials: u64) -> TrialPlan {
         TrialPlan { trials: trials.max(1) }
+    }
+
+    /// Trials per cell (each trial gets an independent derived seed).
+    pub fn trials(self) -> u64 {
+        self.trials
     }
 }
 
@@ -275,7 +280,7 @@ pub struct CellResult {
     /// for rounds-only scenarios (e.g. `binsearch_le`), whose records carry
     /// zeroed placeholder [`rn_sim::Metrics`] — those cells omit the three
     /// metric objects from JSON and render `-` in tables instead of
-    /// reporting fake 0-means. Also `false` for empty (zero-trial) cells.
+    /// reporting fake 0-means.
     pub metrics_present: bool,
     /// Total wall-clock spent running this cell's trials, in milliseconds,
     /// summed over workers (so it measures CPU-time-like cost, not
@@ -318,28 +323,6 @@ impl CellResult {
             elapsed_ms: acc.elapsed_ms(),
             trial_elapsed_ms: acc.trial_elapsed_stats(),
         }
-    }
-
-    /// Aggregates one cell's trial records in slice (= trial) order — the
-    /// convenience path for pre-collected records (zero-trial cells, tests).
-    /// Statistically identical to folding the same records through
-    /// [`TrialAccumulator`] one at a time.
-    pub(crate) fn aggregate(
-        topology: String,
-        protocol: String,
-        model: CollisionModel,
-        faults: FaultPlan,
-        net: NetParams,
-        records: &[TrialRecord],
-        elapsed_ms: Option<u64>,
-    ) -> CellResult {
-        let mut acc = TrialAccumulator::new(records.len() as u64, false);
-        for (i, r) in records.iter().enumerate() {
-            acc.push(i as u64, *r, None);
-        }
-        let mut cell = CellResult::from_accum(topology, protocol, model, faults, net, &acc);
-        cell.elapsed_ms = elapsed_ms;
-        cell
     }
 
     /// The cell's JSON record (one element of the results file's `cells`

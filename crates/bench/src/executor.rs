@@ -125,33 +125,11 @@ pub fn execute_with(
     sink.begin(&RunHeader {
         id: campaign.id.clone(),
         master_seed,
-        trials_per_cell: campaign.plan.trials,
+        trials_per_cell: campaign.plan.trials(),
     })?;
-    let trials = usize::try_from(campaign.plan.trials).expect("trial count fits in memory");
+    let trials = usize::try_from(campaign.plan.trials()).expect("trial count fits in memory");
     let total = plan.len() * trials;
     let emitted = plan.len();
-
-    // `TrialPlan::new` guarantees ≥ 1 trial, but the field is public: with
-    // zero trials there are no work units, so emit every cell's (empty,
-    // zero-stat) aggregate directly — the pre-executor runner's behavior.
-    if trials == 0 {
-        for spec in &plan {
-            let g = spec.topology.build(spec.topology_seed);
-            let net = NetParams::new(g.n(), g.diameter_double_sweep());
-            let cell = CellResult::aggregate(
-                spec.topology.to_string(),
-                spec.protocol.to_string(),
-                spec.model,
-                spec.faults,
-                net,
-                &[],
-                options.timing.then_some(0),
-            );
-            sink.cell(&cell)?;
-        }
-        sink.finish()?;
-        return Ok(emitted);
-    }
 
     // One lazily built graph per topology axis position, shared by all its
     // cells; OnceLock makes the first worker to need it the builder.
@@ -163,7 +141,7 @@ pub fn execute_with(
     // aggregating at the end.
     let accums: Vec<Mutex<TrialAccumulator>> = plan
         .iter()
-        .map(|_| Mutex::new(TrialAccumulator::new(campaign.plan.trials, options.timing)))
+        .map(|_| Mutex::new(TrialAccumulator::new(campaign.plan.trials(), options.timing)))
         .collect();
     let emitter = Mutex::new(Emitter { next: 0, pending: BTreeMap::new(), sink, error: None });
 
@@ -299,18 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_trial_plans_emit_zeroed_cells_instead_of_hanging_the_plan() {
-        // TrialPlan::new clamps to ≥ 1, but the field is public; a raw zero
-        // must still emit every planned cell (with empty-trial stats), as
-        // the pre-executor runner did.
-        let c = Campaign { plan: TrialPlan { trials: 0 }, ..campaign() };
-        let r = c.run_with_threads(3, 4);
-        assert_eq!(r.cells.len(), 8, "every planned cell is emitted");
-        assert!(r.cells.iter().all(|cell| cell.trials == 0 && cell.rounds.mean == 0.0));
-        assert_eq!(r.to_json(), c.run_with_threads(3, 1).to_json());
-    }
-
-    #[test]
     fn timing_is_opt_in_and_additive() {
         use crate::campaign::validate_results;
         use crate::json::Json;
@@ -353,5 +319,11 @@ mod tests {
         // 64 threads for 8 units: workers beyond the unit count idle out.
         let r = c.run_with_threads(3, 64);
         assert_eq!(r.cells.len(), 8);
+        // A zero-trial request clamps to one trial per cell.
+        let zero = Campaign { plan: TrialPlan::new(0), ..campaign() };
+        assert_eq!(zero.plan.trials(), 1);
+        let z = zero.run_with_threads(3, 64);
+        assert!(z.cells.iter().all(|cell| cell.trials == 1));
+        assert_eq!(z.to_json(), r.to_json());
     }
 }

@@ -262,11 +262,6 @@ impl ProtocolSpec {
         self.family
     }
 
-    /// The family name (the part before any `(...)` / `{...}`).
-    pub fn family_name(&self) -> &'static str {
-        self.family.name()
-    }
-
     /// Canonical positional-argument text, if any.
     pub fn args(&self) -> Option<&str> {
         self.args.as_deref()
@@ -516,7 +511,7 @@ mod tests {
         let all = ProtocolSpec::all();
         for f in families() {
             assert!(
-                all.iter().any(|spec| spec.family_name() == f.name()),
+                all.iter().any(|spec| spec.family().name() == f.name()),
                 "family {} has no canonical instance in ProtocolSpec::all()",
                 f.name()
             );

@@ -7,7 +7,6 @@
 //! a string edit, not code.
 
 use crate::registry::ScenarioSpec;
-use crate::stats::{CellStats, QuantityAccum};
 use rn_graph::Graph;
 use rn_sim::{CollisionModel, NetParams, Runnable, TrialCtx, TrialPool, TrialRecord};
 
@@ -62,19 +61,6 @@ impl BenchWorkload {
         let ctx = TrialCtx::new(&self.graph, self.net, self.model, seed, &self.spec.faults);
         self.runnable.run(&ctx, pool)
     }
-
-    /// Runs trials under seeds `0..trials` and folds their round counts
-    /// into one [`CellStats`] — mean, spread *and* the streaming
-    /// p50/p95/p99 tail. A one-call distribution probe for suites and tests
-    /// that want to report or assert on a workload's round tail without
-    /// standing up a full campaign.
-    pub fn rounds_distribution(&self, trials: u64) -> CellStats {
-        let mut acc = QuantityAccum::new();
-        for seed in 0..trials {
-            acc.push(self.run_trial(seed).rounds);
-        }
-        acc.finish()
-    }
 }
 
 #[cfg(test)]
@@ -104,16 +90,6 @@ mod tests {
             assert_eq!(w.run_trial_in(seed, &mut TrialPool::reference()), fresh, "seed {seed}");
             assert_eq!(w.run_trial_in(seed, &mut warm), fresh, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn rounds_distribution_summarizes_the_workload_tail() {
-        let w = BenchWorkload::resolve("bgi@grid(6x6)", 0xB0);
-        let d = w.rounds_distribution(12);
-        assert!(d.mean > 0.0);
-        assert!((d.min as f64) <= d.p50 && d.p50 <= d.p95 && d.p95 <= d.max as f64);
-        // Seeds are fixed, so the probe is reproducible.
-        assert_eq!(d, w.rounds_distribution(12));
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub struct CompeteReport {
     pub completed: bool,
     /// Rounds of the packet-level propagation phase actually executed.
     pub propagation_rounds: u64,
-    /// Rounds charged for precomputation (see `PrecomputeMode`).
+    /// Rounds charged by formula for the oracle precomputation (see
+    /// [`Precomputed::charged_rounds`]).
     pub charged_precompute_rounds: u64,
     /// `propagation_rounds + charged_precompute_rounds`, saturating at
     /// `u64::MAX`.

@@ -63,7 +63,7 @@ pub use family::{
     apply_overrides, families, BareCompeteFamily, CompeteFamily, BROADCAST, BROADCAST_HW,
     COMPETE_OVERRIDES, LEADER_ELECTION,
 };
-pub use params::{CompeteParams, CurtailMode, PrecomputeMode, SequenceScope};
+pub use params::{CompeteParams, CurtailMode, SequenceScope};
 pub use precompute::{FineClustering, PrecomputeScratch, Precomputed};
 pub use protocol::{CompeteMsg, CompeteProtocol, CompeteState};
 pub use scenario::{CompeteScenario, SourcePlacement, SourceRule};

@@ -26,20 +26,6 @@ pub enum SequenceScope {
     Global,
 }
 
-/// How precomputation (Algorithm 1 steps 1–6, Algorithm 2 steps 1–2) is
-/// accounted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PrecomputeMode {
-    /// Clusterings/schedules are constructed by the oracle with the same
-    /// distribution, and the paper's round formulas are *charged* (reported
-    /// in [`crate::CompeteReport::charged_precompute_rounds`]). The
-    /// propagation phase is always executed packet-level. Default.
-    Charged,
-    /// As `Charged`, but the charge is reported as zero. For ablations that
-    /// isolate propagation cost.
-    Ignored,
-}
-
 /// All tunable constants of the Compete algorithm. Every asymptotic constant
 /// of the paper appears here explicitly; defaults are the practical
 /// rescalings documented on each field (the paper's literal constants like
@@ -94,8 +80,6 @@ pub struct CompeteParams {
     pub alg4_accept_foreign: bool,
     /// Sequence randomness scope.
     pub sequence_scope: SequenceScope,
-    /// Precomputation accounting.
-    pub precompute: PrecomputeMode,
     /// Safety budget: the run aborts after
     /// `max_rounds_factor · (D+1) · log²n + 10⁵` propagation rounds.
     pub max_rounds_factor: u64,
@@ -119,7 +103,6 @@ impl Default for CompeteParams {
             icp_background: true,
             alg4_accept_foreign: true,
             sequence_scope: SequenceScope::PerCoarseCluster,
-            precompute: PrecomputeMode::Charged,
             max_rounds_factor: 64,
         }
     }

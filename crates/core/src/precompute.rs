@@ -1,4 +1,4 @@
-use crate::params::{CompeteParams, PrecomputeMode};
+use crate::params::CompeteParams;
 use rn_cluster::{Partition, PartitionScratch};
 use rn_graph::Graph;
 use rn_schedule::{SlotPolicy, TreeSchedule, TreeScheduleScratch};
@@ -78,8 +78,7 @@ pub struct Precomputed {
     pub bg_slot_len: u64,
     /// Sequence length (`D^0.99` scaled).
     pub seq_len: u64,
-    /// Rounds charged for the whole precomputation per the paper's formulas
-    /// (0 under [`PrecomputeMode::Ignored`]).
+    /// Rounds charged for the whole precomputation per the paper's formulas.
     pub charged_rounds: u64,
 }
 
@@ -206,10 +205,7 @@ impl Precomputed {
         self.main_slot_len = self.fines.iter().map(|f| f.icp_len).max().unwrap_or(1).max(1);
         self.bg_slot_len = self.bg.iter().map(|f| f.icp_len).max().unwrap_or(1).max(1);
 
-        self.charged_rounds = match params.precompute {
-            PrecomputeMode::Charged => charged.0,
-            PrecomputeMode::Ignored => 0,
-        };
+        self.charged_rounds = charged.0;
     }
 
     /// A slot for one more fine or background clustering: a copy of the
@@ -280,18 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn charged_cost_is_positive_and_suppressible() {
+    fn charged_cost_is_positive() {
         let g = generators::grid(10, 10);
-        let net = NetParams::of_graph(&g);
-        let pre = Precomputed::build(&g, net, &CompeteParams::default(), 1);
+        let pre = Precomputed::build(&g, NetParams::of_graph(&g), &CompeteParams::default(), 1);
         assert!(pre.charged_rounds > 0);
-        let free = Precomputed::build(
-            &g,
-            net,
-            &CompeteParams { precompute: PrecomputeMode::Ignored, ..CompeteParams::default() },
-            1,
-        );
-        assert_eq!(free.charged_rounds, 0);
     }
 
     #[test]

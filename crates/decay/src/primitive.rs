@@ -63,18 +63,6 @@ impl DecaySteps {
     pub fn exponent(&self, step: u64) -> u32 {
         (step % self.depth as u64) as u32 + 1
     }
-
-    /// Which decay round `step` belongs to.
-    #[inline]
-    pub fn round_index(&self, step: u64) -> u64 {
-        step / self.depth as u64
-    }
-
-    /// Whether `step` starts a new decay round.
-    #[inline]
-    pub fn is_round_start(&self, step: u64) -> bool {
-        step.is_multiple_of(self.depth as u64)
-    }
 }
 
 /// Experiment protocol for Lemma 3.1: a fixed set of participants performs
@@ -152,10 +140,6 @@ mod tests {
         assert_eq!(d.probability(1), 0.25);
         assert_eq!(d.probability(3), 0.0625);
         assert_eq!(d.probability(4), 0.5, "wraps");
-        assert!(d.is_round_start(0));
-        assert!(!d.is_round_start(2));
-        assert!(d.is_round_start(4));
-        assert_eq!(d.round_index(7), 1);
     }
 
     #[test]

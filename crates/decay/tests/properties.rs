@@ -93,7 +93,6 @@ proptest! {
         if step % depth as u64 != 0 {
             prop_assert!((d.probability(step - 1) - 2.0 * p).abs() < 1e-12);
         }
-        prop_assert_eq!(d.round_index(step), step / depth as u64);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl Graph {
         (0..self.n).map(|v| self.degree(v as NodeId)).max().unwrap_or(0)
     }
 
-    /// Average degree `2m / n`.
-    pub fn avg_degree(&self) -> f64 {
-        2.0 * self.m() as f64 / self.n as f64
-    }
-
     /// Sorted adjacency list of `v`.
     ///
     /// # Panics
@@ -259,31 +254,6 @@ impl Graph {
         let far = argmax_dist(&d0).expect("disconnected graph");
         let d1 = crate::traversal::bfs(self, far);
         d1.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Builds the subgraph induced by `members`, together with the mapping
-    /// from new (dense) ids to original ids.
-    ///
-    /// `members` must contain distinct, in-range nodes.
-    pub fn induced_subgraph(&self, members: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let mut map = vec![INVALID_NODE; self.n];
-        for (new, &old) in members.iter().enumerate() {
-            debug_assert!(map[old as usize] == INVALID_NODE, "duplicate member");
-            map[old as usize] = new as NodeId;
-        }
-        let mut edges = Vec::new();
-        for &old in members {
-            let nu = map[old as usize];
-            for &w in self.neighbors(old) {
-                let nw = map[w as usize];
-                if nw != INVALID_NODE && nu < nw {
-                    edges.push((nu, nw));
-                }
-            }
-        }
-        let g = Graph::from_edges(members.len().max(1), &edges)
-            .expect("induced subgraph construction cannot fail");
-        (g, members.to_vec())
     }
 
     /// Serializes to a compact edge-list text format (`n` on the first line,
@@ -365,7 +335,6 @@ mod tests {
         assert_eq!(g.n(), 4);
         assert_eq!(g.m(), 4);
         assert_eq!(g.max_degree(), 2);
-        assert!((g.avg_degree() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -424,15 +393,6 @@ mod tests {
         let g = cycle4();
         assert_eq!(g.diameter(), 2);
         assert_eq!(g.diameter_double_sweep(), 2);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = cycle4();
-        let (sub, map) = g.induced_subgraph(&[0, 1, 2]);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.m(), 2); // 0-1, 1-2 survive; 3's edges dropped
-        assert_eq!(map, vec![0, 1, 2]);
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use error::GraphError;
 pub use graph::{Graph, NodeId, INVALID_NODE};
 pub use hybrid::HybridAdjacency;
 pub use spec::{TopologySpec, TopologySpecError};
-pub use traversal::{Bfs, DistanceMatrixSample, LayerHistogram};
+pub use traversal::{Bfs, LayerHistogram};

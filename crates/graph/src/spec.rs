@@ -229,19 +229,6 @@ impl TopologySpec {
         }
     }
 
-    /// Whether building this spec consumes randomness (so two seeds give two
-    /// different graphs).
-    pub fn is_randomized(&self) -> bool {
-        matches!(
-            self,
-            TopologySpec::RandomTree(_)
-                | TopologySpec::Rgg { .. }
-                | TopologySpec::Gnp { .. }
-                | TopologySpec::ClusterChain { .. }
-                | TopologySpec::GridChords { .. }
-        )
-    }
-
     /// Builds the graph. Deterministic in `(self, seed)`; deterministic
     /// shapes ignore the seed entirely.
     ///
@@ -550,11 +537,9 @@ mod tests {
         let spec = TopologySpec::Rgg { n: 100, radius: 0.2 };
         assert_eq!(spec.build(3), spec.build(3));
         assert_ne!(spec.build(3), spec.build(4));
-        assert!(spec.is_randomized());
         // Deterministic shapes ignore the seed.
         let grid = TopologySpec::Grid { w: 5, h: 5 };
         assert_eq!(grid.build(1), grid.build(2));
-        assert!(!grid.is_randomized());
     }
 
     #[test]

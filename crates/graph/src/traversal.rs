@@ -23,11 +23,6 @@ pub fn bfs(g: &Graph, src: NodeId) -> Vec<u32> {
     bfs_filtered(g, &[src], |_| true)
 }
 
-/// Multi-source BFS: distance to the nearest source.
-pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
-    bfs_filtered(g, sources, |_| true)
-}
-
 /// BFS restricted to nodes accepted by `keep` (sources are always kept).
 ///
 /// Used for *strong* (intra-cluster) distances: pass a membership predicate
@@ -209,39 +204,6 @@ impl LayerHistogram {
     }
 }
 
-/// A uniform sample of pairwise distances, for cheap distance-distribution
-/// statistics on large graphs.
-#[derive(Debug, Clone)]
-pub struct DistanceMatrixSample {
-    /// Sampled `(source, distances-from-source)` rows.
-    pub rows: Vec<(NodeId, Vec<u32>)>,
-}
-
-impl DistanceMatrixSample {
-    /// BFS from `k` deterministic (stride-spaced) sources.
-    pub fn stride_sample(g: &Graph, k: usize) -> DistanceMatrixSample {
-        let k = k.max(1).min(g.n());
-        let stride = (g.n() / k).max(1);
-        let rows = (0..k)
-            .map(|i| {
-                let src = (i * stride) as NodeId;
-                (src, bfs(g, src))
-            })
-            .collect();
-        DistanceMatrixSample { rows }
-    }
-
-    /// Largest distance seen in the sample (a diameter lower bound).
-    pub fn max_distance(&self) -> u32 {
-        self.rows
-            .iter()
-            .flat_map(|(_, d)| d.iter().copied())
-            .filter(|&d| d != u32::MAX)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,20 +214,6 @@ mod tests {
         let g = generators::path(5);
         assert_eq!(bfs(&g, 0), vec![0, 1, 2, 3, 4]);
         assert_eq!(bfs(&g, 2), vec![2, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn multi_source_takes_nearest() {
-        let g = generators::path(7);
-        let d = multi_source_bfs(&g, &[0, 6]);
-        assert_eq!(d, vec![0, 1, 2, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn multi_source_with_duplicate_sources() {
-        let g = generators::path(3);
-        let d = multi_source_bfs(&g, &[1, 1]);
-        assert_eq!(d, vec![1, 0, 1]);
     }
 
     #[test]
@@ -329,12 +277,5 @@ mod tests {
         assert_eq!(h.counts, vec![1, 2, 3, 2, 1]);
         assert_eq!(h.total(), 9);
         assert_eq!(h.eccentricity(), 4);
-    }
-
-    #[test]
-    fn distance_sample_bounds_diameter() {
-        let g = generators::path(64);
-        let s = DistanceMatrixSample::stride_sample(&g, 4);
-        assert_eq!(s.max_distance(), 63);
     }
 }

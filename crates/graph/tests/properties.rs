@@ -138,21 +138,6 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_preserves_adjacency(g in arb_connected_graph()) {
-        // Take the BFS ball of radius 2 around node 0 as the member set.
-        let dist = traversal::bfs(&g, 0);
-        let members: Vec<u32> = g.nodes().filter(|&v| dist[v as usize] <= 2).collect();
-        let (sub, map) = g.induced_subgraph(&members);
-        prop_assert_eq!(sub.n(), members.len());
-        for (new_u, &old_u) in map.iter().enumerate() {
-            for &new_v in sub.neighbors(new_u as u32) {
-                let old_v = map[new_v as usize];
-                prop_assert!(g.has_edge(old_u, old_v));
-            }
-        }
-    }
-
-    #[test]
     fn random_trees_have_n_minus_1_edges(n in 1usize..200, seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = generators::random_tree(n, &mut rng);

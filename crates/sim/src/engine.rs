@@ -1,7 +1,6 @@
 use crate::bitset::WordBitset;
 use crate::faults::FaultSchedule;
 use crate::protocol::{Protocol, Round, TxBuf};
-use crate::trace::{Event, Trace};
 use rn_graph::{Graph, HybridAdjacency, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -345,7 +344,6 @@ pub struct Simulator<'g> {
     model: CollisionModel,
     round: Round,
     metrics: Metrics,
-    trace: Option<Trace>,
     faults: Option<FaultSchedule>,
     // Engine scratch: owned for fresh constructions, borrowed from a
     // caller's pool via `Simulator::reuse`.
@@ -419,16 +417,7 @@ impl<'g> Simulator<'g> {
             let n = graph.n();
             assert!(f.n() == n, "fault schedule was resolved for {} nodes, graph has {n}", f.n());
         }
-        Simulator {
-            graph,
-            model,
-            round: 0,
-            metrics: Metrics::default(),
-            trace: None,
-            faults,
-            store,
-            seed,
-        }
+        Simulator { graph, model, round: 0, metrics: Metrics::default(), faults, store, seed }
     }
 
     /// Master seed recorded at construction.
@@ -439,16 +428,6 @@ impl<'g> Simulator<'g> {
     /// Cumulative metrics since construction.
     pub fn metrics(&self) -> Metrics {
         self.metrics
-    }
-
-    /// Enables event tracing with the given capacity (newest events win).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Runs `protocol` for at most `max_rounds` rounds.
@@ -586,18 +565,12 @@ impl<'g> Simulator<'g> {
                 }
             }
             active.push((u, idx as u32));
-            if let Some(t) = &mut self.trace {
-                t.push(global, Event::Transmit { node: u });
-            }
         }
         if let Some(f) = &faults {
             for &j in f.jammer_ids() {
                 if f.jam_fires(global, j) {
                     tx_stamp[j as usize] = stamp;
                     active.push((j, NOISE_TAG));
-                    if let Some(t) = &mut self.trace {
-                        t.push(global, Event::Transmit { node: j });
-                    }
                 }
             }
         }
@@ -638,14 +611,8 @@ impl<'g> Simulator<'g> {
                 let (from, msg) = &tx.entries()[tag as usize];
                 protocol.deliver(local, v, *from, msg);
                 self.metrics.deliveries += 1;
-                if let Some(t) = &mut self.trace {
-                    t.push(global, Event::Receive { node: v, from: *from });
-                }
             } else {
                 self.metrics.collisions += 1;
-                if let Some(t) = &mut self.trace {
-                    t.push(global, Event::Collision { node: v });
-                }
                 if self.model == CollisionModel::CollisionDetection {
                     protocol.collision(local, v);
                 }
@@ -676,10 +643,10 @@ impl<'g> Simulator<'g> {
 
     /// The struct-of-arrays bitset step. Semantically identical to
     /// [`Simulator::step_reference`] — same protocol-call order, same
-    /// metrics, same trace — with channel membership kept as one bit per
-    /// node and cleared sparsely through the active/touched lists, so a
-    /// round's memory traffic is proportional to activity and the
-    /// membership tables stay cache-resident at `10⁶` nodes. Rounds whose
+    /// metrics — with channel membership kept as one bit per node and
+    /// cleared sparsely through the active/touched lists, so a round's
+    /// memory traffic is proportional to activity and the membership
+    /// tables stay cache-resident at `10⁶` nodes. Rounds whose
     /// transmitter degree sum reaches `n` additionally dispatch to a
     /// word-level dense kernel over a cached [`HybridAdjacency`].
     fn step_frontier<P: Protocol>(
@@ -722,18 +689,12 @@ impl<'g> Simulator<'g> {
                 }
             }
             active.push((u, idx as u32));
-            if let Some(t) = &mut self.trace {
-                t.push(global, Event::Transmit { node: u });
-            }
         }
         if let Some(f) = &faults {
             for &j in f.jammer_ids() {
                 if f.jam_fires(global, j) {
                     tx_bits.set(j as usize);
                     active.push((j, NOISE_TAG));
-                    if let Some(t) = &mut self.trace {
-                        t.push(global, Event::Transmit { node: j });
-                    }
                 }
             }
         }
@@ -744,12 +705,10 @@ impl<'g> Simulator<'g> {
         // reference callback order — for deliveries *and* CD collision
         // notifications — by recording each listener's first-toucher active
         // index during accumulation and sorting the merged event list
-        // (proof in the kernel comments). Only traced rounds keep the
-        // per-edge path: their event interleaving is the specification.
+        // (proof in the kernel comments).
         let graph = self.graph;
         touched.clear();
-        let dense_round = self.trace.is_none()
-            && !active.is_empty()
+        let dense_round = !active.is_empty()
             && active.iter().map(|&(u, _)| graph.degree(u)).sum::<usize>() >= graph.n();
 
         if dense_round {
@@ -918,14 +877,8 @@ impl<'g> Simulator<'g> {
                     let (from, msg) = &tx.entries()[tag as usize];
                     protocol.deliver(local, v, *from, msg);
                     self.metrics.deliveries += 1;
-                    if let Some(t) = &mut self.trace {
-                        t.push(global, Event::Receive { node: v, from: *from });
-                    }
                 } else {
                     self.metrics.collisions += 1;
-                    if let Some(t) = &mut self.trace {
-                        t.push(global, Event::Collision { node: v });
-                    }
                     if self.model == CollisionModel::CollisionDetection {
                         protocol.collision(local, v);
                     }
@@ -1256,19 +1209,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_events_in_order() {
-        let g = generators::star(3);
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.enable_trace(16);
-        let mut p = OneShot::new(3, vec![(0, 1u64)]);
-        sim.run(&mut p, 1);
-        let trace = sim.trace().unwrap();
-        let events: Vec<_> = trace.iter().collect();
-        assert_eq!(events.len(), 3); // 1 transmit + 2 receives
-        assert!(matches!(events[0].1, Event::Transmit { node: 0 }));
-    }
-
-    #[test]
     fn scratch_constructors_pick_the_engine_mode() {
         let g = generators::path(2);
         let model = CollisionModel::NoCollisionDetection;
@@ -1413,15 +1353,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_kernel_skips_traced_rounds() {
-        // Traced rounds keep the per-edge path: their event interleaving is
-        // the specification the trace records.
+    fn dense_kernel_stays_unbuilt_below_the_trigger() {
+        // One round of the complete(64) flood has one transmitter (degree
+        // sum 63 < 64): the round stays sparse and never builds the dense
+        // scratch, so sparse workloads pay nothing for the kernel.
         let g = generators::complete(64);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.enable_trace(64);
         let mut p = crate::testing::NaiveFlood::new(g.n(), 0);
-        sim.run(&mut p, 16);
-        assert!(sim.store.get().dense.is_none(), "traced rounds stay on the sparse path");
+        let stats = sim.run(&mut p, 1);
+        assert_eq!((stats.metrics.transmissions, stats.metrics.deliveries), (1, 63));
+        assert!(sim.store.get().dense.is_none(), "a sparse round leaves the dense scratch unbuilt");
     }
 
     #[test]

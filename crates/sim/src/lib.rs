@@ -58,7 +58,6 @@ mod protocol;
 pub mod rng;
 mod runnable;
 pub mod testing;
-mod trace;
 mod values;
 
 pub use bitset::WordBitset;
@@ -68,5 +67,4 @@ pub use faults::{FaultError, FaultPlan, FaultSchedule};
 pub use params::NetParams;
 pub use protocol::{Protocol, Round, TxBuf};
 pub use runnable::{Runnable, TrialCtx, TrialPool, TrialRecord};
-pub use trace::{Event, Trace};
 pub use values::NodeValues;

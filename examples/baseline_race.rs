@@ -31,8 +31,8 @@ fn main() {
 fn race(name: &str, g: &Graph) {
     let net = NetParams::new(g.n(), g.diameter_double_sweep());
     let seed = 7;
-    let bgi = baselines::bgi_broadcast(g, net, 0, seed);
-    let cr = baselines::truncated_broadcast(g, net, 0, seed);
+    let bgi = baselines::bgi_broadcast(g, net, seed);
+    let cr = baselines::truncated_broadcast(g, net, seed);
     // The broadcast conveniences derive the same double-sweep `net`.
     let hw = core::broadcast(g, 0, &core::CompeteParams::haeupler_wajc(), seed).expect("valid");
     let cd = core::broadcast(g, 0, &core::CompeteParams::default(), seed).expect("valid");

@@ -39,7 +39,7 @@ fn main() {
     for n in [512usize, 1024, 2048] {
         let g = graph::generators::path(n);
         let net = NetParams::new(n, (n - 1) as u32);
-        let bgi = baselines::bgi_broadcast(&g, net, 0, 3);
+        let bgi = baselines::bgi_broadcast(&g, net, 3);
         // The double-sweep diameter the convenience derives is exact on paths.
         let cd = core::broadcast(&g, 0, &core::CompeteParams::default(), 3).expect("valid");
         let d = (n - 1) as f64;

@@ -63,20 +63,6 @@ fn all_nodes_as_sources_completes_quickly() {
 }
 
 #[test]
-fn charged_vs_ignored_precompute_same_propagation() {
-    // The accounting mode must not change the execution, only the report.
-    let g = graph::generators::grid(8, 8);
-    let charged = core::CompeteParams::default();
-    let ignored = core::CompeteParams { precompute: core::PrecomputeMode::Ignored, ..charged };
-    let a = core::broadcast(&g, 0, &charged, 31).unwrap();
-    let b = core::broadcast(&g, 0, &ignored, 31).unwrap();
-    assert_eq!(a.propagation_rounds, b.propagation_rounds);
-    assert_eq!(a.metrics, b.metrics);
-    assert!(a.charged_precompute_rounds > 0);
-    assert_eq!(b.charged_precompute_rounds, 0);
-}
-
-#[test]
 fn global_sequence_scope_also_completes() {
     let g = graph::generators::grid(10, 10);
     let params = core::CompeteParams {

@@ -41,8 +41,8 @@ fn generators_are_seed_deterministic() {
 fn baseline_runs_are_seed_deterministic() {
     let g = graph::generators::grid(10, 10);
     let net = NetParams::of_graph(&g);
-    let a = baselines::bgi_broadcast(&g, net, 0, 21);
-    let b = baselines::bgi_broadcast(&g, net, 0, 21);
+    let a = baselines::bgi_broadcast(&g, net, 21);
+    let b = baselines::bgi_broadcast(&g, net, 21);
     assert_eq!(a, b);
     let bgi = baselines::BroadcastKind::Bgi;
     // A reused scratch replays the run exactly.

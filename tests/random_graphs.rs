@@ -80,9 +80,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let net = NetParams::new(g.n(), g.diameter());
-        let bgi = baselines::bgi_broadcast(&g, net, 0, seed);
+        let bgi = baselines::bgi_broadcast(&g, net, seed);
         prop_assert!(bgi.completed, "BGI failed on n={}", g.n());
-        let cr = baselines::truncated_broadcast(&g, net, 0, seed);
+        let cr = baselines::truncated_broadcast(&g, net, seed);
         prop_assert!(cr.completed, "truncated decay failed on n={}", g.n());
     }
 }
