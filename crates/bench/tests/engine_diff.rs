@@ -50,10 +50,12 @@ fn topology() -> impl Strategy<Value = TopologySpec> {
     // The shim's strategy surface has no prop_oneof; an index-mapped pair of
     // ranges draws uniformly over the same shapes. The last three families
     // are dense on purpose: a complete graph or near-critical RGG/Gnp makes
-    // the frontier engine's degree-sum trigger flip between the sparse
-    // per-edge path and the word-level dense kernel *within* a single run
-    // (small frontier early, saturated mid-broadcast), so every proptest
-    // case crosses the dispatch boundary both ways.
+    // the frontier engine's degree-sum trigger fire *within* a single run
+    // (small frontier early, saturated mid-broadcast). Below 8192 nodes the
+    // word kernel takes such a round only on a graph with a bitmap row
+    // (degree ≥ 64), so the RGG family is sized to have them: its central
+    // nodes reach nearly every other node, and its cases cross the
+    // dispatch boundary both ways.
     (0usize..9, 0usize..64).prop_map(|(family, x)| match family {
         0 => TopologySpec::Path(9 + x % 19),
         1 => TopologySpec::Cycle(9 + x % 19),
@@ -62,7 +64,7 @@ fn topology() -> impl Strategy<Value = TopologySpec> {
         4 => TopologySpec::RandomTree(9 + x % 15),
         5 => TopologySpec::Rgg { n: 12 + x % 12, radius: 0.45 },
         6 => TopologySpec::Complete(9 + x % 24),
-        7 => TopologySpec::Rgg { n: 24 + x % 24, radius: 0.9 },
+        7 => TopologySpec::Rgg { n: 72 + x % 24, radius: 0.9 },
         _ => TopologySpec::Gnp { n: 24 + x % 24, p: 0.6 },
     })
 }
@@ -89,11 +91,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Every case runs the drawn topology *and* a complete graph: the
-        // complete graph saturates the degree-sum trigger from round one, so
-        // the CD-model word-level dense kernel (whole-frontier collisions,
-        // busy-channel noise at every listener) is exercised on every single
-        // proptest case, not just when the draw lands on a dense family.
-        for topo in [&topo, &TopologySpec::Complete(17 + (seed % 16) as usize)] {
+        // complete graph saturates the degree-sum trigger from round one and
+        // has a bitmap row at every node (degree ≥ 64), so the CD-model
+        // word-level dense kernel (whole-frontier collisions, busy-channel
+        // noise at every listener) is exercised on every single proptest
+        // case, not just when the draw lands on a dense family.
+        for topo in [&topo, &TopologySpec::Complete(65 + (seed % 16) as usize)] {
             let reference = run_registry(topo, &fault, seed, TrialPool::reference);
             let frontier = run_registry(topo, &fault, seed, TrialPool::new);
             prop_assert_eq!(reference.len(), frontier.len());

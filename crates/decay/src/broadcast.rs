@@ -1,7 +1,7 @@
 use crate::primitive::DecaySteps;
 use rand::rngs::SmallRng;
 use rn_graph::NodeId;
-use rn_sim::rng::{self, bernoulli_indices, bernoulli_pow2_indices, WordStream};
+use rn_sim::rng::{self, bernoulli_indices_ln_q, bernoulli_pow2_indices, WordStream};
 use rn_sim::{NetParams, NodeValues, Protocol, Round, TxBuf};
 
 /// How a decay protocol draws its per-round transmission coins.
@@ -83,6 +83,10 @@ pub struct DecayBroadcast {
     /// One period of the schedule as decay exponents `j` (transmission
     /// probability `2^-j`), indexed by `round mod len`.
     cycle: Vec<u32>,
+    /// `ln(1 − 2^-j)` for each entry of `cycle`: the per-index sampler's
+    /// geometric-skip constant, computed once per reset instead of once per
+    /// round.
+    ln_q: Vec<f64>,
     /// Highest value known per node, frontier-native layout: informed
     /// bitset + dense value vector (see [`NodeValues`]).
     values: NodeValues,
@@ -100,6 +104,7 @@ impl Default for DecayBroadcast {
         DecayBroadcast {
             schedule: DecaySchedule::default(),
             cycle: Vec::new(),
+            ln_q: Vec::new(),
             values: NodeValues::new(0),
             informed_list: Vec::new(),
             coins: CoinState::new(CoinSampler::default(), 0),
@@ -124,29 +129,19 @@ impl DecayBroadcast {
         seed: u64,
         sampler: CoinSampler,
     ) -> DecayBroadcast {
-        DecayBroadcast::with_schedule(params, sources, seed, sampler, DecaySchedule::Full)
-    }
-
-    /// Multi-source broadcast under an explicit [`DecaySchedule`].
-    pub fn with_schedule(
-        params: NetParams,
-        sources: &[(NodeId, u64)],
-        seed: u64,
-        sampler: CoinSampler,
-        schedule: DecaySchedule,
-    ) -> DecayBroadcast {
-        let mut p = DecayBroadcast { schedule, ..DecayBroadcast::default() };
+        let mut p = DecayBroadcast::default();
         p.reset(params, sources, seed, sampler);
         p
     }
 
     /// Re-arms the protocol for a fresh trial under its current
-    /// [`DecayBroadcast::schedule`], reusing every allocation — observably
-    /// identical to [`DecayBroadcast::with_schedule`] with the same
-    /// arguments (every constructor is this method applied to an empty
-    /// shell, so the paths cannot drift). Buffers are reserved to their
-    /// worst-case bound `n`, and the cycle's length depends only on `n`
-    /// and `D`, so a pooled steady-state trial never touches the heap.
+    /// [`DecayBroadcast::schedule`], reusing every allocation. Both
+    /// constructors are this method applied to the empty
+    /// [`DecayBroadcast::default`] shell (schedule [`DecaySchedule::Full`]),
+    /// so the paths cannot drift; set `schedule` on a shell before the
+    /// reset to run another one. Buffers are reserved to their worst-case
+    /// bound `n`, and the cycle's length depends only on `n` and `D`, so a
+    /// pooled steady-state trial never touches the heap.
     pub fn reset(
         &mut self,
         params: NetParams,
@@ -171,6 +166,8 @@ impl DecayBroadcast {
             full = DecaySteps::new(log_n.max(k));
         }
         self.cycle.extend(decay_round(full));
+        self.ln_q.clear();
+        self.ln_q.extend(self.cycle.iter().map(|&j| (1.0 - 2f64.powi(-(j as i32))).ln()));
 
         self.values.reset(params.n());
         self.informed_list.clear();
@@ -183,16 +180,6 @@ impl DecayBroadcast {
         self.coins = CoinState::new(sampler, seed);
         self.scratch.clear();
         self.scratch.reserve(params.n());
-    }
-
-    /// Single-source BGI broadcast of `value` from `source`.
-    pub fn single_source(
-        params: NetParams,
-        source: NodeId,
-        value: u64,
-        seed: u64,
-    ) -> DecayBroadcast {
-        DecayBroadcast::new(params, &[(source, value)], seed)
     }
 
     /// Whether every node knows some value.
@@ -226,14 +213,17 @@ impl Protocol for DecayBroadcast {
     type Msg = u64;
 
     fn transmit(&mut self, round: Round, tx: &mut TxBuf<u64>) {
-        let j = self.cycle[(round % self.cycle.len() as u64) as usize];
+        let pos = (round % self.cycle.len() as u64) as usize;
         self.scratch.clear();
         match &mut self.coins {
+            // `bernoulli_indices` with p = 2^-j ∈ (0, 1/2], minus its
+            // per-call logarithm.
             CoinState::PerIndex(rng) => {
-                let p = (2.0f64).powi(-(j as i32));
-                bernoulli_indices(rng, self.informed_list.len(), p, &mut self.scratch);
+                let k = self.informed_list.len();
+                bernoulli_indices_ln_q(rng, k, self.ln_q[pos], &mut self.scratch);
             }
             CoinState::Batched(ws) => {
+                let j = self.cycle[pos];
                 bernoulli_pow2_indices(ws, self.informed_list.len(), j, &mut self.scratch);
             }
         }
@@ -257,10 +247,24 @@ mod tests {
     use rn_graph::{generators, Graph};
     use rn_sim::{CollisionModel, Simulator};
 
+    /// A broadcast from `sources` under `schedule`, armed the way
+    /// `DecayScenario` arms its pooled shell.
+    fn scheduled(
+        params: NetParams,
+        sources: &[(NodeId, u64)],
+        seed: u64,
+        coins: CoinSampler,
+        schedule: DecaySchedule,
+    ) -> DecayBroadcast {
+        let mut p = DecayBroadcast { schedule, ..DecayBroadcast::default() };
+        p.reset(params, sources, seed, coins);
+        p
+    }
+
     /// Single-source truncated-decay broadcast with the default sampler.
     fn truncated(params: NetParams, source: NodeId, value: u64, seed: u64) -> DecayBroadcast {
-        let (sources, coins) = (&[(source, value)], CoinSampler::default());
-        DecayBroadcast::with_schedule(params, sources, seed, coins, DecaySchedule::Truncated)
+        let coins = CoinSampler::default();
+        scheduled(params, &[(source, value)], seed, coins, DecaySchedule::Truncated)
     }
 
     fn run_to_completion<P: Protocol>(
@@ -283,7 +287,7 @@ mod tests {
     fn bgi_completes_on_path() {
         let g = generators::path(64);
         let params = NetParams::of_graph(&g);
-        let mut p = DecayBroadcast::single_source(params, 0, 42, 7);
+        let mut p = DecayBroadcast::new(params, &[(0, 42)], 7);
         let rounds =
             run_to_completion(&g, &mut p, |p| p.all_informed(), 200_000, 7).expect("completes");
         assert!(rounds > 0);
@@ -295,7 +299,7 @@ mod tests {
         // High-degree hub: decay's low-probability steps are what resolve it.
         let g = generators::star(256);
         let params = NetParams::of_graph(&g);
-        let mut p = DecayBroadcast::single_source(params, 5, 1, 3);
+        let mut p = DecayBroadcast::new(params, &[(5, 1)], 3);
         assert!(run_to_completion(&g, &mut p, |p| p.all_informed(), 100_000, 3).is_some());
     }
 
@@ -316,7 +320,7 @@ mod tests {
         // can only come from the single informed node.
         let g = generators::star(8);
         let params = NetParams::new(8, 2);
-        let mut p = DecayBroadcast::single_source(params, 1, 1, 13);
+        let mut p = DecayBroadcast::new(params, &[(1, 1)], 13);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 13);
         let stats = sim.run(&mut p, 1);
         assert!(stats.metrics.transmissions <= 1);
@@ -337,7 +341,7 @@ mod tests {
         assert!(g.nodes().all(|v| batched.value_of(v) == Some(42)));
 
         let run_default = || {
-            let mut p = DecayBroadcast::single_source(params, 0, 42, 7);
+            let mut p = DecayBroadcast::new(params, &[(0, 42)], 7);
             run_to_completion(&g, &mut p, |p| p.all_informed(), 200_000, 7).expect("completes")
         };
         assert_eq!(run_default(), run_default(), "default sampler is deterministic");
@@ -385,8 +389,7 @@ mod tests {
         let g = generators::path(128);
         let params = NetParams::of_graph(&g);
         let schedule = DecaySchedule::Truncated;
-        let mut batched =
-            DecayBroadcast::with_schedule(params, &[(0, 42)], 17, CoinSampler::Batched, schedule);
+        let mut batched = scheduled(params, &[(0, 42)], 17, CoinSampler::Batched, schedule);
         let batched_rounds = run_to_completion(&g, &mut batched, |p| p.all_informed(), 400_000, 17)
             .expect("batched sampler completes");
         assert!(g.nodes().all(|v| batched.value_of(v) == Some(42)));
@@ -406,7 +409,7 @@ mod tests {
         let cycle = |n, d, schedule| {
             let net = NetParams::new(n, d);
             let coins = CoinSampler::default();
-            DecayBroadcast::with_schedule(net, &[(0, 1)], 1, coins, schedule).cycle().to_vec()
+            scheduled(net, &[(0, 1)], 1, coins, schedule).cycle().to_vec()
         };
         let run = |depth: u32| (1..=depth).collect::<Vec<u32>>();
         let (full, trunc) = (DecaySchedule::Full, DecaySchedule::Truncated);
@@ -431,7 +434,7 @@ mod tests {
         let mut bgi_total = 0u64;
         let mut trunc_total = 0u64;
         for seed in 0..3 {
-            let mut bgi = DecayBroadcast::single_source(params, 0, 1, seed);
+            let mut bgi = DecayBroadcast::new(params, &[(0, 1)], seed);
             bgi_total +=
                 run_to_completion(&g, &mut bgi, |p| p.all_informed(), 2_000_000, seed).unwrap();
             let mut tr = truncated(params, 0, 1, seed);

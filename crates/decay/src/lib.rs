@@ -34,7 +34,7 @@
 //!
 //! let g = generators::path(32);
 //! let params = NetParams::of_graph(&g);
-//! let mut p = DecayBroadcast::single_source(params, 0, 7, 123);
+//! let mut p = DecayBroadcast::new(params, &[(0, 7)], 123);
 //! let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 123);
 //! let stats = sim.run_until(&mut p, 100_000, |_, p| p.all_informed());
 //! assert!(p.all_informed());

@@ -8,8 +8,10 @@ use rn_sim::{CollisionModel, NetParams, Simulator};
 
 /// Single-source truncated-decay broadcast of `value` from node 0.
 fn truncated(net: NetParams, value: u64, seed: u64) -> DecayBroadcast {
-    let coins = CoinSampler::default();
-    DecayBroadcast::with_schedule(net, &[(0, value)], seed, coins, DecaySchedule::Truncated)
+    let mut p = DecayBroadcast::default();
+    p.schedule = DecaySchedule::Truncated;
+    p.reset(net, &[(0, value)], seed, CoinSampler::default());
+    p
 }
 
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
@@ -40,7 +42,7 @@ proptest! {
     ) {
         let net = NetParams::new(g.n(), g.diameter());
         let source = (seed % g.n() as u64) as u32;
-        let mut p = DecayBroadcast::single_source(net, source, 9, seed);
+        let mut p = DecayBroadcast::new(net, &[(source, 9)], seed);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, seed);
         sim.run_until(&mut p, 500_000, |_, p| p.all_informed());
         prop_assert!(p.all_informed(), "BGI stalled on n={}", g.n());
@@ -98,7 +100,7 @@ proptest! {
     #[test]
     fn informed_set_grows_monotonically(g in arb_connected_graph(), seed in any::<u64>()) {
         let net = NetParams::new(g.n(), g.diameter());
-        let mut p = DecayBroadcast::single_source(net, 0, 1, seed);
+        let mut p = DecayBroadcast::new(net, &[(0, 1)], seed);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, seed);
         let mut last = p.informed_count();
         for _ in 0..50 {

@@ -16,6 +16,13 @@
 //! row. The structure is a cache — it borrows nothing and adds no new
 //! semantics; [`HybridAdjacency::row`] agrees bit-for-bit with
 //! [`Graph::neighbors`], which a unit test pins.
+//!
+//! Many graphs get no bitmap row at all: grids, paths and sparse random
+//! graphs stay far below degree 64. [`HybridAdjacency::has_bitmap_rows`]
+//! says so without building the cache, and the simulator uses it to keep
+//! such graphs below 8192 nodes off its word kernel entirely: there the
+//! kernel would walk the same CSR rows as the per-edge path and add its
+//! node-order sweep on top.
 
 use crate::graph::{Graph, NodeId};
 
@@ -50,7 +57,7 @@ impl HybridAdjacency {
     /// rows when the graph is dense enough to blow the budget.
     pub fn for_graph(g: &Graph) -> HybridAdjacency {
         let n = g.n();
-        let threshold = (n / 64).max(64);
+        let threshold = default_threshold(n);
         let words = n.div_ceil(64);
         let budget_words = 8 * n;
         let max_rows = budget_words.checked_div(words).map_or(0, |r| r.max(1));
@@ -62,6 +69,14 @@ impl HybridAdjacency {
             candidates.truncate(max_rows);
         }
         HybridAdjacency::with_rows(g, &candidates, threshold)
+    }
+
+    /// Whether [`HybridAdjacency::for_graph`] gives `g` at least one bitmap
+    /// row: some node reaches the default threshold `max(64, n/64)`. A graph
+    /// without one (every grid, path and sparse random graph) answers every
+    /// row from CSR, so a word kernel over it gains nothing from the cache.
+    pub fn has_bitmap_rows(g: &Graph) -> bool {
+        g.max_degree() >= default_threshold(g.n())
     }
 
     fn with_rows(g: &Graph, rows: &[NodeId], threshold: usize) -> HybridAdjacency {
@@ -125,6 +140,11 @@ impl HybridAdjacency {
     pub fn bitmap_rows(&self) -> usize {
         self.bits.len().checked_div(self.words).unwrap_or(0)
     }
+}
+
+/// The default bitmap-row threshold of an `n`-node graph.
+fn default_threshold(n: usize) -> usize {
+    (n / 64).max(64)
 }
 
 #[cfg(test)]
@@ -195,5 +215,25 @@ mod tests {
         let adj = HybridAdjacency::for_graph(&g);
         assert_eq!(adj.bitmap_rows(), 0, "path degrees are below the floor threshold");
         assert!(adj.row(0).is_none() && adj.row(1).is_none());
+    }
+
+    #[test]
+    fn has_bitmap_rows_predicts_the_default_policy() {
+        // complete(64)/(65): degree 63 misses the floor threshold 64, degree
+        // 64 meets it; star(8193): only the hub reaches max(64, 8193/64).
+        for g in [
+            generators::path(2),
+            generators::complete(64),
+            generators::complete(65),
+            generators::complete(96),
+            generators::grid(128, 64),
+            generators::star(8193),
+            generators::star(64),
+        ] {
+            let rows = HybridAdjacency::for_graph(&g).bitmap_rows();
+            assert_eq!(HybridAdjacency::has_bitmap_rows(&g), rows > 0, "n={} rows={rows}", g.n());
+        }
+        assert!(!HybridAdjacency::has_bitmap_rows(&generators::complete(64)));
+        assert!(HybridAdjacency::has_bitmap_rows(&generators::complete(65)));
     }
 }

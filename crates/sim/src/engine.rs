@@ -1,5 +1,5 @@
 use crate::bitset::WordBitset;
-use crate::faults::FaultSchedule;
+use crate::faults::{FaultRound, FaultSchedule};
 use crate::protocol::{Protocol, Round, TxBuf};
 use rn_graph::{Graph, HybridAdjacency, NodeId};
 use serde::{Deserialize, Serialize};
@@ -92,10 +92,10 @@ enum Scratch {
     },
 }
 
-/// Scratch for the degree-sum–triggered dense-round kernel of
-/// [`Simulator::step_frontier`], built lazily on the first round whose
-/// transmitter degree sum rivals `n`. Rounds below the trigger never touch
-/// it, so sparse workloads pay nothing.
+/// Scratch for the word kernel of [`Simulator::step_frontier`], built
+/// lazily on the first round that takes the kernel (see [`word_kernel_pays`]
+/// for which graphs can). A graph whose rounds never take it never builds
+/// the [`HybridAdjacency`].
 #[derive(Debug)]
 struct DenseScratch {
     /// Hybrid CSR/bitmap adjacency cache (see [`HybridAdjacency`]).
@@ -137,6 +137,8 @@ pub struct SimScratch {
     /// [`Graph::instance_id`] of the graph `dense` was built for (`0`, an
     /// id no graph has, while there is none).
     dense_graph: u64,
+    /// [`word_kernel_pays`] for the graph of `dense_graph`.
+    dense_pays: bool,
     touched: Vec<NodeId>,
     active_tx: Vec<(NodeId, u32)>,
 }
@@ -170,6 +172,7 @@ impl SimScratch {
             scratch,
             dense: None,
             dense_graph: 0,
+            dense_pays: false,
             touched: Vec::new(),
             active_tx: Vec::new(),
         }
@@ -185,6 +188,7 @@ impl SimScratch {
         if self.dense_graph != graph.instance_id() {
             self.dense = None;
             self.dense_graph = graph.instance_id();
+            self.dense_pays = word_kernel_pays(graph);
         }
         match &mut self.scratch {
             Scratch::Reference { hear_stamp, hear_count, hear_from, tx_stamp } => {
@@ -227,6 +231,20 @@ impl Default for SimScratch {
     }
 }
 
+/// From this many nodes on, the word kernel beats the per-edge scatter on a
+/// heavy round even without bitmap rows: its node-order sweep of the heard
+/// words keeps the callbacks in cache-friendly order. Below it, a graph
+/// without bitmap rows walks the same CSR rows and then pays the sweep, the
+/// event list and the counting sort on top.
+const WORD_KERNEL_MIN_NODES: usize = 8192;
+
+/// Whether a round of `graph` whose transmitter degree sum reaches `n` goes
+/// to the word kernel: the graph has a bitmap row, or at least
+/// [`WORD_KERNEL_MIN_NODES`] nodes.
+fn word_kernel_pays(graph: &Graph) -> bool {
+    graph.n() >= WORD_KERNEL_MIN_NODES || HybridAdjacency::has_bitmap_rows(graph)
+}
+
 /// Where a simulator's [`SimScratch`] lives: owned by the simulator (the
 /// fresh-construction path) or borrowed from a caller's pool.
 #[derive(Debug)]
@@ -265,8 +283,7 @@ impl Store<'_> {
 pub struct RoundView<'a> {
     inner: ViewInner<'a>,
     frontier: &'a [NodeId],
-    faults: Option<&'a FaultSchedule>,
-    round: Round,
+    faults: Option<FaultRound<'a>>,
 }
 
 enum ViewInner<'a> {
@@ -316,7 +333,7 @@ impl RoundView<'_> {
     /// Whether `node` was down this round (crashed or dropped by the fault
     /// schedule) — down nodes heard nothing regardless of the bits above.
     pub fn down(&self, node: NodeId) -> bool {
-        self.faults.is_some_and(|f| f.is_down(self.round, node))
+        self.faults.is_some_and(|f| f.is_down(node))
     }
 }
 
@@ -532,6 +549,7 @@ impl<'g> Simulator<'g> {
         // Move the schedule and the active-transmitter scratch out of `self`
         // for the round, so they can be read alongside mutable scratch state.
         let faults = self.faults.take();
+        let coins = faults.as_ref().map(|f| f.round(global));
         let st = self.store.get_mut();
         let mut active = std::mem::take(&mut st.active_tx);
         let touched = &mut st.touched;
@@ -558,17 +576,15 @@ impl<'g> Simulator<'g> {
         // silent), plus jammer noise bursts.
         active.clear();
         for (idx, &(u, _)) in tx.entries().iter().enumerate() {
-            if let Some(f) = &faults {
-                if f.suppresses_tx(global, u) {
-                    tx_stamp[u as usize] = 0; // physically silent: may listen
-                    continue;
-                }
+            if coins.is_some_and(|c| c.suppresses_tx(u)) {
+                tx_stamp[u as usize] = 0; // physically silent: may listen
+                continue;
             }
             active.push((u, idx as u32));
         }
-        if let Some(f) = &faults {
+        if let (Some(f), Some(c)) = (&faults, coins) {
             for &j in f.jammer_ids() {
-                if f.jam_fires(global, j) {
+                if c.jam_fires(j) {
                     tx_stamp[j as usize] = stamp;
                     active.push((j, NOISE_TAG));
                 }
@@ -598,10 +614,8 @@ impl<'g> Simulator<'g> {
             if tx_stamp[vi] == stamp {
                 continue; // transmitters cannot listen
             }
-            if let Some(f) = &faults {
-                if f.is_down(global, v) {
-                    continue; // down nodes hear nothing
-                }
+            if coins.is_some_and(|c| c.is_down(v)) {
+                continue; // down nodes hear nothing
             }
             if hear_count[vi] == 1 {
                 let (_, tag) = active[hear_from[vi] as usize];
@@ -629,8 +643,7 @@ impl<'g> Simulator<'g> {
                     stamp,
                 },
                 frontier: touched.as_slice(),
-                faults: faults.as_ref(),
-                round: global,
+                faults: coins,
             },
         );
 
@@ -647,8 +660,9 @@ impl<'g> Simulator<'g> {
     /// cleared sparsely through the active/touched lists, so a round's
     /// memory traffic is proportional to activity and the membership
     /// tables stay cache-resident at `10⁶` nodes. Rounds whose
-    /// transmitter degree sum reaches `n` additionally dispatch to a
-    /// word-level dense kernel over a cached [`HybridAdjacency`].
+    /// transmitter degree sum reaches `n`, on a graph with a bitmap row or
+    /// of at least [`WORD_KERNEL_MIN_NODES`] nodes, dispatch to a word-level
+    /// dense kernel over a cached [`HybridAdjacency`].
     fn step_frontier<P: Protocol>(
         &mut self,
         protocol: &mut P,
@@ -659,9 +673,10 @@ impl<'g> Simulator<'g> {
         protocol.transmit(local, tx);
         let global = self.round;
         let faults = self.faults.take();
+        let coins = faults.as_ref().map(|f| f.round(global));
         let st = self.store.get_mut();
         let mut active = std::mem::take(&mut st.active_tx);
-        let SimScratch { scratch, dense, touched, .. } = st;
+        let SimScratch { scratch, dense, dense_pays, touched, .. } = st;
         let Scratch::Frontier { tx: tx_bits, heard, collided, hear_from } = scratch else {
             unreachable!("frontier step dispatched with reference scratch");
         };
@@ -679,37 +694,39 @@ impl<'g> Simulator<'g> {
             );
         }
 
-        // Effective transmitter set, exactly as in the reference path.
+        // Effective transmitter set, exactly as in the reference path, and
+        // its degree sum for the dispatch below.
+        let graph = self.graph;
+        let mut degree_sum = 0usize;
         active.clear();
         for (idx, &(u, _)) in tx.entries().iter().enumerate() {
-            if let Some(f) = &faults {
-                if f.suppresses_tx(global, u) {
-                    tx_bits.clear(u as usize); // physically silent: may listen
-                    continue;
-                }
+            if coins.is_some_and(|c| c.suppresses_tx(u)) {
+                tx_bits.clear(u as usize); // physically silent: may listen
+                continue;
             }
+            degree_sum += graph.degree(u);
             active.push((u, idx as u32));
         }
-        if let Some(f) = &faults {
+        if let (Some(f), Some(c)) = (&faults, coins) {
             for &j in f.jammer_ids() {
-                if f.jam_fires(global, j) {
+                if c.jam_fires(j) {
                     tx_bits.set(j as usize);
+                    degree_sum += graph.degree(j);
                     active.push((j, NOISE_TAG));
                 }
             }
         }
 
         // Dense-round dispatch: when the transmitters' degree sum rivals
-        // `n`, per-edge scatter writes lose to whole-word OR/AND
-        // accumulation over adjacency rows. The word kernel reproduces the
-        // reference callback order — for deliveries *and* CD collision
-        // notifications — by recording each listener's first-toucher active
-        // index during accumulation and sorting the merged event list
-        // (proof in the kernel comments).
-        let graph = self.graph;
+        // `n` on a graph where the word kernel pays (see
+        // [`word_kernel_pays`]), per-edge scatter writes lose to whole-word
+        // OR/AND accumulation over adjacency rows. The word kernel
+        // reproduces the reference callback order — for deliveries *and* CD
+        // collision notifications — by recording each listener's
+        // first-toucher active index during accumulation and sorting the
+        // merged event list (proof in the kernel comments).
         touched.clear();
-        let dense_round = !active.is_empty()
-            && active.iter().map(|&(u, _)| graph.degree(u)).sum::<usize>() >= graph.n();
+        let dense_round = *dense_pays && !active.is_empty() && degree_sum >= graph.n();
 
         if dense_round {
             let dense = dense.get_or_insert_with(|| DenseScratch {
@@ -788,10 +805,8 @@ impl<'g> Simulator<'g> {
                     if tword & bit != 0 {
                         continue; // transmitters cannot listen
                     }
-                    if let Some(f) = &faults {
-                        if f.is_down(global, v) {
-                            continue; // down nodes hear nothing
-                        }
+                    if coins.is_some_and(|c| c.is_down(v)) {
+                        continue; // down nodes hear nothing
                     }
                     if cword & bit != 0 {
                         self.metrics.collisions += 1;
@@ -864,10 +879,8 @@ impl<'g> Simulator<'g> {
                 if tx_bits.contains(vi) {
                     continue; // transmitters cannot listen
                 }
-                if let Some(f) = &faults {
-                    if f.is_down(global, v) {
-                        continue; // down nodes hear nothing
-                    }
+                if coins.is_some_and(|c| c.is_down(v)) {
+                    continue; // down nodes hear nothing
                 }
                 if !collided.contains(vi) {
                     let (_, tag) = active[hear_from[vi] as usize];
@@ -891,8 +904,7 @@ impl<'g> Simulator<'g> {
             &RoundView {
                 inner: ViewInner::Frontier { heard: &*heard, collided: &*collided, tx: &*tx_bits },
                 frontier: touched.as_slice(),
-                faults: faults.as_ref(),
-                round: global,
+                faults: coins,
             },
         );
 
@@ -1285,16 +1297,19 @@ mod tests {
         // same stats AND the same per-node delivery log (which pins the
         // protocol-call order, not just the totals). Swept over topologies,
         // both collision models, and every fault axis.
-        // `complete(8)` / `complete(40)` floods cross the sparse↔dense
-        // dispatch boundary mid-run (round 0 is below the degree-sum
-        // trigger, the all-informed rounds are far above it), so this sweep
-        // also pins the dense kernel against the reference path.
+        // The `complete(72)` flood crosses the sparse↔dense dispatch
+        // boundary mid-run (round 0 is below the degree-sum trigger, the
+        // all-informed rounds are far above it, and degree 71 earns every
+        // node a bitmap row), so this sweep also pins the dense kernel
+        // against the reference path. `complete(8)` and `complete(40)` have
+        // no bitmap rows: their heavy rounds stay on the sparse path.
         let graphs = [
             generators::path(16),
             generators::star(12),
             generators::grid(5, 5),
             generators::complete(8),
             generators::complete(40),
+            generators::complete(72),
         ];
         type PlanFn = fn(usize, u64) -> FaultSchedule;
         let plans: [Option<PlanFn>; 4] = [
@@ -1320,12 +1335,12 @@ mod tests {
 
     #[test]
     fn dense_kernel_engages_and_matches_reference() {
-        // A flood on complete(64): round 0 has one transmitter (degree sum
-        // 63 < 64 — sparse), round 1 has 63 (degree sum ≫ n — dense). The
-        // frontier run must both *use* the dense kernel (the scratch is
-        // built lazily, so its existence proves dispatch happened) and stay
-        // identical to the reference engine.
-        let g = generators::complete(64);
+        // A flood on complete(96): round 0 has one transmitter (degree sum
+        // 95 < 96 — sparse), round 1 has 95 (degree sum ≫ n, and degree 95
+        // earns bitmap rows — dense). The frontier run must both *use* the
+        // dense kernel (the scratch is built lazily, so its existence proves
+        // dispatch happened) and stay identical to the reference engine.
+        let g = generators::complete(96);
         let a = flood_trial(REFERENCE, &g, CollisionModel::NoCollisionDetection, None, 1, 16);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
         let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
@@ -1339,10 +1354,10 @@ mod tests {
         // Since the CD extension, dense rounds cover both collision models:
         // the kernel surfaces collision notifications through the sorted
         // event list in the reference callback order. A flood on
-        // complete(64) under CD must engage the kernel *and* replay the
+        // complete(96) under CD must engage the kernel *and* replay the
         // reference log byte for byte (deliver/collision interleaving
         // included).
-        let g = generators::complete(64);
+        let g = generators::complete(96);
         let a = flood_trial(REFERENCE, &g, CollisionModel::CollisionDetection, None, 1, 16);
         let mut sim = Simulator::new(&g, CollisionModel::CollisionDetection, 1);
         let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
@@ -1354,15 +1369,64 @@ mod tests {
 
     #[test]
     fn dense_kernel_stays_unbuilt_below_the_trigger() {
-        // One round of the complete(64) flood has one transmitter (degree
-        // sum 63 < 64): the round stays sparse and never builds the dense
+        // One round of the complete(96) flood has one transmitter (degree
+        // sum 95 < 96): the round stays sparse and never builds the dense
         // scratch, so sparse workloads pay nothing for the kernel.
-        let g = generators::complete(64);
+        let g = generators::complete(96);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
         let mut p = crate::testing::NaiveFlood::new(g.n(), 0);
         let stats = sim.run(&mut p, 1);
-        assert_eq!((stats.metrics.transmissions, stats.metrics.deliveries), (1, 63));
+        assert_eq!((stats.metrics.transmissions, stats.metrics.deliveries), (1, 95));
         assert!(sim.store.get().dense.is_none(), "a sparse round leaves the dense scratch unbuilt");
+    }
+
+    #[test]
+    fn small_graphs_without_bitmap_rows_never_build_the_dense_scratch() {
+        // complete(64): degree 63 is below the bitmap-row threshold 64, and
+        // 64 nodes are far below WORD_KERNEL_MIN_NODES. Round 1 of the flood
+        // has 63 transmitters (degree sum ≫ n), yet it stays on the sparse
+        // path, under both models, and matches the reference engine.
+        let g = generators::complete(64);
+        for model in [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection] {
+            let a = flood_trial(REFERENCE, &g, model, None, 1, 16);
+            let mut sim = Simulator::new(&g, model, 1);
+            let mut p =
+                Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
+            let stats = sim.run(&mut p, 16);
+            assert_eq!(stats.metrics.transmissions, 64, "round 1 had 63 transmitters ({model:?})");
+            assert!(sim.store.get().dense.is_none(), "no bitmap rows, no dense scratch");
+            assert_eq!(a, (stats, p.log, p.inner.informed_count()));
+        }
+    }
+
+    #[test]
+    fn large_graphs_without_bitmap_rows_still_engage_the_kernel() {
+        // grid(128x64) has WORD_KERNEL_MIN_NODES nodes and degree ≤ 4, so no
+        // bitmap rows. Its even columns transmit at once (degree sum ≈ 2n):
+        // the odd columns between them hear collisions, the last column
+        // hears one delivery each. The round takes the word kernel and
+        // replays the reference log.
+        let g = generators::grid(128, 64);
+        assert_eq!(g.n(), WORD_KERNEL_MIN_NODES);
+        assert!(!HybridAdjacency::has_bitmap_rows(&g));
+        let sends: Vec<(NodeId, u64)> =
+            (0..g.n() as NodeId).filter(|v| v % 2 == 0).map(|v| (v, 1)).collect();
+        for model in [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection] {
+            let run = |scratch: &mut SimScratch| {
+                let mut sim = Simulator::reuse(scratch, &g, model, 1, None);
+                let mut p = Recorder {
+                    inner: crate::testing::OneShot::new(g.n(), sends.clone()),
+                    log: Vec::new(),
+                };
+                (sim.run(&mut p, 2), p.log)
+            };
+            let reference = run(&mut SimScratch::reference());
+            let mut scratch = SimScratch::new();
+            let frontier = run(&mut scratch);
+            assert!(scratch.dense.is_some(), "a heavy round at this size takes the kernel");
+            assert!(frontier.0.metrics.deliveries > 0 && frontier.0.metrics.collisions > 0);
+            assert_eq!(reference, frontier, "{model:?}");
+        }
     }
 
     #[test]
@@ -1370,7 +1434,7 @@ mod tests {
         // A reused scratch must replay a fresh one exactly — stats,
         // callback log, and informed count — for either engine, across
         // graph switches, fault schedules and model changes between trials.
-        let graphs = [generators::path(16), generators::complete(40), generators::star(12)];
+        let graphs = [generators::path(16), generators::complete(72), generators::star(12)];
         for make in [FRONTIER, REFERENCE] {
             let mut scratch = make();
             for g in &graphs {
@@ -1436,7 +1500,12 @@ mod tests {
         // the stamp path, the bitset path, and the dense kernel — including
         // under jam/drop/crash faults. The probe also cross-checks the
         // frontier against the per-node heard bits.
-        let graphs = [generators::path(12), generators::star(10), generators::complete(24)];
+        let graphs = [
+            generators::path(12),
+            generators::star(10),
+            generators::complete(24),
+            generators::complete(72),
+        ];
         type PlanFn = fn(usize, u64) -> FaultSchedule;
         let plans: [Option<PlanFn>; 2] =
             [None, Some(|n, s| FaultSchedule::new(n, vec![0], 0.4, 0.2, 0.05, s))];

@@ -332,7 +332,10 @@ pub struct FaultSchedule {
     /// construction so the per-(round, node) hot path never pays the
     /// geometric-quantile `ln()` math.
     crash_round: Vec<u64>,
-    seed: u64,
+    /// `derive(seed, STREAM_JAM)` and `derive(seed, STREAM_DROP)`: the
+    /// first link of every coin's derive chain, taken once at construction.
+    jam_stream: u64,
+    drop_stream: u64,
 }
 
 /// Coin streams must not collide: jam, drop and crash decisions for the
@@ -340,6 +343,62 @@ pub struct FaultSchedule {
 const STREAM_JAM: u64 = 0x4A40;
 const STREAM_DROP: u64 = 0xD209;
 const STREAM_CRASH: u64 = 0xC2A5;
+
+/// A uniform coin in `[0, 1)` from the 53 high bits of a derived word.
+#[inline]
+fn unit(z: u64) -> f64 {
+    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A [`FaultSchedule`]'s coins for one round.
+///
+/// A coin for `(stream, round, node)` is
+/// `derive(derive(derive(seed, stream), round), node)`. The schedule keeps
+/// the first link per stream; the view takes the second once per round, so
+/// each coin the engine asks for in the round costs one `derive`. Both
+/// engine steps build one view per round; the schedule's own per-call
+/// queries build one per call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FaultRound<'a> {
+    schedule: &'a FaultSchedule,
+    round: u64,
+    /// `derive(jam_stream, round)`; unused when `jam_prob == 0`.
+    jam_base: u64,
+    /// `derive(drop_stream, round)`; unused when `drop_prob == 0`.
+    drop_base: u64,
+}
+
+impl FaultRound<'_> {
+    /// Whether jammer `node` fires noise this round.
+    #[inline]
+    pub(crate) fn jam_fires(&self, node: NodeId) -> bool {
+        let s = self.schedule;
+        s.jam_prob > 0.0 && unit(rng::derive(self.jam_base, node as u64)) < s.jam_prob
+    }
+
+    /// Whether `node` is down this round: dropped by its coin, or past its
+    /// crash round. Jammers are never down.
+    #[inline]
+    pub(crate) fn is_down(&self, node: NodeId) -> bool {
+        self.is_dropped(node) || self.round >= self.schedule.crash_round(node)
+    }
+
+    /// The transient-dropout component of [`FaultRound::is_down`].
+    #[inline]
+    fn is_dropped(&self, node: NodeId) -> bool {
+        let s = self.schedule;
+        !s.is_jammer[node as usize]
+            && s.drop_prob > 0.0
+            && unit(rng::derive(self.drop_base, node as u64)) < s.drop_prob
+    }
+
+    /// Whether a protocol transmission from `node` is suppressed this round:
+    /// the node is a jammer or down.
+    #[inline]
+    pub(crate) fn suppresses_tx(&self, node: NodeId) -> bool {
+        self.schedule.is_jammer[node as usize] || self.is_down(node)
+    }
+}
 
 impl FaultSchedule {
     /// Builds a schedule over an `n`-node graph with explicit `jammer_ids`.
@@ -373,16 +432,30 @@ impl FaultSchedule {
             drop_prob,
             crash_prob,
             crash_round: Vec::new(),
-            seed,
+            jam_stream: rng::derive(seed, STREAM_JAM),
+            drop_stream: rng::derive(seed, STREAM_DROP),
         };
         // Crash rounds are per-node constants; precompute them once so the
         // per-(round, node) hot path stays a vector read rather than two
         // `ln()` calls.
         if crash_prob > 0.0 {
+            let base = rng::derive(rng::derive(seed, STREAM_CRASH), 0);
             schedule.crash_round =
-                (0..n).map(|v| schedule.sample_crash_round(v as NodeId)).collect();
+                (0..n).map(|v| schedule.sample_crash_round(base, v as NodeId)).collect();
         }
         schedule
+    }
+
+    /// The schedule's coins for `round` (see [`FaultRound`]).
+    #[inline]
+    pub(crate) fn round(&self, round: u64) -> FaultRound<'_> {
+        let base = |prob: f64, stream: u64| if prob > 0.0 { rng::derive(stream, round) } else { 0 };
+        FaultRound {
+            schedule: self,
+            round,
+            jam_base: base(self.jam_prob, self.jam_stream),
+            drop_base: base(self.drop_prob, self.drop_stream),
+        }
     }
 
     /// Number of nodes the schedule was built for.
@@ -400,19 +473,15 @@ impl FaultSchedule {
         self.is_jammer[node as usize]
     }
 
-    /// A uniform coin in `[0, 1)` for `(stream, round, node)` — stateless,
-    /// so coins can be queried lazily in any order without perturbing each
-    /// other (this is what keeps the engine's per-round cost proportional to
-    /// activity, not to `n`).
-    fn coin(&self, stream: u64, round: u64, node: NodeId) -> f64 {
-        let z = rng::derive(rng::derive(rng::derive(self.seed, stream), round), node as u64);
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Whether jammer `node` fires noise in `round`. Only meaningful for
     /// nodes in [`FaultSchedule::jammer_ids`].
+    ///
+    /// Coins are stateless — `derive(derive(derive(seed, stream), round),
+    /// node)` — so they can be queried lazily in any order without
+    /// perturbing each other (this is what keeps the engine's per-round cost
+    /// proportional to activity, not to `n`).
     pub fn jam_fires(&self, round: u64, node: NodeId) -> bool {
-        self.jam_prob > 0.0 && self.coin(STREAM_JAM, round, node) < self.jam_prob
+        self.round(round).jam_fires(node)
     }
 
     /// The round in which `node` crash-stops (it is down from that round
@@ -427,15 +496,16 @@ impl FaultSchedule {
 
     /// The geometric crash-round draw for `node`: the quantile of one
     /// stateless per-node coin — exactly the distribution of "crash each
-    /// round with probability `P`". Called once per node at construction.
-    fn sample_crash_round(&self, node: NodeId) -> u64 {
+    /// round with probability `P`". Called once per node at construction,
+    /// with `base = derive(derive(seed, STREAM_CRASH), 0)`.
+    fn sample_crash_round(&self, base: u64, node: NodeId) -> u64 {
         if self.crash_prob <= 0.0 || self.is_jammer[node as usize] {
             return u64::MAX;
         }
         if self.crash_prob >= 1.0 {
             return 0;
         }
-        let u = self.coin(STREAM_CRASH, 0, node);
+        let u = unit(rng::derive(base, node as u64));
         let t = ((1.0 - u).ln() / (1.0 - self.crash_prob).ln()).floor();
         if t.is_finite() && t < u64::MAX as f64 {
             t as u64
@@ -448,24 +518,14 @@ impl FaultSchedule {
     /// transiently via dropout, or permanently once its crash round has
     /// passed. Jammers are exempt: the adversary is reliable.
     pub fn is_down(&self, round: u64, node: NodeId) -> bool {
-        self.is_dropped(round, node) || round >= self.crash_round(node)
-    }
-
-    /// The transient-dropout component of [`FaultSchedule::is_down`]:
-    /// whether `node`'s dropout coin fires in `round` (always `false` for
-    /// jammers).
-    fn is_dropped(&self, round: u64, node: NodeId) -> bool {
-        if self.is_jammer[node as usize] {
-            return false;
-        }
-        self.drop_prob > 0.0 && self.coin(STREAM_DROP, round, node) < self.drop_prob
+        self.round(round).is_down(node)
     }
 
     /// Whether a protocol transmission from `node` in `round` is suppressed
     /// (the node is a jammer — which never executes protocol actions — or
     /// down this round).
     pub fn suppresses_tx(&self, round: u64, node: NodeId) -> bool {
-        self.is_jammer[node as usize] || self.is_down(round, node)
+        self.round(round).suppresses_tx(node)
     }
 }
 
@@ -480,6 +540,69 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A coin as the schedule defines it, one full derive chain per call:
+    /// the oracle the per-round view must replay.
+    fn coin(seed: u64, stream: u64, round: u64, node: NodeId) -> f64 {
+        unit(rng::derive(rng::derive(rng::derive(seed, stream), round), node as u64))
+    }
+
+    /// `(is_down, suppresses_tx, jam_fires)` of `node` in `round` from the
+    /// triple-derive coins alone, crash rounds included.
+    fn oracle(
+        s: &FaultSchedule,
+        (seed, jam, drop, crash): (u64, f64, f64, f64),
+        round: u64,
+        node: NodeId,
+    ) -> (bool, bool, bool) {
+        let jammer = s.jammer_ids().contains(&node);
+        let crash_round = if crash <= 0.0 || jammer {
+            u64::MAX
+        } else if crash >= 1.0 {
+            0
+        } else {
+            let t = ((1.0 - coin(seed, STREAM_CRASH, 0, node)).ln() / (1.0 - crash).ln()).floor();
+            if t.is_finite() && t < u64::MAX as f64 {
+                t as u64
+            } else {
+                u64::MAX
+            }
+        };
+        let dropped = !jammer && drop > 0.0 && coin(seed, STREAM_DROP, round, node) < drop;
+        let down = dropped || round >= crash_round;
+        let fires = jam > 0.0 && coin(seed, STREAM_JAM, round, node) < jam;
+        (down, jammer || down, fires)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn round_view_coins_replay_the_triple_derive_formula(
+            n in 1usize..=40,
+            jammers in 0usize..=4,
+            probs in (0usize..5, 0usize..5, 0usize..5),
+            seed in any::<u64>(),
+            first in 0u64..1_000_000,
+        ) {
+            let levels = [0.0, 0.02, 0.3, 0.5, 1.0];
+            let (jam, drop, crash) = (levels[probs.0], levels[probs.1], levels[probs.2] / 10.0);
+            let jammers = jammers.min(n);
+            let s = FaultPlan::try_new(jammers, jam, drop, crash).expect("valid plan").resolve(n, seed);
+            let plan = (seed, if jammers == 0 { 0.0 } else { jam }, drop, crash);
+            for round in first..first + 48 {
+                let view = s.round(round);
+                for v in 0..n as NodeId {
+                    let want = oracle(&s, plan, round, v);
+                    let got = (view.is_down(v), view.suppresses_tx(v), view.jam_fires(v));
+                    prop_assert_eq!(got, want, "round {} node {}", round, v);
+                    let public = (s.is_down(round, v), s.suppresses_tx(round, v), s.jam_fires(round, v));
+                    prop_assert_eq!(public, want, "round {} node {}", round, v);
+                }
+            }
+        }
+    }
 
     #[test]
     fn plan_string_forms_round_trip() {
@@ -669,22 +792,26 @@ mod tests {
             for v in 0..24u32 {
                 assert_eq!(
                     s.is_down(round, v),
-                    s.is_dropped(round, v) || round >= s.crash_round(v),
+                    s.round(round).is_dropped(v) || round >= s.crash_round(v),
                     "round {round} node {v}"
                 );
             }
         }
         // Jammers: neither component ever fires.
-        assert!((0..200u64).all(|r| !s.is_dropped(r, 5) && s.crash_round(5) == u64::MAX));
+        assert!((0..200u64).all(|r| !s.round(r).is_dropped(5) && s.crash_round(5) == u64::MAX));
     }
 
     #[test]
     fn jam_and_drop_coins_are_independent_streams() {
         let s = FaultSchedule::new(64, (0..64).collect(), 0.5, 0.5, 0.0, 5);
-        // If the streams collided, jam_fires and the raw drop coin would
-        // agree everywhere. (is_down exempts jammers, so compare coins.)
+        // If the streams collided, the jam and drop coins would agree
+        // everywhere. (is_down exempts jammers, so compare the raw coins.)
         let agree = (0..64u64)
-            .filter(|&r| (s.coin(STREAM_JAM, r, 7) < 0.5) == (s.coin(STREAM_DROP, r, 7) < 0.5))
+            .filter(|&r| {
+                let c = s.round(r);
+                let (jam, drop) = (rng::derive(c.jam_base, 7), rng::derive(c.drop_base, 7));
+                (unit(jam) < 0.5) == (unit(drop) < 0.5)
+            })
             .count();
         assert!(agree < 64, "streams must not be identical");
     }

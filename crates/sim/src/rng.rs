@@ -146,6 +146,12 @@ pub fn bernoulli_indices(rng: &mut impl rand::Rng, k: usize, p: f64, out: &mut V
 /// `ln_q = (1 − p).ln()`: draw for draw the same indices and generator
 /// state, for callers that reuse a few fixed probabilities and keep their
 /// logarithms instead of recomputing one per call.
+///
+/// The skip is `⌊ln u / ln q⌋`, taken without a `floor` call: for an
+/// integer `r`, `⌊t⌋ ≥ r` exactly when `t ≥ r`, `⌊t⌋` is finite exactly when
+/// `t` is, and below `r` the saturating `t as usize` equals
+/// `t.floor() as usize`. On baseline x86-64 (SSE2, no `roundsd`)
+/// `f64::floor` is an out-of-line software routine.
 pub fn bernoulli_indices_ln_q(rng: &mut impl rand::Rng, k: usize, ln_q: f64, out: &mut Vec<usize>) {
     if k == 0 {
         return;
@@ -153,7 +159,7 @@ pub fn bernoulli_indices_ln_q(rng: &mut impl rand::Rng, k: usize, ln_q: f64, out
     let mut i = 0usize;
     loop {
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let skip = (u.ln() / ln_q).floor();
+        let skip = u.ln() / ln_q;
         if !skip.is_finite() || skip >= (k - i) as f64 {
             return;
         }
@@ -209,10 +215,90 @@ pub fn sample_distinct_into(rng: &mut impl rand::Rng, k: usize, n: usize, out: &
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::Rng;
+    use rand::{Rng, RngCore};
+
+    /// The skip taken through `floor`, as the geometric draw was first
+    /// written: the oracle [`bernoulli_indices_ln_q`] must replay.
+    fn bernoulli_indices_floor(rng: &mut impl Rng, k: usize, ln_q: f64, out: &mut Vec<usize>) {
+        if k == 0 {
+            return;
+        }
+        let mut i = 0usize;
+        loop {
+            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+            let skip = (u.ln() / ln_q).floor();
+            if !skip.is_finite() || skip >= (k - i) as f64 {
+                return;
+            }
+            i += skip as usize;
+            if i >= k {
+                return;
+            }
+            out.push(i);
+            i += 1;
+            if i >= k {
+                return;
+            }
+        }
+    }
+
+    /// Words whose uniform lands within four 2^-53 grid steps of `q^r`, so
+    /// that `ln u / ln q` sits next to the integer `r`. The generator follows
+    /// the draw's remaining range `rest = k − i` with the oracle's
+    /// arithmetic, and half of its words aim at `r = rest`: the
+    /// `skip >= k − i` boundary itself. The other half aim at a smaller
+    /// `r`, a skip that lands next to an integer.
+    #[derive(Clone)]
+    struct NearBoundary {
+        ln_q: f64,
+        rest: usize,
+        picks: rand::rngs::SmallRng,
+    }
+
+    impl RngCore for NearBoundary {
+        fn next_u64(&mut self) -> u64 {
+            let r = if self.picks.gen::<bool>() {
+                self.rest
+            } else {
+                self.picks.gen_range(0..=self.rest)
+            };
+            let unit = 1.0 / (1u64 << 53) as f64;
+            let grid = ((r as f64 * self.ln_q).exp() / unit) as i64;
+            let m = (grid + self.picks.gen_range(-4i64..=4)).clamp(0, (1 << 53) - 1) as u64;
+            let u = (m as f64 * unit).max(f64::MIN_POSITIVE);
+            let skip = (u.ln() / self.ln_q).floor();
+            if skip.is_finite() && skip < self.rest as f64 {
+                self.rest -= skip as usize + 1;
+            }
+            (m << 11) | (self.picks.next_u64() >> 53)
+        }
+    }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(200))]
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn truncated_skip_replays_the_floor_form_at_the_boundaries(
+            j in 1i32..=24,
+            k in 0usize..=10_000,
+            seed in any::<u64>(),
+        ) {
+            let ln_q = (1.0 - 2f64.powi(-j)).ln();
+            let mut a = NearBoundary { ln_q, rest: k, picks: stream_rng(seed, 1) };
+            let mut b = a.clone();
+            let (mut oracle, mut fast) = (Vec::new(), Vec::new());
+            bernoulli_indices_floor(&mut a, k, ln_q, &mut oracle);
+            bernoulli_indices_ln_q(&mut b, k, ln_q, &mut fast);
+            prop_assert_eq!(&oracle, &fast);
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+            // And on the plain generator the samplers run on.
+            let (mut a, mut b) = (stream_rng(seed, 0), stream_rng(seed, 0));
+            let (mut oracle, mut fast) = (Vec::new(), Vec::new());
+            bernoulli_indices_floor(&mut a, k, ln_q, &mut oracle);
+            bernoulli_indices_ln_q(&mut b, k, ln_q, &mut fast);
+            prop_assert_eq!(&oracle, &fast);
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
 
         #[test]
         fn ln_q_core_replays_bernoulli_indices(
@@ -230,6 +316,26 @@ mod tests {
             bernoulli_indices_ln_q(&mut b, k, (1.0 - p).ln(), &mut core);
             prop_assert_eq!(&wrapped, &core);
             prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn truncated_skip_replays_the_floor_form_on_degenerate_logarithms() {
+        // ln q = ±0 and NaN end the draw at once (the skip is ±∞ or NaN);
+        // ln q = ±∞ and a positive ln q give a zero or negative skip, which
+        // both forms read as 0, so every index is drawn.
+        for ln_q in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.7] {
+            for k in [0usize, 1, 2, 17, 300] {
+                let (mut a, mut b) = (stream_rng(k as u64, 9), stream_rng(k as u64, 9));
+                let (mut oracle, mut fast) = (Vec::new(), Vec::new());
+                bernoulli_indices_floor(&mut a, k, ln_q, &mut oracle);
+                bernoulli_indices_ln_q(&mut b, k, ln_q, &mut fast);
+                assert_eq!(oracle, fast, "ln_q={ln_q} k={k}");
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "ln_q={ln_q} k={k}");
+                let every = ln_q.is_infinite() || ln_q > 0.0;
+                let expect = if every { (0..k).collect() } else { Vec::new() };
+                assert_eq!(fast, expect, "ln_q={ln_q} k={k}");
+            }
         }
     }
 

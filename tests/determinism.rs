@@ -59,7 +59,7 @@ fn simulator_transcripts_are_deterministic() {
     let g = graph::generators::grid(8, 8);
     let net = NetParams::of_graph(&g);
     let run = || {
-        let mut p = decay::DecayBroadcast::single_source(net, 0, 1, 33);
+        let mut p = decay::DecayBroadcast::new(net, &[(0, 1)], 33);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 33);
         let mut trail = Vec::new();
         for _ in 0..200 {

@@ -23,7 +23,7 @@ fn naive_flooding_hits_the_deterministic_collision_trap() {
     assert_eq!(flood.informed_count(), 3, "antipode starves forever");
 
     let net = NetParams::of_graph(&g);
-    let mut bgi = decay::DecayBroadcast::single_source(net, 0, 1, 1);
+    let mut bgi = decay::DecayBroadcast::new(net, &[(0, 1)], 1);
     let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
     sim.run_until(&mut bgi, 10_000, |_, p| p.all_informed());
     assert!(bgi.all_informed(), "decay breaks the symmetry");
@@ -36,7 +36,7 @@ fn collision_detection_model_changes_observations_not_deliveries() {
     let g = graph::generators::grid(6, 6);
     let net = NetParams::of_graph(&g);
     let run = |model: CollisionModel| {
-        let mut p = decay::DecayBroadcast::single_source(net, 0, 1, 9);
+        let mut p = decay::DecayBroadcast::new(net, &[(0, 1)], 9);
         let mut sim = Simulator::new(&g, model, 9);
         let stats = sim.run_until(&mut p, 100_000, |_, p| p.all_informed());
         (stats.rounds, stats.metrics.deliveries, stats.metrics.collisions)
@@ -54,7 +54,7 @@ fn jamming_degrades_gracefully_never_panics() {
     let g = graph::generators::grid(8, 8);
     let net = NetParams::of_graph(&g);
     let jammers = vec![9u32, 18];
-    let mut p = decay::DecayBroadcast::single_source(net, 0, 1, 5);
+    let mut p = decay::DecayBroadcast::new(net, &[(0, 1)], 5);
     let faults = jamming(g.n(), jammers.clone(), 0.5, 99);
     let mut simulator = Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 5, faults);
     simulator.run_until(&mut p, 100_000, |_, p| {
@@ -69,7 +69,7 @@ fn jamming_degrades_gracefully_never_panics() {
     // An always-on jammer at a cut vertex stops everything behind it.
     let path = graph::generators::path(40);
     let pnet = NetParams::of_graph(&path);
-    let mut blocked = decay::DecayBroadcast::single_source(pnet, 0, 1, 5);
+    let mut blocked = decay::DecayBroadcast::new(pnet, &[(0, 1)], 5);
     let faults = jamming(path.n(), vec![1], 1.0, 99);
     let mut simulator =
         Simulator::with_faults(&path, CollisionModel::NoCollisionDetection, 5, faults);
