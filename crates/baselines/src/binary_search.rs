@@ -53,20 +53,17 @@ pub struct BinarySearchLeReport {
 
 /// Runs the reduction on `g`, with the channel under an explicit fault
 /// schedule (`None` = fault-free), stepping the engine `engine` was built
-/// for. `budget_factor` scales the per-phase broadcast budget `T_BC` (1.0 =
-/// the defaults above).
+/// for. Each phase lasts the probe's broadcast budget `T_BC` given above.
 pub fn binary_search_leader_election(
     engine: &mut SimScratch,
     g: &Graph,
     net: NetParams,
     kind: BroadcastKind,
-    budget_factor: f64,
     seed: u64,
     faults: Option<&FaultSchedule>,
 ) -> BinarySearchLeReport {
     let n = g.n();
-    let log_n = net.log2_n();
-    let bits = 2 * log_n;
+    let bits = 2 * net.log2_n();
     let mut idrng = rng::stream_rng(seed, 0x1D5);
     let ids: Vec<u64> = (0..n).map(|_| idrng.gen::<u64>() & ((1u64 << bits.min(63)) - 1)).collect();
 
@@ -75,22 +72,15 @@ pub fn binary_search_leader_election(
     let mut lo = vec![0u64; n];
     let mut hi = vec![1u64 << bits.min(63); n];
 
-    let log_d = net.log2_d() as u64;
+    let d = net.diameter() as u64;
+    let (log_n, log_d) = (u64::from(net.log2_n()), u64::from(net.log2_d()));
     let t_bc = match kind {
-        BroadcastKind::Bgi => {
-            // ~4x the empirical BGI completion time: a safe whp budget that
-            // keeps the reduction's overhead near its theoretical Θ(log n).
-            (budget_factor * (4 * (net.diameter() as u64 + log_n as u64) * log_n as u64) as f64)
-                as u64
-        }
-        BroadcastKind::CzumajDavies => {
-            let d = net.diameter() as u64;
-            (budget_factor
-                * (64 * d * log_n as u64 / log_d.max(1) + 8 * (log_n as u64).pow(3)) as f64)
-                as u64
-        }
+        // ~4x the empirical BGI completion time: a safe whp budget that
+        // keeps the reduction's overhead near its theoretical Θ(log n).
+        BroadcastKind::Bgi => 4 * (d + log_n) * log_n,
+        BroadcastKind::CzumajDavies => 64 * d * log_n / log_d.max(1) + 8 * log_n.pow(3),
         // A beep wave needs exactly D+1 rounds — collisions carry the bit.
-        BroadcastKind::BeepWaveCd => net.diameter() as u64 + 1,
+        BroadcastKind::BeepWaveCd => d + 1,
     }
     .max(16);
 
@@ -182,18 +172,19 @@ pub fn binary_search_leader_election(
 mod tests {
     use super::*;
     use rn_graph::generators;
+    use rn_sim::FaultPlan;
 
     /// A fault-free run on a throwaway Frontier scratch.
-    fn elect(g: &Graph, kind: BroadcastKind, budget: f64, seed: u64) -> BinarySearchLeReport {
+    fn elect(g: &Graph, kind: BroadcastKind, seed: u64) -> BinarySearchLeReport {
         let net = NetParams::of_graph(g);
-        binary_search_leader_election(&mut SimScratch::new(), g, net, kind, budget, seed, None)
+        binary_search_leader_election(&mut SimScratch::new(), g, net, kind, seed, None)
     }
 
     #[test]
     fn elects_max_id_over_bgi() {
         let g = generators::grid(8, 8);
         let net = NetParams::of_graph(&g);
-        let r = elect(&g, BroadcastKind::Bgi, 1.0, 7);
+        let r = elect(&g, BroadcastKind::Bgi, 7);
         assert!(r.consistent, "probe budgets should suffice whp");
         assert!(r.leader.is_some());
         assert_eq!(r.phases, 2 * net.log2_n());
@@ -209,28 +200,30 @@ mod tests {
     #[test]
     fn elects_over_compete_probe() {
         let g = generators::grid(8, 8);
-        let r = elect(&g, BroadcastKind::CzumajDavies, 1.0, 9);
+        let r = elect(&g, BroadcastKind::CzumajDavies, 9);
         assert!(r.consistent);
         assert!(r.leader.is_some());
     }
 
     #[test]
-    fn starved_budget_breaks_consistency_or_still_elects() {
-        // With a tiny budget factor the probes cannot finish; the run must
-        // either surface the inconsistency or happen to stay consistent —
-        // never panic or fabricate a leader silently.
+    fn starved_probes_break_consistency() {
+        // Total dropout keeps every node down, so no probe is heard: the
+        // sources step up and everyone else steps down. The run must
+        // surface that inconsistency — never panic or fabricate a leader.
         let g = generators::path(64);
-        let r = elect(&g, BroadcastKind::Bgi, 0.01, 3);
-        if !r.consistent {
-            assert_eq!(r.leader, None);
-        }
+        let (net, faults) = (NetParams::of_graph(&g), FaultPlan::drop(1.0).resolve(g.n(), 3));
+        let engine = &mut SimScratch::new();
+        let r =
+            binary_search_leader_election(engine, &g, net, BroadcastKind::Bgi, 3, Some(&faults));
+        assert!(!r.consistent);
+        assert_eq!(r.leader, None);
     }
 
     #[test]
     fn elects_over_beep_wave_cd_probe() {
         let g = generators::grid(8, 8);
         let net = NetParams::of_graph(&g);
-        let r = elect(&g, BroadcastKind::BeepWaveCd, 1.0, 13);
+        let r = elect(&g, BroadcastKind::BeepWaveCd, 13);
         assert!(r.consistent, "beep probes are deterministic given sources");
         assert!(r.leader.is_some());
         // Exactly phases * (D+1) rounds (modulo the 16-round phase floor):
@@ -241,7 +234,7 @@ mod tests {
     #[test]
     fn leader_holds_the_maximum_id_on_path() {
         let g = generators::path(32);
-        let r = elect(&g, BroadcastKind::Bgi, 1.0, 11);
+        let r = elect(&g, BroadcastKind::Bgi, 11);
         assert!(r.consistent);
         assert!(r.leader.is_some());
     }

@@ -37,7 +37,6 @@ impl Runnable for BinarySearchLeScenario {
             ctx.graph(),
             ctx.net(),
             self.kind,
-            1.0,
             ctx.seed(),
             ctx.faults(),
         );

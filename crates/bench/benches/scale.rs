@@ -1,6 +1,6 @@
 //! Scale suite: the engine hot path at `10⁵`–`10⁶` nodes.
 //!
-//! Nine groups, on the random-geometric topologies the scale-smoke CI lane
+//! Eight groups, on the random-geometric topologies the scale-smoke CI lane
 //! exercises and on the benchmark's precompute and propagation topologies:
 //!
 //! * `scale_engine_mode` — the same `10⁵`-node broadcast workload on a
@@ -8,14 +8,12 @@
 //!   engine) and a [`TrialPool::reference`] (stamp vectors). Round counts
 //!   are byte-identical by construction — the differential tests pin that —
 //!   so any wall-clock gap is pure engine-layout effect.
-//! * `scale_coin_sampler` — [`DecayBroadcast`] with per-index coins (the
-//!   registered default, sequence-pinned by the committed baselines) vs the
-//!   batched SplitMix64 word sampler ([`CoinSampler::Batched`]).
 //! * `scale_dense_rounds` — `decay(16)` on a mean-degree-`~125` RGG at
 //!   `10⁵` nodes, frontier vs reference. The frontier engine's degree-sum
 //!   trigger routes almost every round of this workload through the
-//!   word-level dense kernel (bitmap-row OR/AND accumulation), so the gap
-//!   over reference measures the dense kernel plus SoA state together.
+//!   word-level dense kernel, whose rows are all CSR here (the maximum
+//!   degree, 172, is below the 1562 bitmap-row threshold), so the gap over
+//!   reference measures the dense kernel plus SoA state together.
 //! * `scale_pooled_vs_fresh` — multi-trial `decay(16)` batches (ten at
 //!   `10⁵` nodes, one hundred at the `2×10³` campaign scale) on a new
 //!   [`TrialPool`] per trial vs one long-lived pool — the steady-state
@@ -48,10 +46,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rn_bench::BenchWorkload;
 use rn_cluster::{Partition, PartitionScratch};
 use rn_core::{CompeteParams, PrecomputeScratch, Precomputed};
-use rn_decay::{CoinSampler, DecayBroadcast};
 use rn_graph::TopologySpec;
 use rn_schedule::{SlotPolicy, TreeSchedule, TreeScheduleScratch};
-use rn_sim::{rng, CollisionModel, NetParams, Simulator, TrialPool};
+use rn_sim::{rng, NetParams, TrialPool};
 
 /// The 10⁵-node workload both A/B groups share (same shape as the CI
 /// scale-smoke cell, cheaper protocol so ten samples stay under a minute).
@@ -83,30 +80,6 @@ fn bench_engine_modes(c: &mut Criterion) {
                 let r = w.run_trial_in(seed, &mut pool());
                 assert!(r.completed, "{SCALE_SCENARIO} must complete under {label}");
                 r.rounds
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_coin_samplers(c: &mut Criterion) {
-    let spec: TopologySpec = "rgg(100000,0.006)".parse().expect("topology spec parses");
-    let g = spec.build(TOPOLOGY_SEED);
-    let net = NetParams::new(g.n(), g.diameter_double_sweep());
-    let mut group = c.benchmark_group("scale_coin_sampler");
-    group.sample_size(5);
-    for (sampler, label) in
-        [(CoinSampler::PerIndex, "per_index"), (CoinSampler::Batched, "batched")]
-    {
-        group.bench_function(label, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut p = DecayBroadcast::with_coin_sampler(net, &[(0, 1)], seed, sampler);
-                let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, seed);
-                let stats = sim.run_until(&mut p, 1_000_000, |_, p| p.all_informed());
-                assert!(p.all_informed(), "decay broadcast must complete under {label}");
-                stats.rounds
             });
         });
     }
@@ -309,7 +282,6 @@ fn bench_million(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_modes,
-    bench_coin_samplers,
     bench_dense_rounds,
     bench_pooled_vs_fresh,
     bench_dense_cd,

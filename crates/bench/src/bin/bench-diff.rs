@@ -4,14 +4,14 @@
 //! Usage:
 //!
 //! ```text
-//! bench-diff [--sigma N] [--gate-p95 PCT] [--gate-time PCT] BASELINE.json NEW.json
+//! bench-diff [--gate-p95 PCT] [--gate-time PCT] BASELINE.json NEW.json
 //! ```
 //!
 //! Prints a markdown report to stdout. Exit codes: `0` — no regressions
 //! (improvements and within-noise movements are fine); `1` — at least one
 //! cell regressed beyond its noise band or vanished from the new file;
 //! `2` — usage or I/O error. The noise band is
-//! `sigma · sqrt(s_a²/t_a + s_b²/t_b)` per cell, from the files' recorded
+//! `3 · sqrt(s_a²/t_a + s_b²/t_b)` per cell, from the files' recorded
 //! `stddev` and trial counts (see `rn_bench::diff`). By default the
 //! rounds-p50/p95 and `elapsed_ms` columns are informational only:
 //! `--gate-p95 PCT` opts into failing cells whose rounds p95 — the paper's
@@ -23,11 +23,9 @@
 
 #![forbid(unsafe_code)]
 
-use rn_bench::diff::DEFAULT_SIGMA;
 use rn_bench::{diff_results_with, DiffOptions, Json};
 
 fn main() {
-    let mut sigma = DEFAULT_SIGMA;
     let mut gate_time: Option<f64> = None;
     let mut gate_p95: Option<f64> = None;
     let mut files: Vec<String> = Vec::new();
@@ -35,14 +33,6 @@ fn main() {
     let mut it = raw.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--sigma" => {
-                let v = it.next().unwrap_or_else(|| usage("missing value for --sigma"));
-                sigma = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-                    .unwrap_or_else(|| usage("--sigma takes a non-negative number"));
-            }
             "--gate-time" => {
                 let v = it.next().unwrap_or_else(|| usage("missing value for --gate-time"));
                 gate_time = Some(
@@ -71,7 +61,7 @@ fn main() {
 
     let base = load(base_path);
     let new = load(new_path);
-    let options = DiffOptions { sigma, time_gate_pct: gate_time, p95_gate_pct: gate_p95 };
+    let options = DiffOptions { time_gate_pct: gate_time, p95_gate_pct: gate_p95 };
     let report = diff_results_with(&base, &new, options).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -95,8 +85,6 @@ fn load(path: &str) -> Json {
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
-    eprintln!(
-        "usage: bench-diff [--sigma N] [--gate-p95 PCT] [--gate-time PCT] BASELINE.json NEW.json"
-    );
+    eprintln!("usage: bench-diff [--gate-p95 PCT] [--gate-time PCT] BASELINE.json NEW.json");
     std::process::exit(2);
 }

@@ -11,7 +11,7 @@
 //! band = sigma · sqrt(s_a²/t_a + s_b²/t_b)
 //! ```
 //!
-//! with `sigma` the caller's confidence multiplier (default 3). Files
+//! with `sigma` the confidence multiplier [`DEFAULT_SIGMA`] (3). Files
 //! predating the `stddev` field get a zero-width band, so *any* movement is
 //! flagged — strict, but honest about having no noise estimate. A cell
 //! present in the baseline but missing from the new run counts as a
@@ -33,7 +33,7 @@ use crate::campaign::validate_results;
 use crate::harness::Table;
 use crate::json::Json;
 
-/// Default confidence multiplier for the noise band (≈ 3 standard errors).
+/// Confidence multiplier for the noise band (≈ 3 standard errors).
 pub const DEFAULT_SIGMA: f64 = 3.0;
 
 /// How one baseline/new cell pair compares.
@@ -112,8 +112,6 @@ pub struct DiffReport {
     pub base_id: String,
     /// New document id.
     pub new_id: String,
-    /// The sigma multiplier the bands used.
-    pub sigma: f64,
     /// Opt-in wall-clock gate: cells whose `elapsed_ms` grew by more than
     /// this percentage count as regressed. `None` (the default) keeps
     /// elapsed time informational.
@@ -146,8 +144,8 @@ impl DiffReport {
         let p95_gate = self.p95_gate_pct.map_or(String::new(), |pct| format!(", p95 gate +{pct}%"));
         let mut t = Table::new(
             format!(
-                "bench-diff: {} → {} (±{}σ noise band{p95_gate}{time_gate})",
-                self.base_id, self.new_id, self.sigma
+                "bench-diff: {} → {} (±{DEFAULT_SIGMA}σ noise band{p95_gate}{time_gate})",
+                self.base_id, self.new_id
             ),
             &[
                 "cell",
@@ -214,23 +212,15 @@ impl DiffReport {
     }
 }
 
-/// Knobs for a diff beyond the two documents: the noise multiplier and the
-/// two opt-in gates. `Default` reproduces the plain informational diff.
-#[derive(Debug, Clone, Copy)]
+/// Knobs for a diff beyond the two documents: the two opt-in gates.
+/// `Default` reproduces the plain informational diff.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DiffOptions {
-    /// Confidence multiplier for the mean-rounds noise band.
-    pub sigma: f64,
     /// Opt-in wall-clock gate percentage (see [`DiffReport::time_gate_pct`]).
     pub time_gate_pct: Option<f64>,
     /// Opt-in rounds-p95 tail gate percentage (see
     /// [`DiffReport::p95_gate_pct`]).
     pub p95_gate_pct: Option<f64>,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions { sigma: DEFAULT_SIGMA, time_gate_pct: None, p95_gate_pct: None }
-    }
 }
 
 /// A cell's comparison-relevant numbers.
@@ -292,7 +282,7 @@ pub fn diff_results_with(
     new: &Json,
     options: DiffOptions,
 ) -> Result<DiffReport, String> {
-    let DiffOptions { sigma, time_gate_pct, p95_gate_pct } = options;
+    let DiffOptions { time_gate_pct, p95_gate_pct } = options;
     let (base_id, base_cells) = extract(base)?;
     let (new_id, new_cells) = extract(new)?;
     for cells in [&base_cells, &new_cells] {
@@ -319,7 +309,7 @@ pub fn diff_results_with(
                 new_elapsed_ms: None,
             },
             Some(n) => {
-                let noise = sigma
+                let noise = DEFAULT_SIGMA
                     * (b.stddev * b.stddev / b.trials.max(1.0)
                         + n.stddev * n.stddev / n.trials.max(1.0))
                     .sqrt();
@@ -379,7 +369,7 @@ pub fn diff_results_with(
             });
         }
     }
-    Ok(DiffReport { base_id, new_id, sigma, time_gate_pct, p95_gate_pct, rows })
+    Ok(DiffReport { base_id, new_id, time_gate_pct, p95_gate_pct, rows })
 }
 
 #[cfg(test)]
@@ -387,8 +377,7 @@ mod tests {
     use super::*;
 
     /// The plain diff plus a 10 % wall-clock gate.
-    const TIME_GATE_10: DiffOptions =
-        DiffOptions { sigma: DEFAULT_SIGMA, time_gate_pct: Some(10.0), p95_gate_pct: None };
+    const TIME_GATE_10: DiffOptions = DiffOptions { time_gate_pct: Some(10.0), p95_gate_pct: None };
 
     /// A minimal schema-valid document with one tweakable cell.
     fn doc(mean: f64, stddev: f64, trials: u64, protocol: &str) -> String {

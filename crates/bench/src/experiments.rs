@@ -520,7 +520,7 @@ pub fn e9_leader_election(seed: u64, threads: usize) -> Vec<Table> {
         let bs = mean(&parallel_trials(2, threads, |i| {
             let seed = rng::derive(seed, i);
             let (kind, engine) = (BroadcastKind::Bgi, &mut SimScratch::new());
-            binary_search_leader_election(engine, g, net, kind, 1.0, seed, None).rounds as f64
+            binary_search_leader_election(engine, g, net, kind, seed, None).rounds as f64
         }));
         t.row(&[
             name.clone(),
@@ -727,7 +727,6 @@ pub fn e12_model(seed: u64, threads: usize) -> Vec<Table> {
                 &g,
                 net,
                 BroadcastKind::Bgi,
-                1.0,
                 rng::derive(seed, 0x80),
                 None,
             );
@@ -736,7 +735,6 @@ pub fn e12_model(seed: u64, threads: usize) -> Vec<Table> {
                 &g,
                 net,
                 BroadcastKind::BeepWaveCd,
-                1.0,
                 rng::derive(seed, 0x81),
                 None,
             );

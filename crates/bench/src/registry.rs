@@ -21,10 +21,8 @@
 //!
 //! * **parameter overrides** — families with an override schema (the
 //!   Compete family: `broadcast`, `broadcast_hw`, `compete`,
-//!   `leader_election`; the decay families: `decay`, `decay_trunc`) accept
-//!   per-cell `{key=value}` overrides, e.g. `broadcast{curtail=1e6}`,
-//!   `compete(4){mu=0.2,background=0}` or `decay(16){coins=batched}`
-//!   (enum-valued keys take symbolic names);
+//!   `leader_election`) accept per-cell numeric `{key=value}` overrides,
+//!   e.g. `broadcast{curtail=1e6}` or `compete(4){mu=0.2,background=0}`;
 //! * **positional arguments** — per-family grammar, e.g. `compete(4,corner)`,
 //!   `binsearch_le(beep)`, `partition(0.5)`, `schedule(upcast,0.1)`;
 //! * **fault suffixes** — a scenario may append `!jam(K,P)`, `!drop(P)`
@@ -37,7 +35,7 @@
 //! first round trip.
 
 use rn_graph::TopologySpec;
-use rn_sim::{CollisionModel, FaultPlan, OverrideClass, OverrideSpec, ProtocolFamily, Runnable};
+use rn_sim::{CollisionModel, FaultPlan, OverrideSpec, ProtocolFamily, Runnable};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -161,35 +159,16 @@ impl Overrides {
         if s.trim().is_empty() {
             return Err(RegistryError::new("empty override list {} (omit the braces instead)"));
         }
-        let schema = family.overrides();
         let mut pairs = Vec::new();
         for item in s.split(',') {
             let item = item.trim();
             let (key, value) = item
                 .split_once('=')
                 .ok_or_else(|| RegistryError::new(format!("override {item:?} is not key=value")))?;
-            let key = key.trim();
-            let value = value.trim();
-            // The key's class decides how the value text parses (enum keys
-            // take symbolic names, everything else a number), so resolve
-            // the spec before touching the value.
-            let spec = schema.iter().find(|sp| sp.key == key).ok_or_else(|| {
-                RegistryError::new(format!(
-                    "unknown override key {key:?} for {} (known: {})",
-                    family.name(),
-                    schema.iter().map(|s| s.key).collect::<Vec<_>>().join(", ")
-                ))
-            })?;
-            let v: f64 = match spec.class {
-                OverrideClass::Enum(names) => {
-                    names.iter().position(|&n| n == value).ok_or_else(|| {
-                        RegistryError::new(format!("{key} takes one of: {}", names.join(", ")))
-                    })? as f64
-                }
-                _ => value
-                    .parse()
-                    .map_err(|_| RegistryError::new(format!("{key}: {value:?} is not a number")))?,
-            };
+            let (key, value) = (key.trim(), value.trim());
+            let v: f64 = value
+                .parse()
+                .map_err(|_| RegistryError::new(format!("{key}: {value:?} is not a number")))?;
             pairs.push((key, v));
         }
         Overrides::try_from_pairs(family, pairs)
@@ -206,10 +185,7 @@ impl fmt::Display for Overrides {
             if i > 0 {
                 write!(f, ",")?;
             }
-            match k.enum_name(*v) {
-                Some(name) => write!(f, "{}={name}", k.key)?,
-                None => write!(f, "{}={v}", k.key)?,
-            }
+            write!(f, "{}={v}", k.key)?;
         }
         write!(f, "}}")
     }
@@ -615,16 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn enum_overrides_parse_symbolically_and_display_names() {
-        for s in ["decay(4){coins=batched}", "decay_trunc(2){coins=per_index}"] {
-            let spec: ProtocolSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
-            assert_eq!(spec.to_string(), s, "enum values display as names, not indices");
-        }
-        let err = "decay(4){coins=fast}".parse::<ProtocolSpec>().unwrap_err().to_string();
-        assert!(err.contains("coins takes one of: per_index, batched"), "{err}");
-    }
-
-    #[test]
     fn unknown_override_keys_suggest_the_familys_own_schema() {
         let err = "broadcast{nosuch=1}".parse::<ProtocolSpec>().unwrap_err().to_string();
         assert!(err.contains("unknown override key \"nosuch\" for broadcast"), "{err}");
@@ -633,6 +599,14 @@ mod tests {
         let err = "partition(0.5){curtail=1}".parse::<ProtocolSpec>().unwrap_err().to_string();
         assert!(err.contains("partition takes no {...} overrides"), "{err}");
         assert!(err.contains("broadcast") && err.contains("leader_election"), "{err}");
+        // The decay families draw their coins one way and take no key.
+        for (s, family) in [
+            ("decay(4){coins=batched}", "decay"),
+            ("decay_trunc(2){coins=per_index}", "decay_trunc"),
+        ] {
+            let err = s.parse::<ProtocolSpec>().unwrap_err().to_string();
+            assert!(err.contains(&format!("{family} takes no {{...}} overrides")), "{err}");
+        }
     }
 
     #[test]
@@ -655,9 +629,6 @@ mod tests {
             "broadcast{curtail=1",
             "bgi{curtail=1}",
             "decay(4){mu=0.2}",
-            "decay(4){coins=1}",
-            "decay(4){coins=nosuch}",
-            "decay_trunc(4){coins=}",
             "binsearch_le(bgi){curtail=1}",
             "schedule(downcast){mu=0.2}",
             "compete_cd(4){curtail=1}",

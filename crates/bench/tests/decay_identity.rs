@@ -1,9 +1,9 @@
 //! Decay-family byte-identity regression gate.
 //!
 //! The §1.3 baselines (`bgi`, `truncated`), the raw multi-source decay
-//! families (`decay(K)`, `decay_trunc(K)`, under either coin sampler) and
-//! the binary-search leader-election reduction over its two no-CD probes
-//! all run decay-style protocols whose rounds the committed baselines and
+//! families (`decay(K)`, `decay_trunc(K)`) and the binary-search
+//! leader-election reduction over its two no-CD probes all run
+//! decay-style protocols whose rounds the committed baselines and
 //! the paper tables report. The byte-pinned baselines cover only `bgi` and
 //! `decay(16)`, so this test pins the rest: a SplitMix64 fold over every
 //! [`TrialRecord`] field the results report (completion, rounds,
@@ -12,10 +12,10 @@
 //!
 //! Every case runs through ONE [`TrialPool`], with the protocols
 //! interleaved innermost: the pool's decay slot switches between the full
-//! and the truncated schedule, between samplers and between source counts
-//! on every trial, as an executor worker's pool does across the cells of a
-//! mixed campaign. A stale schedule, coin stream or informed list surviving
-//! a reset shows up here as a fingerprint mismatch.
+//! and the truncated schedule and between source counts on every trial, as
+//! an executor worker's pool does across the cells of a mixed campaign. A
+//! stale schedule, coin stream or informed list surviving a reset shows up
+//! here as a fingerprint mismatch.
 
 use rn_bench::ProtocolSpec;
 use rn_graph::TopologySpec;
@@ -42,8 +42,6 @@ fn decay_family_trials_are_byte_identical() {
         ("truncated", 0xf2b9_3712_633c_e257),
         ("decay(4)", 0x7373_fd8d_e234_fae1),
         ("decay_trunc(4)", 0x2129_47c9_ef25_26e9),
-        ("decay(4){coins=batched}", 0x9071_f981_f115_f1d4),
-        ("decay_trunc(4){coins=batched}", 0x04c1_f39f_db4d_4982),
         ("binsearch_le(bgi)", 0xcea6_d43f_dae0_3394),
         ("binsearch_le(cd17)", 0xdf62_9f78_e3e5_3ad0),
     ];

@@ -52,7 +52,6 @@ fn arb_overrides() -> impl Strategy<Value = Overrides> {
                     OverrideClass::Int => 1.0 + v.floor(),
                     OverrideClass::Float => v,
                     OverrideClass::Fraction => v / 8.0,
-                    OverrideClass::Enum(names) => (v as usize % names.len()) as f64,
                 };
                 Some((spec.key, v))
             });
@@ -98,8 +97,8 @@ fn arb_protocol_string() -> impl Strategy<Value = String> {
     )
 }
 
-/// The words scenario strings are made of: every registered family name,
-/// override key and enum value, every topology and fault form's name, the
+/// The words scenario strings are made of: every registered family name
+/// and override key, every topology and fault form's name, the
 /// grammar's punctuation, signed, huge and non-finite numbers, and
 /// multibyte characters.
 fn vocabulary() -> Vec<String> {
@@ -107,12 +106,7 @@ fn vocabulary() -> Vec<String> {
     let mut words: Vec<String> = Vec::new();
     for f in families() {
         words.push(f.name().into());
-        for key in f.overrides() {
-            words.push(key.key.into());
-            if let OverrideClass::Enum(names) = key.class {
-                words.extend(names.iter().map(|n| n.to_string()));
-            }
-        }
+        words.extend(f.overrides().iter().map(|key| key.key.to_string()));
     }
     words.extend(TopologySpec::GRAMMAR.iter().map(|form| head(form)));
     words.extend(FaultPlan::GRAMMAR.iter().map(|form| head(form)));
@@ -217,23 +211,6 @@ proptest! {
     }
 
     #[test]
-    fn decay_coin_override_strings_round_trip(
-        k in 1usize..16,
-        trunc in 0u8..2,
-        coins in 0usize..3,
-    ) {
-        // The decay families' enum-valued `coins` override: symbolic names
-        // parse and display canonically (never as an index).
-        let family = if trunc == 1 { "decay_trunc" } else { "decay" };
-        let suffix = ["", "{coins=per_index}", "{coins=batched}"][coins];
-        let s = format!("{family}({k}){suffix}");
-        let spec: ProtocolSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
-        prop_assert_eq!(spec.to_string(), s.clone(), "canonical form is stable");
-        let back: ProtocolSpec = spec.to_string().parse().expect("reparses");
-        prop_assert_eq!(back, spec, "parse(display) for {}", s);
-    }
-
-    #[test]
     fn every_registered_family_round_trips(proto in arb_protocol_string()) {
         let spec: ProtocolSpec = proto.parse().unwrap_or_else(|e| panic!("{proto}: {e}"));
         prop_assert_eq!(spec.to_string(), proto.clone(), "canonical form is stable");
@@ -249,7 +226,7 @@ proptest! {
     ) {
         let mut protocol: ProtocolSpec = proto.parse().expect("protocol");
         // The generated overrides reference the Compete schema, so they only
-        // attach to families sharing it (decay's `coins` schema differs).
+        // attach to families sharing it.
         let compete_schema = find_family("broadcast").expect("registered").overrides();
         if protocol.family().overrides() != compete_schema {
             protocol = ProtocolSpec::parse("compete(4)");

@@ -5,11 +5,11 @@
 //! and `decay(16)` cells, and the other identity gates fold
 //! [`rn_sim::TrialRecord`]s, not the cell labels. This test covers every
 //! registered family: each canonical instance of [`ProtocolSpec::all`], plus
-//! an enum override, a non-default schedule β, a Compete override on the
-//! Haeupler–Wajc base parameters and a deterministic source placement. Each
-//! runs as a 2-trial [`Campaign::single`] on `grid(6x6)` under a list of
-//! fault plans, and every rendered cell — `protocol` label, effective model,
-//! fault plan, round and channel statistics — is folded byte for byte into a
+//! a non-default schedule β, a Compete override on the Haeupler–Wajc base
+//! parameters and a deterministic source placement. Each runs as a 2-trial
+//! [`Campaign::single`] on `grid(6x6)` under a list of fault plans, and
+//! every rendered cell — `protocol` label, effective model, fault plan,
+//! round and channel statistics — is folded byte for byte into a
 //! SplitMix64 fingerprint. One table pins the cells fault-free and under
 //! `drop(0.05)`; a second pins them under crash-stop and jamming, the fault
 //! paths the engine resolves per listener.
@@ -74,7 +74,6 @@ fn every_family_cell_is_byte_identical() {
         ("partition(0.5)", 0xd4b9_a1cf_bd7f_eea0),
         ("schedule(downcast)", 0x41eb_ef00_bb83_e5bf),
         ("schedule(upcast)", 0xa176_920e_1053_1e66),
-        ("decay(2){coins=batched}", 0x3f9c_e9bc_7bbe_e66b),
         ("schedule(upcast,0.1)", 0xf99e_5f88_d878_a2d6),
         ("broadcast_hw{mu=0.5}", 0xf887_8af2_5eeb_3668),
         ("compete(3,corner)", 0x7f79_8b7a_6067_e383),
@@ -104,7 +103,6 @@ fn every_family_cell_is_byte_identical_under_crash_and_jam() {
         ("partition(0.5)", 0x633d_b08e_f67c_78b4),
         ("schedule(downcast)", 0xac7d_9cfd_e317_2c8c),
         ("schedule(upcast)", 0xcfcc_3c4d_f8fe_6ca3),
-        ("decay(2){coins=batched}", 0x4d09_beac_0921_99cd),
         ("schedule(upcast,0.1)", 0x69e4_73c4_61e8_6ea6),
         ("broadcast_hw{mu=0.5}", 0xb8c6_fd2f_d753_ee69),
         ("compete(3,corner)", 0xcffe_995c_8d24_a45f),

@@ -1,44 +1,23 @@
 use crate::primitive::DecaySteps;
 use rand::rngs::SmallRng;
 use rn_graph::NodeId;
-use rn_sim::rng::{self, bernoulli_indices_ln_q, bernoulli_pow2_indices, WordStream};
+use rn_sim::rng::{self, bernoulli_indices_ln_q};
 use rn_sim::{NetParams, NodeValues, Protocol, Round, TxBuf};
 
-/// How a decay protocol draws its per-round transmission coins.
+/// How a decay protocol draws its per-round transmission coins: one
+/// sampler, the per-index geometric skip over the informed list, whose
+/// sequence every committed baseline pins.
 ///
-/// The two samplers draw *different* (equally valid) random sequences, so
-/// the choice is part of a run's identity: registered scenario families pin
-/// [`CoinSampler::PerIndex`] — the historical sequence all committed
-/// baselines were recorded under — and the batched sampler is opt-in for
-/// large-scale runs, where drawing 64 coins per `u64` word beats the
-/// per-success geometric skipping once frontiers reach `10⁵`–`10⁶` nodes.
+/// The type and the `sampler` parameter of
+/// [`DecayBroadcast::with_coin_sampler`] and [`DecayBroadcast::reset`]
+/// carry no choice: they stay only because `perfbench-trace` calls them,
+/// and go with the next change to the benchmark (ROADMAP item 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoinSampler {
     /// Geometric index skipping over the informed list (`SmallRng`);
-    /// cost `O(successes)` per round. The default and baseline-pinned
-    /// sequence.
+    /// cost `O(successes)` per round.
     #[default]
     PerIndex,
-    /// Word-batched sampling from a [`WordStream`]: one `u64` draw yields
-    /// 64 fair coins, AND-ed `j` deep for the decay probability `2^-j`;
-    /// cost `O(frontier/64 · j)` per round regardless of density.
-    Batched,
-}
-
-/// The sampler state behind a [`CoinSampler`] choice.
-#[derive(Debug)]
-enum CoinState {
-    PerIndex(SmallRng),
-    Batched(WordStream),
-}
-
-impl CoinState {
-    fn new(sampler: CoinSampler, seed: u64) -> CoinState {
-        match sampler {
-            CoinSampler::PerIndex => CoinState::PerIndex(rng::rng_from_seed(seed)),
-            CoinSampler::Batched => CoinState::Batched(WordStream::new(seed, 0xC01)),
-        }
-    }
 }
 
 /// Which cycle of decay depths a [`DecayBroadcast`] runs.
@@ -83,7 +62,7 @@ pub struct DecayBroadcast {
     /// One period of the schedule as decay exponents `j` (transmission
     /// probability `2^-j`), indexed by `round mod len`.
     cycle: Vec<u32>,
-    /// `ln(1 − 2^-j)` for each entry of `cycle`: the per-index sampler's
+    /// `ln(1 − 2^-j)` for each entry of `cycle`: the coin draw's
     /// geometric-skip constant, computed once per reset instead of once per
     /// round.
     ln_q: Vec<f64>,
@@ -94,7 +73,8 @@ pub struct DecayBroadcast {
     /// coin-index space of the decay draw, so its push order is part of a
     /// run's identity.
     informed_list: Vec<NodeId>,
-    coins: CoinState,
+    /// The trial's coin stream, reseeded by every reset.
+    rng: SmallRng,
     scratch: Vec<usize>,
 }
 
@@ -107,7 +87,7 @@ impl Default for DecayBroadcast {
             ln_q: Vec::new(),
             values: NodeValues::new(0),
             informed_list: Vec::new(),
-            coins: CoinState::new(CoinSampler::default(), 0),
+            rng: rng::rng_from_seed(0),
             scratch: Vec::new(),
         }
     }
@@ -115,14 +95,12 @@ impl Default for DecayBroadcast {
 
 impl DecayBroadcast {
     /// Multi-source BGI broadcast: each `(node, value)` pair starts
-    /// informed. Coins come from the default [`CoinSampler::PerIndex`]
-    /// sampler.
+    /// informed.
     pub fn new(params: NetParams, sources: &[(NodeId, u64)], seed: u64) -> DecayBroadcast {
         DecayBroadcast::with_coin_sampler(params, sources, seed, CoinSampler::default())
     }
 
-    /// Multi-source BGI broadcast with an explicit coin sampler (see
-    /// [`CoinSampler`] for when the batched variant pays off).
+    /// [`DecayBroadcast::new`] with the one [`CoinSampler`] named.
     pub fn with_coin_sampler(
         params: NetParams,
         sources: &[(NodeId, u64)],
@@ -177,7 +155,8 @@ impl DecayBroadcast {
                 self.informed_list.push(s);
             }
         }
-        self.coins = CoinState::new(sampler, seed);
+        let CoinSampler::PerIndex = sampler;
+        self.rng = rng::rng_from_seed(seed);
         self.scratch.clear();
         self.scratch.reserve(params.n());
     }
@@ -215,18 +194,10 @@ impl Protocol for DecayBroadcast {
     fn transmit(&mut self, round: Round, tx: &mut TxBuf<u64>) {
         let pos = (round % self.cycle.len() as u64) as usize;
         self.scratch.clear();
-        match &mut self.coins {
-            // `bernoulli_indices` with p = 2^-j ∈ (0, 1/2], minus its
-            // per-call logarithm.
-            CoinState::PerIndex(rng) => {
-                let k = self.informed_list.len();
-                bernoulli_indices_ln_q(rng, k, self.ln_q[pos], &mut self.scratch);
-            }
-            CoinState::Batched(ws) => {
-                let j = self.cycle[pos];
-                bernoulli_pow2_indices(ws, self.informed_list.len(), j, &mut self.scratch);
-            }
-        }
+        // `bernoulli_indices` with p = 2^-j ∈ (0, 1/2], minus its per-call
+        // logarithm.
+        let k = self.informed_list.len();
+        bernoulli_indices_ln_q(&mut self.rng, k, self.ln_q[pos], &mut self.scratch);
         for &idx in &self.scratch {
             let u = self.informed_list[idx];
             let v = self.values.get(u).expect("informed nodes have values");
@@ -253,18 +224,16 @@ mod tests {
         params: NetParams,
         sources: &[(NodeId, u64)],
         seed: u64,
-        coins: CoinSampler,
         schedule: DecaySchedule,
     ) -> DecayBroadcast {
         let mut p = DecayBroadcast { schedule, ..DecayBroadcast::default() };
-        p.reset(params, sources, seed, coins);
+        p.reset(params, sources, seed, CoinSampler::default());
         p
     }
 
-    /// Single-source truncated-decay broadcast with the default sampler.
+    /// Single-source truncated-decay broadcast.
     fn truncated(params: NetParams, source: NodeId, value: u64, seed: u64) -> DecayBroadcast {
-        let coins = CoinSampler::default();
-        scheduled(params, &[(source, value)], seed, coins, DecaySchedule::Truncated)
+        scheduled(params, &[(source, value)], seed, DecaySchedule::Truncated)
     }
 
     fn run_to_completion<P: Protocol>(
@@ -327,32 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn bgi_batched_coins_complete_and_differ_from_per_index() {
-        // The batched sampler is a different (equally valid) random
-        // sequence: broadcasting must still complete, and the default
-        // sampler's sequence — which all committed baselines pin — must be
-        // untouched by its existence.
-        let g = generators::path(64);
-        let params = NetParams::of_graph(&g);
-        let mut batched =
-            DecayBroadcast::with_coin_sampler(params, &[(0, 42)], 7, CoinSampler::Batched);
-        let batched_rounds = run_to_completion(&g, &mut batched, |p| p.all_informed(), 200_000, 7)
-            .expect("batched sampler completes");
-        assert!(g.nodes().all(|v| batched.value_of(v) == Some(42)));
-
-        let run_default = || {
-            let mut p = DecayBroadcast::new(params, &[(0, 42)], 7);
-            run_to_completion(&g, &mut p, |p| p.all_informed(), 200_000, 7).expect("completes")
-        };
-        assert_eq!(run_default(), run_default(), "default sampler is deterministic");
-        assert_ne!(
-            batched_rounds,
-            run_default(),
-            "the samplers draw different sequences (same seed)"
-        );
-    }
-
-    #[test]
     fn duplicate_sources_are_merged() {
         let g = generators::path(4);
         let params = NetParams::of_graph(&g);
@@ -382,34 +325,12 @@ mod tests {
     }
 
     #[test]
-    fn truncated_batched_coins_complete_and_differ_from_per_index() {
-        // Same contract as the BGI variant: the word-batched sampler is a
-        // different valid sequence, completion still holds, and the default
-        // per-index sequence is untouched.
-        let g = generators::path(128);
-        let params = NetParams::of_graph(&g);
-        let schedule = DecaySchedule::Truncated;
-        let mut batched = scheduled(params, &[(0, 42)], 17, CoinSampler::Batched, schedule);
-        let batched_rounds = run_to_completion(&g, &mut batched, |p| p.all_informed(), 400_000, 17)
-            .expect("batched sampler completes");
-        assert!(g.nodes().all(|v| batched.value_of(v) == Some(42)));
-        let run_default = || {
-            let mut p = truncated(params, 0, 42, 17);
-            run_to_completion(&g, &mut p, |p| p.all_informed(), 400_000, 17).expect("completes")
-        };
-        assert_eq!(run_default(), run_default(), "default sampler is deterministic");
-        assert_ne!(batched_rounds, run_default(), "different sequences for the same seed");
-    }
-
-    #[test]
     fn decay_cycles_lay_out_full_and_truncated_rounds() {
         // Full: one decay round of depth ⌈log₂ n⌉. Truncated: full_every − 1
         // rounds of depth k = ⌈log₂(n/D)⌉ + 2 (clamped to [2, ⌈log₂ n⌉]),
         // then one of depth max(⌈log₂ n⌉, k).
         let cycle = |n, d, schedule| {
-            let net = NetParams::new(n, d);
-            let coins = CoinSampler::default();
-            scheduled(net, &[(0, 1)], 1, coins, schedule).cycle().to_vec()
+            scheduled(NetParams::new(n, d), &[(0, 1)], 1, schedule).cycle().to_vec()
         };
         let run = |depth: u32| (1..=depth).collect::<Vec<u32>>();
         let (full, trunc) = (DecaySchedule::Full, DecaySchedule::Truncated);

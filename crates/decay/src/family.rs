@@ -6,31 +6,10 @@
 //! `decay` and `decay_trunc` differ only in their [`DecaySchedule`], so
 //! they are `static` values of one [`DecayFamily`].
 
-use crate::broadcast::{CoinSampler, DecaySchedule};
+use crate::broadcast::DecaySchedule;
 use crate::scenario::{CdDecayScenario, DecayScenario};
 use rn_sim::family::{parse_count, ParsedArgs, ProtocolFamily};
-use rn_sim::{OverrideClass, OverrideSpec, Runnable};
-
-/// The override schema of [`DecayFamily`]: the coin sampler. `per_index`
-/// is the baseline-pinned default; `batched` draws 64 coins per `u64` word
-/// (a different, equally valid random sequence — opt-in for large-scale
-/// runs).
-// A `static` (not `const`): every value of the family must return the same
-// slice address — the listing groups shared schemas by pointer identity.
-static DECAY_OVERRIDES: &[OverrideSpec] = &[OverrideSpec::new(
-    "coins",
-    "coin sampler: per_index (baseline sequence) or batched (word-level draws)",
-    OverrideClass::Enum(&["per_index", "batched"]),
-)];
-
-/// Resolves the `coins` override to a [`CoinSampler`] (default
-/// [`CoinSampler::PerIndex`]).
-fn coin_sampler(overrides: &[(&'static OverrideSpec, f64)]) -> CoinSampler {
-    match overrides.iter().find(|(s, _)| s.key == "coins") {
-        Some(&(_, v)) if v as usize == 1 => CoinSampler::Batched,
-        _ => CoinSampler::PerIndex,
-    }
-}
+use rn_sim::{OverrideSpec, Runnable};
 
 /// Raw multi-source decay with `K` spread sources under one
 /// [`DecaySchedule`]. [`DECAY`] and [`DECAY_TRUNC`] are its values.
@@ -74,10 +53,6 @@ impl ProtocolFamily for DecayFamily {
         &[Some("4")]
     }
 
-    fn overrides(&self) -> &'static [OverrideSpec] {
-        DECAY_OVERRIDES
-    }
-
     fn parse_args(&self, args: Option<&str>) -> Result<ParsedArgs, String> {
         let k = parse_count(self.name, args)?;
         Ok(ParsedArgs::with_args(k.to_string()))
@@ -86,10 +61,10 @@ impl ProtocolFamily for DecayFamily {
     fn instantiate(
         &self,
         args: Option<&str>,
-        overrides: &[(&'static OverrideSpec, f64)],
+        _overrides: &[(&'static OverrideSpec, f64)],
     ) -> Box<dyn Runnable> {
         let k = parse_count(self.name, args).expect("canonical decay args");
-        Box::new(DecayScenario::new(k, self.schedule).with_coins(coin_sampler(overrides)))
+        Box::new(DecayScenario::new(k, self.schedule))
     }
 }
 
@@ -174,16 +149,5 @@ mod tests {
         assert!(DECAY.parse_args(None).is_err());
         assert!(CompeteCdFamily.parse_args(Some("0")).is_err());
         assert!(BroadcastCdFamily.parse_args(Some("1")).is_err());
-    }
-
-    #[test]
-    fn coins_override_selects_the_batched_sampler_and_keeps_the_label() {
-        let spec = &DECAY_OVERRIDES[0];
-        assert_eq!(coin_sampler(&[]), CoinSampler::PerIndex);
-        assert_eq!(coin_sampler(&[(spec, 0.0)]), CoinSampler::PerIndex);
-        assert_eq!(coin_sampler(&[(spec, 1.0)]), CoinSampler::Batched);
-        // Both schedules share the one schema, so `{coins=…}` reads the
-        // same on either family.
-        assert!(std::ptr::eq(DECAY.overrides(), DECAY_TRUNC.overrides()));
     }
 }

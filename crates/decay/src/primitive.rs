@@ -55,10 +55,9 @@ impl DecaySteps {
     }
 
     /// The exponent `j` such that [`DecaySteps::probability`] is exactly
-    /// `2^-j` at `step` — decay probabilities are all exact powers of two,
-    /// which is what lets the batched word sampler
-    /// ([`rn_sim::rng::bernoulli_pow2_indices`]) draw them 64 coins at a
-    /// time.
+    /// `2^-j` at `step` — decay probabilities are all exact powers of two.
+    /// [`DecayBroadcast`](crate::DecayBroadcast) lays out its cycle of
+    /// decay depths from these exponents.
     #[inline]
     pub fn exponent(&self, step: u64) -> u32 {
         (step % self.depth as u64) as u32 + 1

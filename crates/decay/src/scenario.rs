@@ -18,23 +18,12 @@ pub struct DecayScenario {
     pub sources: usize,
     /// The decay rounds [`DecayBroadcast`] runs.
     pub schedule: DecaySchedule,
-    /// How trials draw their transmission coins ([`CoinSampler::PerIndex`]
-    /// unless the `{coins=batched}` override selects otherwise).
-    pub coins: CoinSampler,
 }
 
 impl DecayScenario {
-    /// Decay with `sources` sources (at least one) under `schedule`,
-    /// drawing coins per index.
+    /// Decay with `sources` sources (at least one) under `schedule`.
     pub fn new(sources: usize, schedule: DecaySchedule) -> DecayScenario {
-        DecayScenario { sources: sources.max(1), schedule, coins: CoinSampler::default() }
-    }
-
-    /// Selects the coin sampler (builder-style, for the `{coins=…}`
-    /// override).
-    pub fn with_coins(mut self, coins: CoinSampler) -> DecayScenario {
-        self.coins = coins;
-        self
+        DecayScenario { sources: sources.max(1), schedule }
     }
 
     /// Evenly spaced source placement (deterministic in the graph size),
@@ -63,7 +52,7 @@ impl Runnable for DecayScenario {
         self.place_sources(n, &mut st.sources);
         let p = &mut st.protocol;
         p.schedule = self.schedule;
-        p.reset(net, &st.sources, seed, self.coins);
+        p.reset(net, &st.sources, seed, CoinSampler::default());
         st.tx.clear();
         st.tx.reserve(n);
         let budget = net.decay_broadcast_budget();

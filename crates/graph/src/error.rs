@@ -19,8 +19,6 @@ pub enum GraphError {
     },
     /// The graph has zero nodes; the model requires at least one station.
     Empty,
-    /// The graph is not connected but the operation requires connectivity.
-    Disconnected,
     /// More nodes were requested than the `u32` node-id space can address.
     TooManyNodes {
         /// The requested node count.
@@ -36,7 +34,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::SelfLoop { node } => write!(f, "self loop at node {node}"),
             GraphError::Empty => write!(f, "graph has no nodes"),
-            GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::TooManyNodes { requested } => {
                 write!(f, "requested {requested} nodes, more than the u32 id space")
             }
@@ -56,7 +53,6 @@ mod tests {
             GraphError::NodeOutOfRange { node: 5, n: 3 },
             GraphError::SelfLoop { node: 1 },
             GraphError::Empty,
-            GraphError::Disconnected,
             GraphError::TooManyNodes { requested: usize::MAX },
         ];
         for e in errs {

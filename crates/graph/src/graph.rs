@@ -255,47 +255,6 @@ impl Graph {
         let d1 = crate::traversal::bfs(self, far);
         d1.iter().copied().max().unwrap_or(0)
     }
-
-    /// Serializes to a compact edge-list text format (`n` on the first line,
-    /// one `u v` pair per following line). Inverse of [`Graph::parse_edge_list`].
-    pub fn to_edge_list(&self) -> String {
-        let mut s = String::with_capacity(self.m() * 8 + 16);
-        s.push_str(&self.n.to_string());
-        s.push('\n');
-        for (u, v) in self.edges() {
-            s.push_str(&u.to_string());
-            s.push(' ');
-            s.push_str(&v.to_string());
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Parses the format produced by [`Graph::to_edge_list`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError`] for malformed headers/edges or invalid endpoints;
-    /// malformed integers surface as [`GraphError::Empty`] (header) or
-    /// [`GraphError::NodeOutOfRange`].
-    pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let n: usize = lines.next().and_then(|l| l.trim().parse().ok()).ok_or(GraphError::Empty)?;
-        let mut edges = Vec::new();
-        for line in lines {
-            let mut it = line.split_whitespace();
-            let u: NodeId = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or(GraphError::NodeOutOfRange { node: INVALID_NODE, n })?;
-            let v: NodeId = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or(GraphError::NodeOutOfRange { node: INVALID_NODE, n })?;
-            edges.push((u, v));
-        }
-        Graph::from_edges(n, &edges)
-    }
 }
 
 fn argmax_dist(dist: &[u32]) -> Option<NodeId> {
@@ -393,21 +352,6 @@ mod tests {
         let g = cycle4();
         assert_eq!(g.diameter(), 2);
         assert_eq!(g.diameter_double_sweep(), 2);
-    }
-
-    #[test]
-    fn edge_list_round_trip() {
-        let g = cycle4();
-        let text = g.to_edge_list();
-        let back = Graph::parse_edge_list(&text).unwrap();
-        assert_eq!(g, back);
-    }
-
-    #[test]
-    fn parse_edge_list_rejects_garbage() {
-        assert!(Graph::parse_edge_list("").is_err());
-        assert!(Graph::parse_edge_list("3\n0 zebra\n").is_err());
-        assert!(Graph::parse_edge_list("2\n0 5\n").is_err());
     }
 
     #[test]

@@ -98,13 +98,6 @@ proptest! {
     }
 
     #[test]
-    fn edge_list_round_trips(g in arb_graph()) {
-        let text = g.to_edge_list();
-        let back = Graph::parse_edge_list(&text).expect("parse back");
-        prop_assert_eq!(g, back);
-    }
-
-    #[test]
     fn topology_spec_round_trips_and_builds(
         kind in 0usize..6,
         a in 3usize..24,

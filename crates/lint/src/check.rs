@@ -49,7 +49,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "rng-discipline",
         summary: "RNG construction (seed_from_u64/from_seed/from_entropy/thread_rng/from_rng) \
-                  belongs in rn_sim::rng: call sites use stream_rng/WordStream so seed \
+                  belongs in rn_sim::rng: call sites use stream_rng/rng_from_seed so seed \
                   streams stay per-axis independent (test code exempt)",
     },
     Rule {
@@ -519,7 +519,7 @@ fn rule_rng_discipline(
                     rule: "rng-discipline",
                     message: format!(
                         "`{s}` constructs an RNG outside rn_sim::rng; derive streams with \
-                         rng::stream_rng / rng::WordStream so per-axis seed independence holds"
+                         rng::stream_rng / rng::rng_from_seed so per-axis seed independence holds"
                     ),
                 });
             }

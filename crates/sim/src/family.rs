@@ -41,10 +41,6 @@ pub enum OverrideClass {
     Flag,
     /// An integer ≥ 1.
     Int,
-    /// One of a fixed set of symbolic names; the stored value is the
-    /// chosen variant's index into the listed names. `{key=name}` parses by
-    /// name; canonical `Display` re-emits the name, never the index.
-    Enum(&'static [&'static str]),
 }
 
 /// One key of a family's typed override schema: name, help text and value
@@ -84,21 +80,7 @@ impl OverrideSpec {
             OverrideClass::Int if value < 1.0 || value.fract() != 0.0 => {
                 Err(format!("{} takes an integer ≥ 1", self.key))
             }
-            OverrideClass::Enum(names)
-                if value < 0.0 || value.fract() != 0.0 || value >= names.len() as f64 =>
-            {
-                Err(format!("{} takes one of: {}", self.key, names.join(", ")))
-            }
             _ => Ok(()),
-        }
-    }
-
-    /// The symbolic name an [`OverrideClass::Enum`] value displays as, if
-    /// this key is an enum and `value` indexes a variant.
-    pub fn enum_name(&self, value: f64) -> Option<&'static str> {
-        match self.class {
-            OverrideClass::Enum(names) => names.get(value as usize).copied(),
-            _ => None,
         }
     }
 }
@@ -237,14 +219,6 @@ mod tests {
         assert!(int.validate(3.0).is_ok());
         assert!(int.validate(0.0).is_err());
         assert!(int.validate(1.5).is_err());
-        let e = OverrideSpec::new("c", "", OverrideClass::Enum(&["a", "b"]));
-        assert!(e.validate(0.0).is_ok() && e.validate(1.0).is_ok());
-        assert!(e.validate(2.0).is_err());
-        assert!(e.validate(-1.0).is_err());
-        assert!(e.validate(0.5).is_err());
-        assert_eq!(e.enum_name(1.0), Some("b"));
-        assert_eq!(e.enum_name(2.0), None);
-        assert_eq!(int.enum_name(1.0), None);
     }
 
     #[test]

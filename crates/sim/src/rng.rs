@@ -52,77 +52,6 @@ pub fn rng_from_seed(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
 }
 
-/// A sequential SplitMix64 word generator: the batched-coin counterpart of
-/// [`stream_rng`], drawing raw 64-bit words instead of going through a
-/// `rand` adapter. One word is 64 independent fair coin lanes, so decay-style
-/// "each of `k` nodes flips Bernoulli(2^-j)" draws batch into `⌈k/64⌉·j`
-/// word draws and word ANDs — see [`bernoulli_pow2_indices`].
-///
-/// The stream for `(master, stream)` is independent of (and different from)
-/// the [`stream_rng`] stream for the same pair, so a protocol can expose
-/// both samplers side by side without coin reuse.
-#[derive(Debug, Clone)]
-pub struct WordStream {
-    state: u64,
-}
-
-/// Dedicated sub-stream tag so `WordStream` and [`stream_rng`] never share
-/// a seed even for identical `(master, stream)` pairs.
-const WORD_STREAM_TAG: u64 = 0x30D5_7EA1;
-
-impl WordStream {
-    /// A word stream for logical `stream` of `master` (same derivation
-    /// discipline as [`stream_rng`]).
-    pub fn new(master: u64, stream: u64) -> WordStream {
-        WordStream { state: derive(derive(master, WORD_STREAM_TAG), stream) }
-    }
-
-    /// The next 64 independent fair coin lanes.
-    #[inline]
-    pub fn next_word(&mut self) -> u64 {
-        let w = splitmix64(self.state);
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        w
-    }
-}
-
-/// One word of 64 independent Bernoulli(`2^-j`) lanes: the AND of `j` raw
-/// words (each lane succeeds iff all `j` of its fair coins do). `j = 0`
-/// yields all-ones (probability 1).
-#[inline]
-pub fn bernoulli_pow2_word(ws: &mut WordStream, j: u32) -> u64 {
-    let mut w = !0u64;
-    for _ in 0..j {
-        w &= ws.next_word();
-    }
-    w
-}
-
-/// Samples the success indices of `k` independent Bernoulli(`2^-j`) trials
-/// by drawing whole 64-lane words — `⌈k/64⌉·j` word draws total, instead of
-/// `k` per-index coin flips. Indices are appended to `out` in increasing
-/// order, like [`bernoulli_indices`].
-///
-/// The word-batched draw is the fast shape for *dense* steps (small `j`,
-/// where a constant fraction of lanes succeed); for large `j` the geometric
-/// skipping of [`bernoulli_indices`] does less work per success. Callers
-/// pick per step; the two samplers draw from different streams and are not
-/// interchangeable mid-run.
-pub fn bernoulli_pow2_indices(ws: &mut WordStream, k: usize, j: u32, out: &mut Vec<usize>) {
-    let mut base = 0usize;
-    while base < k {
-        let mut w = bernoulli_pow2_word(ws, j);
-        if base + 64 > k {
-            w &= (1u64 << (k - base)) - 1; // partial last word: drop lanes >= k
-        }
-        while w != 0 {
-            out.push(base + w.trailing_zeros() as usize);
-            w &= w - 1;
-        }
-        base += 64;
-    }
-}
-
 /// Samples the index set of successes among `k` independent Bernoulli(`p`)
 /// trials, in `O(successes)` expected time via geometric skipping. The joint
 /// distribution is exactly that of `k` independent coin flips, which lets
@@ -398,76 +327,6 @@ mod tests {
     fn sample_distinct_rejects_oversized_k() {
         let mut rng = stream_rng(7, 0);
         sample_distinct(&mut rng, 11, 10);
-    }
-
-    #[test]
-    fn word_stream_is_deterministic_and_distinct_from_stream_rng() {
-        let a: Vec<u64> = {
-            let mut ws = WordStream::new(9, 4);
-            (0..8).map(|_| ws.next_word()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut ws = WordStream::new(9, 4);
-            (0..8).map(|_| ws.next_word()).collect()
-        };
-        assert_eq!(a, b, "pure function of (master, stream)");
-        let other: u64 = WordStream::new(9, 5).next_word();
-        assert_ne!(a[0], other, "stream-sensitive");
-        // The first word must not equal the first draw of the SmallRng
-        // stream for the same pair — the two samplers own disjoint coins.
-        let small: u64 = stream_rng(9, 4).gen();
-        assert_ne!(a[0], small);
-    }
-
-    #[test]
-    fn word_stream_lanes_are_fair() {
-        let mut ws = WordStream::new(3, 0);
-        let words = 4000;
-        let ones: u64 = (0..words).map(|_| ws.next_word().count_ones() as u64).sum();
-        let total = words * 64;
-        let freq = ones as f64 / total as f64;
-        assert!((freq - 0.5).abs() < 0.01, "bit frequency {freq}");
-    }
-
-    #[test]
-    fn bernoulli_pow2_word_halves_density_per_level() {
-        let mut ws = WordStream::new(4, 0);
-        for j in 0..6u32 {
-            let trials = 2000;
-            let ones: u64 =
-                (0..trials).map(|_| bernoulli_pow2_word(&mut ws, j).count_ones() as u64).sum();
-            let freq = ones as f64 / (trials * 64) as f64;
-            let expect = 0.5f64.powi(j as i32);
-            assert!(
-                (freq - expect).abs() < 0.05 * expect.max(0.05),
-                "j={j}: density {freq} vs {expect}"
-            );
-        }
-        assert_eq!(bernoulli_pow2_word(&mut WordStream::new(1, 1), 0), !0, "j=0 is certainty");
-    }
-
-    #[test]
-    fn bernoulli_pow2_indices_shape_and_mean() {
-        let mut ws = WordStream::new(5, 0);
-        let mut out = Vec::new();
-        // k = 0: nothing. Partial word: indices stay < k.
-        bernoulli_pow2_indices(&mut ws, 0, 1, &mut out);
-        assert!(out.is_empty());
-        bernoulli_pow2_indices(&mut ws, 70, 0, &mut out);
-        assert_eq!(out, (0..70).collect::<Vec<_>>(), "j=0 selects everything");
-        let trials = 3000;
-        let (k, j) = (100usize, 3u32);
-        let mut total = 0usize;
-        for _ in 0..trials {
-            out.clear();
-            bernoulli_pow2_indices(&mut ws, k, j, &mut out);
-            assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-            assert!(out.iter().all(|&i| i < k));
-            total += out.len();
-        }
-        let mean = total as f64 / trials as f64;
-        let expect = k as f64 * 0.125;
-        assert!((mean - expect).abs() < 0.3, "mean {mean} vs {expect}");
     }
 
     #[test]

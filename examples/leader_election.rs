@@ -37,7 +37,6 @@ fn main() {
         &g,
         net,
         baselines::BroadcastKind::Bgi,
-        1.0,
         0,
         None,
     );

@@ -47,8 +47,8 @@ fn baseline_runs_are_seed_deterministic() {
     let bgi = baselines::BroadcastKind::Bgi;
     // A reused scratch replays the run exactly.
     let engine = &mut sim::SimScratch::new();
-    let l1 = baselines::binary_search_leader_election(engine, &g, net, bgi, 1.0, 5, None);
-    let l2 = baselines::binary_search_leader_election(engine, &g, net, bgi, 1.0, 5, None);
+    let l1 = baselines::binary_search_leader_election(engine, &g, net, bgi, 5, None);
+    let l2 = baselines::binary_search_leader_election(engine, &g, net, bgi, 5, None);
     assert_eq!(l1, l2);
 }
 
