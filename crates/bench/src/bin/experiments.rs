@@ -20,9 +20,8 @@
 //! * `--trials N` — trials per campaign cell (a positive integer; default
 //!   10 for `--scenario`, the preset's own count otherwise);
 //! * `--threads N` — worker-thread budget of campaigns and table
-//!   experiments alike (default: the `RN_BENCH_THREADS` env var, else
-//!   available parallelism capped at 16); results are byte-identical for
-//!   any value;
+//!   experiments alike (default: available parallelism capped at 16);
+//!   results are byte-identical for any value;
 //! * `--faults SPEC` — replace a campaign target's fault axis with one plan
 //!   (`jam(K,P)`, `drop(P)`, `jam(K,P)!drop(P)` or `none`);
 //! * `--json PATH` — additionally stream the campaign's versioned JSON
@@ -32,9 +31,11 @@
 //!   `--json`): huge streamed sweeps then hold only the cells in flight,
 //!   never the whole result;
 //! * `--timing` — annotate every emitted cell with `elapsed_ms` (summed
-//!   per-trial wall-clock). Off by default because wall-clock is
-//!   machine-dependent: byte-compared baselines must be generated without
-//!   it, scale-lane files with it;
+//!   per-trial wall-clock) and its per-trial distribution. Off by default
+//!   because wall-clock is machine-dependent: byte-compared baselines must
+//!   be generated without it, scale-lane files with it. `--scenario S
+//!   --trials N --threads 1 --timing --json F` is how a scenario string is
+//!   timed; the criterion `scale` suite keeps only what no flag reaches;
 //! * `--check PATH` — parse and schema-validate a results file, then exit
 //!   (the CI smoke gate).
 

@@ -91,8 +91,8 @@ pub struct DiffRow {
     /// **Informational by default** — wall-clock is machine-dependent, so
     /// it only gates when the caller opts in via
     /// [`DiffOptions::time_gate_pct`] (the scale lane, where machine and scenario are
-    /// pinned); perf regressions elsewhere are caught by the criterion
-    /// scale suite.
+    /// pinned); elsewhere wall-clock is read from `--timing` runs and the
+    /// `perfbench` workloads, not gated here.
     pub base_elapsed_ms: Option<u64>,
     /// New-run `elapsed_ms` annotation, same default-informational status.
     pub new_elapsed_ms: Option<u64>,

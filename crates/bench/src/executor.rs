@@ -35,26 +35,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Environment variable consulted by [`resolve_threads`] when no explicit
-/// budget is given (the `--threads` CLI flag wins over it).
-pub const THREADS_ENV: &str = "RN_BENCH_THREADS";
-
 /// Resolves the worker-thread budget: an explicit request (CLI `--threads`)
-/// wins, then a positive integer in [`THREADS_ENV`], then the machine's
-/// available parallelism capped at 16. Always at least 1; malformed
-/// environment values are ignored.
+/// wins, else the machine's available parallelism capped at 16. Always at
+/// least 1.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(t) = explicit {
-        return t.max(1);
+    match explicit {
+        Some(t) => t.max(1),
+        None => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(16),
     }
-    if let Some(t) = std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-    {
-        return t;
-    }
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(16)
 }
 
 /// Knobs for [`execute_with`] beyond the campaign itself.
@@ -269,11 +257,12 @@ mod tests {
     }
 
     #[test]
-    fn resolve_threads_prefers_explicit_then_env() {
+    fn resolve_threads_prefers_an_explicit_budget() {
         assert_eq!(resolve_threads(Some(5)), 5);
+        assert_eq!(resolve_threads(Some(64)), 64, "explicit budgets are not capped");
         assert_eq!(resolve_threads(Some(0)), 1, "explicit budgets clamp to ≥ 1");
-        // No explicit budget: whatever the source, the result is positive.
-        assert!(resolve_threads(None) >= 1);
+        // No explicit budget: available parallelism, capped at 16.
+        assert!((1..=16).contains(&resolve_threads(None)));
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Table {
 /// takes no lock and shares no cache line (no mutex, no atomics). Chunks are
 /// contiguous, so output order is seed order by construction, and the
 /// output is the same for any budget.
-pub fn parallel_trials<T: Send>(
+pub(crate) fn parallel_trials<T: Send>(
     trials: u64,
     threads: usize,
     f: impl Fn(u64) -> T + Sync,

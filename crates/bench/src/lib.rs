@@ -1,7 +1,7 @@
 //! Benchmark harness: the declarative scenario subsystem (registry +
 //! campaign runner), the paper-reproduction experiment suite `e1`…`e12`
-//! (README, *Running campaigns*), and shared table / trial utilities used by the
-//! criterion benches.
+//! (README, *Running campaigns*), and [`BenchWorkload`], which resolves the
+//! workloads of the criterion `scale` suite.
 //!
 //! Run everything with:
 //!
@@ -16,6 +16,9 @@
 //! cargo run --release -p rn_bench --bin experiments -- \
 //!     --scenario "leader_election@torus(32x32)" --trials 20 --json out.json
 //! ```
+//!
+//! (with `--threads 1 --timing`, the same command times the scenario: each
+//! cell then records its per-trial wall-clock).
 //!
 //! Every run is a pure function of a master seed; campaign JSON results are
 //! byte-identical for a fixed seed.
@@ -42,7 +45,7 @@ pub use campaign::{
 };
 pub use diff::{diff_results_with, DiffOptions, DiffReport, DiffStatus};
 pub use executor::{execute_with, resolve_threads, ExecOptions};
-pub use harness::{parallel_trials, Table};
+pub use harness::Table;
 pub use json::{Json, JsonError};
 pub use listing::registry_listing;
 pub use registry::{

@@ -1,10 +1,9 @@
-//! Shared setup for the criterion suites: resolve a registry
+//! Shared setup for the criterion `scale` suite: resolve a registry
 //! [`ScenarioSpec`] string into everything a bench loop needs.
 //!
-//! Every suite measures workloads expressed as scenario strings — the same
-//! grammar campaigns and the `experiments` CLI use — so bench and
-//! experiment workloads cannot drift apart: changing what is benchmarked is
-//! a string edit, not code.
+//! Bench workloads are scenario strings — the same grammar campaigns and
+//! the `experiments` CLI use — so bench and experiment workloads cannot
+//! drift apart: changing what is benchmarked is a string edit, not code.
 
 use crate::registry::ScenarioSpec;
 use rn_graph::Graph;
@@ -49,14 +48,9 @@ impl BenchWorkload {
     }
 
     /// Runs one trial under the workload's fault plan (most workloads have
-    /// none) on a throwaway pool — the body of a criterion iteration.
-    pub fn run_trial(&self, seed: u64) -> TrialRecord {
-        self.run_trial_in(seed, &mut TrialPool::new())
-    }
-
-    /// [`BenchWorkload::run_trial`] through a caller's pool: a long-lived
-    /// one measures the steady state, a [`TrialPool::reference`] one the
-    /// reference engine.
+    /// none) through a caller's pool: a new [`TrialPool::new`] per trial
+    /// pays allocation, a long-lived one measures the steady state, and a
+    /// [`TrialPool::reference`] one the reference engine.
     pub fn run_trial_in(&self, seed: u64, pool: &mut TrialPool) -> TrialRecord {
         let ctx = TrialCtx::new(&self.graph, self.net, self.model, seed, &self.spec.faults);
         self.runnable.run(&ctx, pool)
@@ -72,7 +66,7 @@ mod tests {
         let w = BenchWorkload::resolve("bgi@grid(6x6)", 0xB0);
         assert_eq!(w.name, "bgi");
         assert_eq!(w.graph.n(), 36);
-        let r = w.run_trial(1);
+        let r = w.run_trial_in(1, &mut TrialPool::new());
         assert!(r.completed && r.rounds > 0);
         // A CD-pinning workload reports the model it truly runs under.
         let w = BenchWorkload::resolve("broadcast_cd@grid(6x6)", 0xB0);
@@ -86,7 +80,7 @@ mod tests {
         let w = BenchWorkload::resolve("decay(3)@complete(40)!drop(0.1)", 0xB0);
         let mut warm = TrialPool::new();
         for seed in 1..4 {
-            let fresh = w.run_trial(seed);
+            let fresh = w.run_trial_in(seed, &mut TrialPool::new());
             assert_eq!(w.run_trial_in(seed, &mut TrialPool::reference()), fresh, "seed {seed}");
             assert_eq!(w.run_trial_in(seed, &mut warm), fresh, "seed {seed}");
         }

@@ -125,12 +125,6 @@ impl HybridAdjacency {
         })
     }
 
-    /// Words per bitmap row (`⌈n/64⌉`).
-    #[inline]
-    pub fn words_per_row(&self) -> usize {
-        self.words
-    }
-
     /// The degree threshold this cache was built at.
     pub fn threshold(&self) -> usize {
         self.threshold
@@ -172,9 +166,9 @@ mod tests {
         for g in [generators::complete(70), generators::star(130), generators::grid(9, 7)] {
             let adj = HybridAdjacency::build(&g, 1); // every node gets a row
             assert_eq!(adj.bitmap_rows(), g.n());
-            assert_eq!(adj.words_per_row(), g.n().div_ceil(64));
             for v in g.nodes() {
                 let row = adj.row(v).expect("threshold 1 covers every node");
+                assert_eq!(row.len(), g.n().div_ceil(64), "row of {v} is ⌈n/64⌉ words");
                 assert_eq!(expand(row), g.neighbors(v), "row of {v}");
             }
         }

@@ -468,11 +468,6 @@ impl FaultSchedule {
         &self.jammer_ids
     }
 
-    /// Whether `node` is a jammer (jammers never perform protocol actions).
-    pub fn is_jammer(&self, node: NodeId) -> bool {
-        self.is_jammer[node as usize]
-    }
-
     /// Whether jammer `node` fires noise in `round`. Only meaningful for
     /// nodes in [`FaultSchedule::jammer_ids`].
     ///

@@ -1,21 +1,16 @@
 //! Offline shim for the subset of the `criterion` API this workspace uses.
 //!
 //! The benches compile and run against this harness exactly as they would
-//! against real criterion (`Criterion`, `benchmark_group`, `sample_size`,
-//! `bench_function`, `bench_with_input`, `BenchmarkId`, `Bencher::iter`,
-//! `criterion_group!` / `criterion_main!`). Measurement is intentionally
-//! simple: each sample times a batch of iterations with `std::time::Instant`
-//! and the harness reports min / median / max per-iteration wall time.
+//! against real criterion (`Criterion::benchmark_group`, `sample_size`,
+//! `BenchmarkGroup::bench_function` with a `&str` or `String` id,
+//! `Bencher::iter`, `criterion_group!` / `criterion_main!`). Measurement is
+//! intentionally simple: each sample times a batch of iterations with
+//! `std::time::Instant` and the harness reports min / median / max
+//! per-iteration wall time.
 //! Swap in real criterion via the manifest when crates.io is reachable for
 //! statistically rigorous numbers.
 
-use std::fmt::Display;
 use std::time::{Duration, Instant};
-
-/// Returns `x` while preventing the optimizer from deleting its computation.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
 
 /// Entry point handed to each registered bench function.
 pub struct Criterion {
@@ -29,15 +24,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Runs a standalone benchmark.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_one(name, self.sample_size, &mut f);
-        self
-    }
-
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup { name: name.to_string(), sample_size: self.sample_size, _criterion: self }
@@ -69,53 +55,14 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs a benchmark parameterized by `input`.
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: impl IntoBenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let label = format!("{}/{}", self.name, id.into_benchmark_id());
-        run_one(&label, self.sample_size, &mut |b: &mut Bencher| f(b, input));
-        self
-    }
-
     /// Finishes the group (kept for API compatibility).
     pub fn finish(self) {}
-}
-
-/// Identifier for one benchmark within a group.
-#[derive(Clone, Debug)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// An id made of a function name and a parameter value.
-    pub fn new(function_name: impl Into<String>, parameter: impl Display) -> BenchmarkId {
-        BenchmarkId { id: format!("{}/{}", function_name.into(), parameter) }
-    }
-
-    /// An id made of a parameter value alone.
-    pub fn from_parameter(parameter: impl Display) -> BenchmarkId {
-        BenchmarkId { id: parameter.to_string() }
-    }
 }
 
 /// Conversion into a printable benchmark id.
 pub trait IntoBenchmarkId {
     /// Renders the id.
     fn into_benchmark_id(self) -> String;
-}
-
-impl IntoBenchmarkId for BenchmarkId {
-    fn into_benchmark_id(self) -> String {
-        self.id
-    }
 }
 
 impl IntoBenchmarkId for &str {
@@ -146,7 +93,7 @@ impl Bencher {
         for _ in 0..self.pending_samples {
             let start = Instant::now();
             for _ in 0..self.iters_per_sample {
-                black_box(f());
+                std::hint::black_box(f());
             }
             let elapsed = start.elapsed();
             self.samples.push(elapsed / self.iters_per_sample as u32);
